@@ -1,0 +1,247 @@
+"""Closed-form counts of irreducible polynomials arising through quadratic
+transformations, with brute-force oracles.
+
+The headline counts (all exact; every division is integer-exact and
+asserted so):
+
+* ``count_carlitz``: monic irreducible self-reciprocal polynomials of
+  degree 2n over GF(q).
+* ``count_sigma``: monic irreducible F of degree 2n with
+  x^(2n) F(sigma/x) = sigma^n F(x).  Here epsilon is +1/-1 for q odd by
+  the square class of sigma, 0 for q even.
+* ``count_ahmadi``: monic irreducible f of degree n > 1 with irreducible
+  image under a fixed quadratic transformation; equal to the Carlitz count
+  except in the degenerate even-characteristic case, independently of the
+  expression.
+* ``count_linear_inputs``: irreducible monic quadratics among the linear
+  combinations of g and h (the n = 1 case).
+* ``count_corollary``: the sigma count written as a single divisor sum with
+  a correction term delta.
+
+``brute_count`` recomputes any of these by exhaustive enumeration and is
+the oracle the test suite pins every formula against.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from . import errors
+from .gf import FieldElement, FieldSpec, is_square
+from .intmath import divisors, factorization, is_power_of_two
+from .moebius import QuadRationalExpr, SigmaClass, classify_sigma, sigma_form
+from .transform import irreducible_image_count, linear_input_images
+from .poly import is_irreducible
+
+
+def moebius_mu(d: int) -> int:
+    """The number-theoretic Moebius function, by trial factorization."""
+    if d < 1:
+        raise ValueError("mu is defined on positive integers")
+    mu = 1
+    for _, e in factorization(d).items():
+        if e > 1:
+            return 0
+        mu = -mu
+    return mu
+
+
+def moebius_invert_odd(f_values: dict[int, int]) -> dict[int, int]:
+    """Invert f(n) = sum over odd d | n of g(n/d).
+
+    Returns g(n) = sum over odd d | n of mu(d) * f(n/d) for every key n of
+    the input; all divisor values f(n/d) must be present.
+    """
+    out = {}
+    for n in f_values:
+        total = 0
+        for d in divisors(n):
+            if d % 2 == 0:
+                continue
+            if n // d not in f_values:
+                raise errors.MissingDivisorValue(
+                    f"need f({n // d}) to invert at n={n}")
+            total += moebius_mu(d) * f_values[n // d]
+        out[n] = total
+    return out
+
+
+@dataclass(frozen=True)
+class CountQuery:
+    """A counting problem instance; `variant` selects the formula."""
+    field: FieldSpec
+    n: int
+    variant: str  # carlitz | sigma | ahmadi | linear | corollary
+    sigma: FieldElement | None = None
+    expr: QuadRationalExpr | None = None
+
+
+@dataclass(frozen=True)
+class CountResult:
+    value: int
+    epsilon: int
+    delta: int
+    formula_branch: str
+
+
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    assert r == 0, f"count formula produced non-integer {num}/{den}"
+    return q
+
+
+def _odd_divisor_sum(q: int, n: int) -> int:
+    return sum(moebius_mu(d) * q ** (n // d) for d in divisors(n) if d % 2 == 1)
+
+
+def count_carlitz(field: FieldSpec, n: int) -> CountResult:
+    """Number of self-reciprocal irreducible monic polynomials of degree 2n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    q = field.q
+    eps = 1 if q % 2 else 0
+    if q % 2 and is_power_of_two(n):
+        return CountResult(_exact_div(q ** n - 1, 2 * n), eps, 0, "odd-q-power-of-2")
+    return CountResult(_exact_div(_odd_divisor_sum(q, n), 2 * n), eps, 0, "mobius-sum")
+
+
+def _epsilon_for(sigma: FieldElement) -> int:
+    if sigma.owner.p == 2:
+        return 0
+    return 1 if is_square(sigma) else -1
+
+
+def count_sigma(field: FieldSpec, n: int, sigma: FieldElement) -> CountResult:
+    """Number of sigma-self-reciprocal irreducible monic polynomials of degree 2n.
+
+    n = 1 counts as a power of two, which is where the epsilon = -1 case
+    (sigma a nonsquare) departs from the Carlitz value.
+    """
+    if sigma.is_zero():
+        raise errors.ZeroSigma("sigma must be nonzero")
+    if sigma.owner is not field:
+        raise errors.FieldMismatch("sigma not in the stated field")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    q = field.q
+    eps = _epsilon_for(sigma)
+    if q % 2 and is_power_of_two(n):
+        return CountResult(_exact_div(q ** n - eps ** n, 2 * n), eps, 0,
+                           "odd-q-power-of-2")
+    return CountResult(_exact_div(_odd_divisor_sum(q, n), 2 * n), eps, 0,
+                       "mobius-sum")
+
+
+def count_ahmadi(field: FieldSpec, n: int, expr: QuadRationalExpr) -> CountResult:
+    """Number of monic irreducible f of degree n > 1 with f_R irreducible.
+
+    Independent of the expression except for the degenerate even-q case
+    (both derivatives zero), which contributes nothing.
+    """
+    if n <= 1:
+        raise errors.RequiresNGreaterThan1("this count requires n > 1")
+    if expr.owner is not field:
+        raise errors.FieldMismatch("expression not over the stated field")
+    q = field.q
+    cls = classify_sigma(expr)
+    if cls is SigmaClass.X_SQUARED:
+        return CountResult(0, 0, 0, "even-degenerate")
+    eps = 0 if q % 2 == 0 else (1 if cls is SigmaClass.SQUARE else -1)
+    if q % 2 and is_power_of_two(n):
+        return CountResult(_exact_div(q ** n - 1, 2 * n), eps, 0, "odd-q-power-of-2")
+    return CountResult(_exact_div(_odd_divisor_sum(q, n), 2 * n), eps, 0, "mobius-sum")
+
+
+def count_linear_inputs(field: FieldSpec, expr: QuadRationalExpr) -> CountResult:
+    """Number of irreducible monic quadratics spanned by g and h.
+
+    q/2 for q even; (q - 1)/2 or (q + 1)/2 for q odd according to whether
+    g'h - gh' splits over GF(q).
+    """
+    if expr.owner is not field:
+        raise errors.FieldMismatch("expression not over the stated field")
+    q = field.q
+    w = expr.wronskian()
+    if q % 2 == 0:
+        if w.is_zero():
+            raise errors.Char2Degenerate(
+                "g' = h' = 0: no irreducible combination exists")
+        return CountResult(q // 2, 0, 0, "even")
+    if _splits_over_base(w):
+        return CountResult((q - 1) // 2, 1, 0, "split")
+    return CountResult((q + 1) // 2, -1, 0, "nonsplit")
+
+
+def _splits_over_base(w) -> bool:
+    # w has degree <= 2 here; it splits iff it is constant/linear or a
+    # quadratic with a root in the base field (the cofactor is then linear).
+    if w.degree <= 1:
+        return True
+    spec = w.owner
+    return any(w(t).is_zero() for t in spec.elements())
+
+
+def count_corollary(field: FieldSpec, n: int, sigma: FieldElement) -> CountResult:
+    """The sigma count as a single divisor sum with correction delta.
+
+    delta is 1 for q odd with n > 1 a power of two; +1/-1 for q odd, n = 1,
+    sigma a square/nonsquare; 0 otherwise.
+    """
+    if sigma.is_zero():
+        raise errors.ZeroSigma("sigma must be nonzero")
+    if sigma.owner is not field:
+        raise errors.FieldMismatch("sigma not in the stated field")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    q = field.q
+    eps = _epsilon_for(sigma)
+    if q % 2 and n > 1 and is_power_of_two(n):
+        delta, branch = 1, "odd-q-power-of-2"
+    elif q % 2 and n == 1 and is_square(sigma):
+        delta, branch = 1, "odd-q-n1-square"
+    elif q % 2 and n == 1:
+        delta, branch = -1, "odd-q-n1-nonsquare"
+    else:
+        delta, branch = 0, "otherwise"
+    value = _exact_div(-delta + _odd_divisor_sum(q, n), 2 * n)
+    return CountResult(value, eps, delta, branch)
+
+
+def evaluate(query: CountQuery) -> CountResult:
+    """Dispatch a query to the matching formula."""
+    v = query.variant
+    if v == "carlitz":
+        return count_carlitz(query.field, query.n)
+    if v == "sigma":
+        return count_sigma(query.field, query.n, query.sigma)
+    if v == "ahmadi":
+        return count_ahmadi(query.field, query.n, query.expr)
+    if v == "linear":
+        return count_linear_inputs(query.field, query.expr)
+    if v == "corollary":
+        return count_corollary(query.field, query.n, query.sigma)
+    raise errors.Error(f"unknown count variant {v!r}")
+
+
+def brute_count(query: CountQuery) -> int:
+    """Recompute a count by exhaustive enumeration (the independent oracle).
+
+    For the transform variants: enumerate monic irreducible f of degree n,
+    apply the transformation, normalize monic, test irreducibility and full
+    degree.  For the linear variant: test every monic quadratic in the
+    pencil spanned by g and h.
+    """
+    v = query.variant
+    field = query.field
+    if v == "linear":
+        return sum(1 for _, cand in linear_input_images(query.expr)
+                   if is_irreducible(cand))
+    if v == "carlitz":
+        expr = sigma_form(field.one)
+    elif v in ("sigma", "corollary"):
+        expr = sigma_form(query.sigma)
+    elif v == "ahmadi":
+        expr = query.expr
+    else:
+        raise errors.Error(f"unknown count variant {v!r}")
+    return irreducible_image_count(expr, query.n)

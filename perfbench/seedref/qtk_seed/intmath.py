@@ -1,0 +1,68 @@
+"""Small integer-arithmetic helpers (primality, divisors)."""
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic trial-division primality test; fine for n up to ~2**40."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def factorization(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 as {prime: exponent}."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def is_power_of_two(n: int) -> bool:
+    """True for n in {1, 2, 4, 8, ...}."""
+    return n >= 1 and (n & (n - 1)) == 0

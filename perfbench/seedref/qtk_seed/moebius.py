@@ -1,0 +1,442 @@
+"""Moebius transformations over GF(q) and canonical reduction of quadratic
+rational expressions.
+
+A quadratic rational expression R(x) = g(x)/h(x) (g, h coprime with
+max(deg g, deg h) = 2) can be brought, by pre- and post-composition with
+invertible maps x -> (ax+b)/(cx+d), to the form x + sigma/x for some
+nonzero sigma, or to x^2 in characteristic two.  :func:`reduce_canonical`
+performs that reduction constructively and returns a replayable trail of
+the affine/inversion steps used, so the reduction itself is machine
+checkable.  :func:`classify_sigma` computes the invariant that labels the
+equivalence class (the square class of the discriminant of g'h - gh')
+without running the full reduction.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass
+
+from . import errors
+from .gf import FieldElement, FieldSpec, is_square, least_nonsquare
+from .poly import Polynomial, gcd, parse_poly
+
+
+class MoebiusMap:
+    """Element of PGL(2, q): x -> (ax+b)/(cx+d) with ad - bc != 0.
+
+    The matrix is normalized so its first nonzero entry (in a, b, c, d
+    order) is 1, making the representation unique within its class.
+    """
+
+    __slots__ = ("owner", "a", "b", "c", "d")
+
+    def __init__(self, a: FieldElement, b: FieldElement, c: FieldElement, d: FieldElement):
+        owner = a.owner
+        for e in (b, c, d):
+            if e.owner is not owner:
+                raise errors.FieldMismatch("matrix entries from different fields")
+        if (a * d - b * c).is_zero():
+            raise errors.Error("singular matrix does not define a Moebius map")
+        for e in (a, b, c, d):
+            if not e.is_zero():
+                s = e.inverse()
+                break
+        self.owner = owner
+        self.a, self.b, self.c, self.d = a * s, b * s, c * s, d * s
+
+    @classmethod
+    def from_ints(cls, spec: FieldSpec, a, b, c, d) -> "MoebiusMap":
+        return cls(spec.element(a), spec.element(b), spec.element(c), spec.element(d))
+
+    @classmethod
+    def identity(cls, spec: FieldSpec) -> "MoebiusMap":
+        return cls.from_ints(spec, 1, 0, 0, 1)
+
+    @classmethod
+    def inversion(cls, spec: FieldSpec) -> "MoebiusMap":
+        """x -> 1/x."""
+        return cls.from_ints(spec, 0, 1, 1, 0)
+
+    @classmethod
+    def affine(cls, alpha: FieldElement, beta: FieldElement) -> "MoebiusMap":
+        """x -> alpha*x + beta with alpha != 0."""
+        if alpha.is_zero():
+            raise errors.Error("affine map needs alpha != 0")
+        spec = alpha.owner
+        return cls(alpha, beta, spec.zero, spec.one)
+
+    def det(self) -> FieldElement:
+        return self.a * self.d - self.b * self.c
+
+    def inverse(self) -> "MoebiusMap":
+        return MoebiusMap(self.d, -self.b, -self.c, self.a)
+
+    def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
+        return moebius_compose(self, other)
+
+    def __call__(self, x: FieldElement) -> FieldElement:
+        den = self.c * x + self.d
+        if den.is_zero():
+            raise errors.DivisionByZero("Moebius map evaluated at its pole")
+        return (self.a * x + self.b) / den
+
+    def __eq__(self, other):
+        return (isinstance(other, MoebiusMap)
+                and self.owner is other.owner
+                and (self.a, self.b, self.c, self.d)
+                == (other.a, other.b, other.c, other.d))
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def to_text(self) -> str:
+        parts = [e.to_text() for e in (self.a, self.b, self.c, self.d)]
+        return f"[{parts[0]} {parts[1]}; {parts[2]} {parts[3]}]"
+
+    def __repr__(self):
+        return f"MoebiusMap({self.owner!r}, {self.to_text()})"
+
+
+def moebius_parse(spec: FieldSpec, text: str) -> MoebiusMap:
+    """Parse "[a b; c d]" (entries may be bracketed coordinate tuples)."""
+    import re
+
+    from .gf import element_from_text
+    body = text.strip()
+    if not (body.startswith("[") and body.endswith("]")):
+        raise errors.Error(f"cannot parse Moebius map {text!r}")
+    rows = body[1:-1].split(";")
+    if len(rows) != 2:
+        raise errors.Error(f"cannot parse Moebius map {text!r}")
+    entries = []
+    for row in rows:
+        toks = re.findall(r"\[[^\]]*\]|\S+", row)
+        if len(toks) != 2:
+            raise errors.Error(f"cannot parse Moebius map {text!r}")
+        entries.extend(element_from_text(spec, t) for t in toks)
+    return MoebiusMap(*entries)
+
+
+def moebius_compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
+    """The composition m1 o m2 (m2 applied first): the matrix product."""
+    if m1.owner is not m2.owner:
+        raise errors.FieldMismatch("maps over different fields")
+    return MoebiusMap(
+        m1.a * m2.a + m1.b * m2.c,
+        m1.a * m2.b + m1.b * m2.d,
+        m1.c * m2.a + m1.d * m2.c,
+        m1.c * m2.b + m1.d * m2.d,
+    )
+
+
+class QuadRationalExpr:
+    """Coprime pair (g, h) with max(deg g, deg h) = 2, scalar-normalized.
+
+    Normalization: h monic when deg h >= 1, otherwise g monic.  Construction
+    rejects degenerate pairs (non-coprime or max degree != 2); equivalently
+    the cross-product triple satisfies b^2 - ac != 0.
+    """
+
+    __slots__ = ("g", "h")
+
+    def __init__(self, g: Polynomial, h: Polynomial):
+        g._check_owner(h)
+        if g.is_zero() or h.is_zero():
+            raise errors.Error("g and h must both be nonzero")
+        if max(g.degree, h.degree) != 2:
+            raise errors.Error("max(deg g, deg h) must be 2")
+        if gcd(g, h).degree != 0:
+            raise errors.Error("g and h must be coprime")
+        s = (h.leading if h.degree >= 1 else g.leading).inverse()
+        self.g = g.scale(s)
+        self.h = h.scale(s)
+
+    @property
+    def owner(self) -> FieldSpec:
+        return self.g.owner
+
+    def g_triple(self) -> tuple[FieldElement, FieldElement, FieldElement]:
+        return (self.g.coeff(0), self.g.coeff(1), self.g.coeff(2))
+
+    def h_triple(self) -> tuple[FieldElement, FieldElement, FieldElement]:
+        return (self.h.coeff(0), self.h.coeff(1), self.h.coeff(2))
+
+    @property
+    def abc(self) -> tuple[FieldElement, FieldElement, FieldElement]:
+        """The involution triple (a, b, c): cross product of the coefficient
+        triples of h and g.  Nonsingular (b^2 - ac != 0) for every valid pair."""
+        g0, g1, g2 = self.g_triple()
+        h0, h1, h2 = self.h_triple()
+        return (g2 * h1 - g1 * h2, g0 * h2 - g2 * h0, g1 * h0 - g0 * h1)
+
+    def wronskian(self) -> Polynomial:
+        """g'h - gh', the classification polynomial."""
+        return self.g.derivative() * self.h - self.g * self.h.derivative()
+
+    def __eq__(self, other):
+        return (isinstance(other, QuadRationalExpr)
+                and self.g == other.g and self.h == other.h)
+
+    def __hash__(self):
+        return hash((self.g, self.h))
+
+    def to_text(self) -> str:
+        return f"{self.g.to_text()} / {self.h.to_text()}"
+
+    def __repr__(self):
+        return f"QuadRationalExpr({self.g.to_human()} / {self.h.to_human()})"
+
+
+def expr_parse(spec: FieldSpec, text: str) -> QuadRationalExpr:
+    """Parse "g / h" with each side in either polynomial format."""
+    if "/" not in text:
+        raise errors.Error(f"rational expression needs 'g / h', got {text!r}")
+    g_text, h_text = text.split("/", 1)
+    return QuadRationalExpr(parse_poly(spec, g_text), parse_poly(spec, h_text))
+
+
+def sigma_form(sigma: FieldElement) -> QuadRationalExpr:
+    """The expression (x^2 + sigma)/x."""
+    if sigma.is_zero():
+        raise errors.ZeroSigma("sigma must be nonzero")
+    spec = sigma.owner
+    return QuadRationalExpr(
+        Polynomial(spec, [sigma, spec.zero, spec.one]), Polynomial.x(spec))
+
+
+def apply_pre(r: QuadRationalExpr, m: MoebiusMap) -> QuadRationalExpr:
+    """R o m: substitute m into the expression."""
+    if m.owner is not r.owner:
+        raise errors.FieldMismatch("map and expression over different fields")
+    spec = r.owner
+    num = Polynomial(spec, [m.b, m.a])
+    den = Polynomial(spec, [m.d, m.c])
+    new_g = _form2_subst(r.g_triple(), num, den)
+    new_h = _form2_subst(r.h_triple(), num, den)
+    try:
+        return QuadRationalExpr(new_g, new_h)
+    except errors.Error as exc:  # impossible for invertible m
+        raise errors.DegenerateResult(str(exc)) from exc
+
+
+def _form2_subst(triple, num: Polynomial, den: Polynomial) -> Polynomial:
+    # Degree-2 homogeneous substitution: sum c_i * num^i * den^(2-i).
+    c0, c1, c2 = triple
+    return (den * den).scale(c0) + (num * den).scale(c1) + (num * num).scale(c2)
+
+
+def apply_post(r: QuadRationalExpr, m: MoebiusMap) -> QuadRationalExpr:
+    """m(R): act on the value of the expression."""
+    if m.owner is not r.owner:
+        raise errors.FieldMismatch("map and expression over different fields")
+    new_g = r.g.scale(m.a) + r.h.scale(m.b)
+    new_h = r.g.scale(m.c) + r.h.scale(m.d)
+    try:
+        return QuadRationalExpr(new_g, new_h)
+    except errors.Error as exc:
+        raise errors.DegenerateResult(str(exc)) from exc
+
+
+# -- reduction trail -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PreAffine:
+    """Substitute x -> alpha*x + beta."""
+    alpha: FieldElement
+    beta: FieldElement
+
+    def apply(self, r: QuadRationalExpr) -> QuadRationalExpr:
+        return apply_pre(r, MoebiusMap.affine(self.alpha, self.beta))
+
+    def to_text(self):
+        return f"pre-affine {self.alpha.to_text()} {self.beta.to_text()}"
+
+
+@dataclass(frozen=True)
+class PreInversion:
+    """Substitute x -> 1/x."""
+
+    def apply(self, r: QuadRationalExpr) -> QuadRationalExpr:
+        return apply_pre(r, MoebiusMap.inversion(r.owner))
+
+    def to_text(self):
+        return "pre-inversion"
+
+
+@dataclass(frozen=True)
+class PostAffine:
+    """Replace R by alpha*R + beta."""
+    alpha: FieldElement
+    beta: FieldElement
+
+    def apply(self, r: QuadRationalExpr) -> QuadRationalExpr:
+        return apply_post(r, MoebiusMap.affine(self.alpha, self.beta))
+
+    def to_text(self):
+        return f"post-affine {self.alpha.to_text()} {self.beta.to_text()}"
+
+
+@dataclass(frozen=True)
+class PostInversion:
+    """Replace R by 1/R."""
+
+    def apply(self, r: QuadRationalExpr) -> QuadRationalExpr:
+        return apply_post(r, MoebiusMap.inversion(r.owner))
+
+    def to_text(self):
+        return "post-inversion"
+
+
+Step = PreAffine | PreInversion | PostAffine | PostInversion
+
+
+@dataclass(frozen=True)
+class ReductionTrail:
+    """Ordered record of the reduction steps from `start` to `end`."""
+
+    start: QuadRationalExpr
+    steps: tuple[Step, ...]
+    end: QuadRationalExpr
+
+    def replay(self) -> QuadRationalExpr:
+        cur = self.start
+        for step in self.steps:
+            cur = step.apply(cur)
+        return cur
+
+
+class CanonicalKind(enum.Enum):
+    X_PLUS_SIGMA_OVER_X = "x+sigma/x"
+    X_SQUARED = "x^2"
+
+
+@dataclass(frozen=True)
+class CanonicalForm:
+    kind: CanonicalKind
+    sigma: FieldElement | None = None
+
+    def as_expr(self, spec: FieldSpec) -> QuadRationalExpr:
+        if self.kind is CanonicalKind.X_SQUARED:
+            return QuadRationalExpr(
+                Polynomial.monomial(spec, 2), Polynomial.one(spec))
+        return sigma_form(self.sigma)
+
+
+class SigmaClass(enum.Enum):
+    """Equivalence class of a quadratic rational expression."""
+    SQUARE = "square"
+    NONSQUARE = "nonsquare"
+    X_SQUARED = "x-squared"
+
+
+def reduce_canonical(r: QuadRationalExpr) -> tuple[CanonicalForm, ReductionTrail]:
+    """Bring r to x + sigma/x (or x^2 in characteristic 2) constructively.
+
+    The returned trail records the exact affine/inversion steps, and
+    replaying the trail from `r` reproduces the canonical expression
+    bit for bit.
+    """
+    spec = r.owner
+    one, zero = spec.one, spec.zero
+    steps: list[Step] = []
+    cur = r
+
+    def push(step: Step):
+        nonlocal cur
+        if isinstance(step, (PreAffine, PostAffine)) \
+                and step.alpha.is_one() and step.beta.is_zero():
+            return
+        steps.append(step)
+        cur = step.apply(cur)
+
+    g0, g1, g2 = cur.g_triple()
+    h0, h1, h2 = cur.h_triple()
+    special = (g2 * h1 == g1 * h2) and (g1 * h0 == g0 * h1)
+    if special and spec.p == 2:
+        # both g and h lie in K[x^2]; the class of x^2
+        if not h2.is_zero():
+            push(PostAffine(one, -(g2 / h2)))
+            push(PostInversion())
+        g0, g1, g2 = cur.g_triple()
+        h0, _, _ = cur.h_triple()
+        # now cur = (g2*x^2 + g0)/h0 with h constant
+        push(PostAffine(h0 / g2, -(g0 / g2)))
+        assert cur.g == Polynomial.monomial(spec, 2) and cur.h == Polynomial.one(spec)
+        return (CanonicalForm(CanonicalKind.X_SQUARED),
+                ReductionTrail(r, tuple(steps), cur))
+    if special:
+        push(PreAffine(one, one))  # escape the x^2-like shape
+
+    g0, g1, g2 = cur.g_triple()
+    h0, h1, h2 = cur.h_triple()
+    if g2 * h1 == g1 * h2:
+        push(PreInversion())
+        g0, g1, g2 = cur.g_triple()
+        h0, h1, h2 = cur.h_triple()
+    # now g2*h1 != g1*h2; remove the quadratic denominator term
+    if not h2.is_zero():
+        push(PostAffine(one, -(g2 / h2)))
+        push(PostInversion())
+    # cur = (a2 x^2 + a1 x + a0)/(b1 x + b0) with a2, b1 != 0
+    b0, b1, _ = cur.h_triple()
+    push(PreAffine(one, -(b0 / b1)))
+    a2 = cur.g.coeff(2)
+    b1 = cur.h.coeff(1)
+    push(PostAffine(b1 / a2, zero))
+    # cur = (x^2 + c1 x + c0)/x; subtract the linear term of the numerator
+    push(PostAffine(one, -cur.g.coeff(1)))
+    sigma = cur.g.coeff(0)
+    assert not sigma.is_zero()
+    assert cur == sigma_form(sigma)
+    return (CanonicalForm(CanonicalKind.X_PLUS_SIGMA_OVER_X, sigma),
+            ReductionTrail(r, tuple(steps), cur))
+
+
+def classify_sigma(r: QuadRationalExpr) -> SigmaClass:
+    """Class label of r without running the reduction.
+
+    Characteristic 2: X_SQUARED exactly when g' = h' = 0, otherwise SQUARE
+    (every element is a square).  Odd characteristic: the square class of
+    the discriminant of g'h - gh', computed after the same preliminary
+    normalizations the reduction uses (substitute x+1 out of the
+    biquadratic shape, pre-invert if the quadratic term of g'h - gh'
+    vanishes).
+    """
+    spec = r.owner
+    cur = r
+    g0, g1, g2 = cur.g_triple()
+    h0, h1, h2 = cur.h_triple()
+    if spec.p == 2:
+        if g1.is_zero() and h1.is_zero():
+            return SigmaClass.X_SQUARED
+        return SigmaClass.SQUARE
+    if g1.is_zero() and h1.is_zero():
+        cur = apply_pre(cur, MoebiusMap.affine(spec.one, spec.one))
+        g0, g1, g2 = cur.g_triple()
+        h0, h1, h2 = cur.h_triple()
+    if g2 * h1 == g1 * h2:
+        cur = apply_pre(cur, MoebiusMap.inversion(spec))
+    w = cur.wronskian()
+    assert w.degree == 2, "classification polynomial must be quadratic here"
+    disc = w.coeff(1) * w.coeff(1) - 4 * w.coeff(2) * w.coeff(0)
+    assert not disc.is_zero()
+    return SigmaClass.SQUARE if is_square(disc) else SigmaClass.NONSQUARE
+
+
+def normalized_sigma(r_or_class, spec: FieldSpec | None = None) -> FieldElement:
+    """Deterministic class representative: 1 for the square class, the least
+    nonsquare for the nonsquare class."""
+    if isinstance(r_or_class, QuadRationalExpr):
+        spec = r_or_class.owner
+        cls = classify_sigma(r_or_class)
+    else:
+        cls = r_or_class
+        if spec is None:
+            raise errors.Error("field required when passing a class label")
+    if cls is SigmaClass.X_SQUARED:
+        raise errors.Error("the x^2 class has no sigma representative")
+    if cls is SigmaClass.SQUARE:
+        return spec.one
+    return least_nonsquare(spec)

@@ -1,0 +1,367 @@
+"""The quadratic transformation f -> f_R and its invariance theory.
+
+For a quadratic rational expression R = g/h, the transformation sends a
+nonzero f to f_R = h^(deg f) * f(g/h).  Invariant polynomials come in
+three equivalent descriptions, all implemented here:
+
+* the coefficient identity b_(n-k) = b_(n+k) * sigma^k for the special
+  form R = (x^2+sigma)/x (:func:`is_sigma_self_reciprocal`);
+* the general polynomial identity
+  (ax-b)^(2n) * F((bx-c)/(ax-b)) = (b^2-ac)^n * F(x)
+  (:func:`is_invariant_generalized`);
+* closure of the root multiset under the involution
+  xi -> (b*xi-c)/(a*xi-b) in a splitting field (:func:`roots_orbit_check`).
+
+:func:`reconstruct` inverts the transformation in the sigma form, through
+the Dickson-polynomial closed form in odd characteristic and a triangular
+linear solve in characteristic two.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import comb
+
+from . import errors
+from .gf import FieldElement, FieldSpec, embed, field_make
+from .moebius import (PostAffine, PostInversion, PreAffine, PreInversion,
+                      QuadRationalExpr, ReductionTrail, sigma_form)
+from .poly import (Polynomial, compose_fraction, enumerate_monic_irreducible,
+                   factorize, gcd, is_irreducible)
+
+
+@dataclass(frozen=True)
+class TransformResult:
+    result: Polynomial
+    degree_dropped: bool
+    normalized_monic: bool
+
+
+def transform(f: Polynomial, r: QuadRationalExpr, monic: bool = False) -> TransformResult:
+    """f_R = h^(deg f) * f(g/h), expanded.
+
+    The degree drops below 2*deg f exactly when h is genuinely quadratic
+    and f vanishes at g2/h2 (the value of R at infinity); the flag records
+    that.  With monic=True the result is scaled monic.
+    """
+    if f.is_zero():
+        raise errors.ZeroPolynomial("transform of the zero polynomial")
+    f._check_owner(r.g)
+    out = compose_fraction(f, r.g, r.h)
+    n = int(f.degree)
+    dropped = out.degree < 2 * n
+    h2 = r.h.coeff(2)
+    expected_drop = (not h2.is_zero()) and f(r.g.coeff(2) / h2).is_zero()
+    assert dropped == expected_drop, "degree-drop criterion out of sync"
+    if monic:
+        out = out.monic()
+    return TransformResult(out, dropped, monic)
+
+
+def is_sigma_self_reciprocal(F: Polynomial, sigma: FieldElement) -> bool:
+    """Whether x^(2n) * F(sigma/x) = sigma^n * F(x), deg F = 2n.
+
+    Equivalent to the coefficient conditions b_(n-k) = b_(n+k) * sigma^k
+    for 0 < k <= n, which is what gets checked.
+    """
+    if sigma.is_zero():
+        raise errors.ZeroSigma("sigma must be nonzero")
+    if F.is_zero():
+        raise errors.ZeroPolynomial("zero polynomial")
+    d = int(F.degree)
+    if d % 2:
+        raise errors.OddDegree(f"degree {d} is odd")
+    n = d // 2
+    spow = sigma.owner.one
+    for k in range(1, n + 1):
+        spow = spow * sigma
+        if F.coeff(n - k) != F.coeff(n + k) * spow:
+            return False
+    return True
+
+
+def _validate_triple(spec: FieldSpec, a, b, c):
+    if (b * b - a * c).is_zero():
+        raise errors.SingularTriple("b^2 - ac = 0")
+    if spec.p == 2 and a.is_zero() and c.is_zero():
+        raise errors.Char2Degenerate("a and c both zero in characteristic 2")
+
+
+def is_invariant_generalized(F: Polynomial, a: FieldElement, b: FieldElement,
+                             c: FieldElement) -> bool:
+    """Whether (ax-b)^(2n) * F((bx-c)/(ax-b)) = (b^2-ac)^n * F(x)."""
+    spec = F.owner
+    _validate_triple(spec, a, b, c)
+    if F.is_zero():
+        raise errors.ZeroPolynomial("zero polynomial")
+    d = int(F.degree)
+    if d % 2:
+        raise errors.OddDegree(f"degree {d} is odd")
+    n = d // 2
+    num = Polynomial(spec, [-c, b])
+    den = Polynomial(spec, [-b, a])
+    lhs = compose_fraction(F, num, den)
+    rhs = F.scale((b * b - a * c) ** n)
+    return lhs == rhs
+
+
+def roots_orbit_check(F: Polynomial, a: FieldElement, b: FieldElement,
+                      c: FieldElement, size_bound: int | None = None) -> bool:
+    """Root-multiset closure under xi -> (b*xi-c)/(a*xi-b) in a splitting field.
+
+    Requires F coprime with the fixed-point quadratic ax^2 - 2bx + c.  The
+    splitting field GF(q^m) is built explicitly (m = lcm of the factor
+    degrees), so the size bound applies.
+    """
+    spec = F.owner
+    _validate_triple(spec, a, b, c)
+    if F.is_zero() or F.degree < 1:
+        raise errors.ZeroPolynomial("need a nonconstant polynomial")
+    if int(F.degree) % 2:
+        raise errors.OddDegree(f"degree {F.degree} is odd")
+    fixed = Polynomial(spec, [c, -(b + b), a])
+    if not fixed.is_zero() and fixed.degree >= 1 and gcd(F, fixed).degree > 0:
+        raise errors.NotCoprime("F shares a factor with the fixed-point quadratic")
+    degrees = factorize(F, int(F.degree)).degrees()
+    m = 1
+    for d in degrees:
+        m = m * d // _gcd_int(m, d)
+    if size_bound is None:
+        size_bound = 2 ** 20
+    if spec.q ** m > size_bound:
+        raise errors.SizeBoundExceeded(
+            f"splitting field {spec.q}^{m} exceeds the bound")
+    big = field_make(spec.p, spec.k * m)
+    FF = Polynomial(big, [embed(co, big) for co in F.coeffs])
+    aa, bb, cc = embed(a, big), embed(b, big), embed(c, big)
+    x_b = Polynomial.x(big)
+    roots: dict[FieldElement, int] = {}
+    for t in big.elements():
+        if not FF(t).is_zero():
+            continue
+        mult = 0
+        rem = FF
+        lin = x_b - Polynomial(big, [t])
+        while True:
+            q2, r2 = divmod(rem, lin)
+            if not r2.is_zero():
+                break
+            rem = q2
+            mult += 1
+        roots[t] = mult
+    assert sum(roots.values()) == int(F.degree), "not split in the chosen field"
+    for xi, mult in roots.items():
+        den = aa * xi - bb
+        if den.is_zero():
+            return False
+        eta = (bb * xi - cc) / den
+        if roots.get(eta) != mult:
+            return False
+    return True
+
+
+def _gcd_int(a: int, b: int) -> int:
+    while b:
+        a, b = b, a % b
+    return a
+
+
+# -- Dickson polynomials -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DicksonParams:
+    n: int
+    a: FieldElement
+
+
+def dickson(params: DicksonParams) -> Polynomial:
+    """Dickson polynomial of the first kind D_n(y, a).
+
+    Satisfies D_n(t + a/t, a) = t^n + (a/t)^n.  The binomial products are
+    integers computed exactly and only then reduced mod p (the textbook
+    quotient n/(n-i) can hit zero divisors if evaluated modularly):
+    n/(n-i) * C(n-i, i) = C(n-i, i) + C(n-i-1, i-1).
+    """
+    n, a = params.n, params.a
+    if n < 0:
+        raise ValueError("Dickson degree must be >= 0")
+    spec = a.owner
+    if n == 0:
+        return Polynomial(spec, [spec.element(2)])
+    coeffs = [spec.zero] * (n + 1)
+    apow = spec.one
+    for i in range(n // 2 + 1):
+        t = comb(n - i, i) + (comb(n - i - 1, i - 1) if i >= 1 else 0)
+        if i % 2:
+            t = -t
+        coeffs[n - 2 * i] = spec.element(t) * apow
+        apow = apow * a
+    return Polynomial(spec, coeffs)
+
+
+# -- reconstruction -----------------------------------------------------------------
+
+
+def reconstruct(F: Polynomial, sigma: FieldElement) -> Polynomial:
+    """The unique f with F = x^n * f(x + sigma/x), for invariant F of degree 2n.
+
+    Odd characteristic uses the closed form for the coefficient of y^j,
+      sum_i (2i+j)/(i+j) * C(i+j, i) * (-sigma)^i * b_(n+2i+j)
+    (with the central coefficient halved); characteristic two solves the
+    triangular coefficient system by back-substitution.  The result is
+    checked by applying the transformation again.
+    """
+    if not is_sigma_self_reciprocal(F, sigma):
+        raise errors.NotInvariant("F is not sigma-self-reciprocal")
+    spec = F.owner
+    n = int(F.degree) // 2
+    if spec.p == 2:
+        f = _reconstruct_linear_solve(F, sigma)
+    else:
+        f = _reconstruct_closed_form(F, sigma)
+    check = transform(f, sigma_form(sigma)).result
+    assert check == F, "reconstruction failed to invert the transformation"
+    return f
+
+
+def _reconstruct_closed_form(F: Polynomial, sigma: FieldElement) -> Polynomial:
+    # Odd characteristic only: the i = j = 0 term carries the halved central
+    # coefficient times the constant 2 of the degree-0 Dickson polynomial,
+    # so it contributes exactly b_n.
+    spec = F.owner
+    n = int(F.degree) // 2
+    minus_sigma = -sigma
+    out = []
+    for j in range(n + 1):
+        acc = spec.zero
+        spow = spec.one
+        for i in range((n - j) // 2 + 1):
+            b = F.coeff(n + 2 * i + j)
+            if i == 0 and j == 0:
+                acc = acc + b
+            else:
+                t = comb(i + j, i) + (comb(i + j - 1, i - 1) if i >= 1 else 0)
+                acc = acc + spec.element(t) * spow * b
+            spow = spow * minus_sigma
+        out.append(acc)
+    return Polynomial(spec, out)
+
+
+def _reconstruct_linear_solve(F: Polynomial, sigma: FieldElement) -> Polynomial:
+    # Valid in every characteristic: the coefficient of x^(n+k) in
+    # x^n f(x + sigma/x) is sum over j >= k, j = k (mod 2), of
+    # f_j * C(j, (j+k)/2) * sigma^((j-k)/2); solve descending from f_n.
+    spec = F.owner
+    n = int(F.degree) // 2
+    f = [spec.zero] * (n + 1)
+    spows = [spec.one]
+    for _ in range(n):
+        spows.append(spows[-1] * sigma)
+    for k in range(n, -1, -1):
+        acc = F.coeff(n + k)
+        for j in range(k + 2, n + 1, 2):
+            t = comb(j, (j + k) // 2)
+            acc = acc - spec.element(t) * spows[(j - k) // 2] * f[j]
+        f[k] = acc
+    return Polynomial(spec, f)
+
+
+def reconstruct_dickson_sum(F: Polynomial, sigma: FieldElement) -> Polynomial:
+    """f = b_n + sum_k b_(n+k) * D_k(y, sigma): the Dickson-sum route.
+
+    Characteristic-free; kept as an independent cross-check of
+    :func:`reconstruct`.
+    """
+    if not is_sigma_self_reciprocal(F, sigma):
+        raise errors.NotInvariant("F is not sigma-self-reciprocal")
+    spec = F.owner
+    n = int(F.degree) // 2
+    out = Polynomial(spec, [F.coeff(n)])
+    for k in range(1, n + 1):
+        out = out + dickson(DicksonParams(k, sigma)).scale(F.coeff(n + k))
+    return out
+
+
+# -- trail transport -----------------------------------------------------------------
+
+
+def transport_forward(F: Polynomial, trail: ReductionTrail) -> Polynomial:
+    """Carry a transformed image along a reduction trail.
+
+    If F is (a scalar multiple of) f_R for the trail's start expression,
+    the result is the corresponding image for the trail's end expression:
+    pre-composition steps act on the image (substitution or reciprocal);
+    post-composition steps do not change it.
+    """
+    spec = F.owner
+    for step in trail.steps:
+        if isinstance(step, PreAffine):
+            m = Polynomial(spec, [step.beta, step.alpha])
+            F = F.compose(m).monic()
+        elif isinstance(step, PreInversion):
+            F = F.reciprocal().monic()
+    return F
+
+
+def transport_back(f: Polynomial, trail: ReductionTrail) -> Polynomial:
+    """Carry a source polynomial back along a reduction trail.
+
+    Inverse bookkeeping of :func:`transport_forward` on the f side:
+    post-affine steps compose, post-inversion steps take the reciprocal,
+    pre-composition steps do not change f.  Sound for irreducible f of
+    degree >= 2 (the reciprocal is degree-preserving there).
+    """
+    spec = f.owner
+    for step in reversed(trail.steps):
+        if isinstance(step, PostAffine):
+            m = Polynomial(spec, [step.beta, step.alpha])
+            f = f.compose(m)
+        elif isinstance(step, PostInversion):
+            f = f.reciprocal()
+    return f
+
+
+# -- enumeration helpers ---------------------------------------------------------------
+
+
+def irreducible_image_count(r: QuadRationalExpr, n: int) -> int:
+    """Number of monic irreducible f of degree n whose image f_R is irreducible."""
+    spec = r.owner
+    count = 0
+    for f in enumerate_monic_irreducible(spec, n):
+        t = transform(f, r, monic=True)
+        if t.result.degree == 2 * n and is_irreducible(t.result):
+            count += 1
+    return count
+
+
+def linear_input_images(r: QuadRationalExpr):
+    """The pencil of quadratics spanned by g and h, as (label, monic quadratic).
+
+    Labels: a field element alpha for g - alpha*h (the image of x - alpha),
+    or None for the h endpoint of the pencil.  Every monic quadratic linear
+    combination of g and h appears exactly once.
+    """
+    spec = r.owner
+    for alpha in spec.elements():
+        cand = r.g - r.h.scale(alpha)
+        if cand.degree == 2:
+            yield alpha, cand.monic()
+    if r.h.degree == 2:
+        yield None, r.h.monic()
+
+
+def count_preserving_bijections_check(r: QuadRationalExpr, r2: QuadRationalExpr,
+                                      m, side: str, n: int) -> bool:
+    """Whether composing r with m on the given side preserves the number of
+    irreducible degree-n inputs with irreducible image (it always must)."""
+    from .moebius import apply_post, apply_pre
+    if n <= 1:
+        raise errors.RequiresNGreaterThan1("count comparison needs n > 1")
+    if side not in ("pre", "post"):
+        raise ValueError("side must be 'pre' or 'post'")
+    expected = apply_pre(r, m) if side == "pre" else apply_post(r, m)
+    if r2 != expected:
+        raise errors.Error("r2 is not the stated composition of r and m")
+    return irreducible_image_count(r, n) == irreducible_image_count(r2, n)
