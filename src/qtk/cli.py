@@ -72,7 +72,9 @@ def _parse_poly_arg(spec, text: str, human: bool) -> Polynomial:
     return parse_poly(spec, text)
 
 
-def _parse_expr_arg(spec, text: str):
+def _parse_expr_arg(spec, text: str | None):
+    if text is None:
+        raise _UsageError("this command needs --expr")
     return expr_parse(spec, text)
 
 
@@ -111,7 +113,8 @@ def build_parser() -> _Parser:
     p.add_argument("--monic", action="store_true")
 
     p = sub.add_parser("reconstruct", help="invert the sigma-form transformation")
-    add_common(p, sigma=True)
+    add_common(p)
+    p.add_argument("--sigma", required=True, help="nonzero field element")
     p.add_argument("--F", required=True, dest="big_f", help="invariant polynomial")
 
     p = sub.add_parser("dickson", help="Dickson polynomial of the first kind")

@@ -2,7 +2,7 @@
 transformations, with brute-force oracles.
 
 The headline counts (all exact; every division is integer-exact and
-asserted so):
+checked so):
 
 * ``count_carlitz``: monic irreducible self-reciprocal polynomials of
   degree 2n over GF(q).
@@ -37,7 +37,7 @@ from .poly import is_irreducible
 def moebius_mu(d: int) -> int:
     """The number-theoretic Moebius function, by trial factorization."""
     if d < 1:
-        raise ValueError("mu is defined on positive integers")
+        raise errors.InvalidArgument("mu is defined on positive integers")
     mu = 1
     for _, e in factorization(d).items():
         if e > 1:
@@ -75,6 +75,12 @@ class CountQuery:
     sigma: FieldElement | None = None
     expr: QuadRationalExpr | None = None
 
+    def __post_init__(self):
+        needs = {"sigma": "sigma", "corollary": "sigma",
+                 "ahmadi": "expr", "linear": "expr"}.get(self.variant)
+        if needs and getattr(self, needs) is None:
+            raise errors.InvalidArgument(f"the {self.variant} count needs {needs}")
+
 
 @dataclass(frozen=True)
 class CountResult:
@@ -86,7 +92,7 @@ class CountResult:
 
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
-    assert r == 0, f"count formula produced non-integer {num}/{den}"
+    errors.require(r == 0, f"count formula produced non-integer {num}/{den}")
     return q
 
 
@@ -97,7 +103,7 @@ def _odd_divisor_sum(q: int, n: int) -> int:
 def count_carlitz(field: FieldSpec, n: int) -> CountResult:
     """Number of self-reciprocal irreducible monic polynomials of degree 2n."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise errors.InvalidArgument("n must be >= 1")
     q = field.q
     eps = 1 if q % 2 else 0
     if q % 2 and is_power_of_two(n):
@@ -105,8 +111,16 @@ def count_carlitz(field: FieldSpec, n: int) -> CountResult:
     return CountResult(_exact_div(_odd_divisor_sum(q, n), 2 * n), eps, 0, "mobius-sum")
 
 
-def _epsilon_for(sigma: FieldElement) -> int:
-    if sigma.owner.p == 2:
+def _sigma_epsilon(field: FieldSpec, n: int, sigma: FieldElement) -> int:
+    """Check a sigma query; its epsilon is 0 for q even, else +1/-1 by the
+    square class of sigma."""
+    if sigma.is_zero():
+        raise errors.ZeroSigma("sigma must be nonzero")
+    if sigma.owner is not field:
+        raise errors.FieldMismatch("sigma not in the stated field")
+    if n < 1:
+        raise errors.InvalidArgument("n must be >= 1")
+    if field.p == 2:
         return 0
     return 1 if is_square(sigma) else -1
 
@@ -117,14 +131,8 @@ def count_sigma(field: FieldSpec, n: int, sigma: FieldElement) -> CountResult:
     n = 1 counts as a power of two, which is where the epsilon = -1 case
     (sigma a nonsquare) departs from the Carlitz value.
     """
-    if sigma.is_zero():
-        raise errors.ZeroSigma("sigma must be nonzero")
-    if sigma.owner is not field:
-        raise errors.FieldMismatch("sigma not in the stated field")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    eps = _sigma_epsilon(field, n, sigma)
     q = field.q
-    eps = _epsilon_for(sigma)
     if q % 2 and is_power_of_two(n):
         return CountResult(_exact_div(q ** n - eps ** n, 2 * n), eps, 0,
                            "odd-q-power-of-2")
@@ -187,14 +195,8 @@ def count_corollary(field: FieldSpec, n: int, sigma: FieldElement) -> CountResul
     delta is 1 for q odd with n > 1 a power of two; +1/-1 for q odd, n = 1,
     sigma a square/nonsquare; 0 otherwise.
     """
-    if sigma.is_zero():
-        raise errors.ZeroSigma("sigma must be nonzero")
-    if sigma.owner is not field:
-        raise errors.FieldMismatch("sigma not in the stated field")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    eps = _sigma_epsilon(field, n, sigma)
     q = field.q
-    eps = _epsilon_for(sigma)
     if q % 2 and n > 1 and is_power_of_two(n):
         delta, branch = 1, "odd-q-power-of-2"
     elif q % 2 and n == 1 and is_square(sigma):

@@ -10,6 +10,10 @@ class Error(Exception):
     """Base class for all qtk errors."""
 
 
+class InvalidArgument(Error, ValueError):
+    """An argument is outside its documented range (for example n < 1)."""
+
+
 # --- field construction and element arithmetic ---
 
 class NotPrime(Error):
@@ -108,6 +112,12 @@ class MissingDivisorValue(Error):
 
 class IdentityViolated(Error):
     """An algebraic identity that must hold failed; indicates a bug."""
+
+
+def require(ok, message: str):
+    """Raise IdentityViolated unless ok (an assert that ``python -O`` keeps)."""
+    if not ok:
+        raise IdentityViolated(message)
 
 
 class MismatchFound(Error):

@@ -1,12 +1,19 @@
 """Exact arithmetic in small finite fields GF(p^k).
 
-Elements are stored in the polynomial basis: an element of GF(p^k) is a
-tuple of k residues mod p, ascending powers of the generator.  The modulus
-defining GF(p^k) is the *canonical* one: the lexicographically least monic
-irreducible of degree k over GF(p), comparing coefficient tuples from the
-constant term upward.  Two fields built with the same (p, k) are therefore
-the same object (construction is cached), and results are reproducible
-without external polynomial tables.
+An element is one integer, its index in the canonical element order: the
+element a0 + a1*y + ... + a_(k-1)*y^(k-1) (polynomial basis, ascending powers
+of the generator y, residues mod p) has index a0*p^(k-1) + ... + a_(k-1), so
+indices sort as coordinate tuples do; over a prime field it is the residue.
+Prime fields multiply residues and invert with ``pow(u, -1, p)``; extension
+fields multiply and invert through exp/log tables of a primitive element,
+built on first use (4 bytes per entry each: 8 MB at q = 2^20), and add on
+the coordinates.
+
+The modulus defining GF(p^k) is the *canonical* one: the lexicographically
+least monic irreducible of degree k over GF(p), comparing coefficient tuples
+from the constant term upward.  Two fields built with the same (p, k) are
+therefore the same object (construction is cached), and results are
+reproducible without external polynomial tables.
 
 Fields are refused above q = 2**20; this is a desk-scale exact toolkit,
 not a cryptographic library.
@@ -16,6 +23,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
+
+import numpy as np
 
 from . import errors, intmath
 
@@ -52,8 +63,8 @@ def field_from_name(name: str) -> "FieldSpec":
     text = name.strip()
     if "^" in text:
         p_str, k_str = text.split("^", 1)
-        return field_make(int(p_str), int(k_str))
-    q = int(text)
+        return field_make(parse_int(p_str, "field"), parse_int(k_str, "field"))
+    q = parse_int(text, "field")
     if intmath.is_prime(q):
         return field_make(q)
     factors = intmath.factorization(q)
@@ -63,134 +74,202 @@ def field_from_name(name: str) -> "FieldSpec":
     raise errors.NotPrime(f"{q} is not a prime power")
 
 
+def parse_int(text: str, what: str) -> int:
+    """int(text), refusing anything else with InvalidArgument."""
+    try:
+        return int(text)
+    except ValueError:
+        raise errors.InvalidArgument(f"{what} must be an integer, got {text!r}") from None
+
+
 def _canonical_modulus(p: int, k: int) -> tuple[int, ...]:
     # First monic irreducible of degree k over GF(p) in constant-first
-    # lexicographic order; found with the same enumeration the polynomial
-    # module exposes, over the prime field.
+    # lexicographic order.  Candidates with constant term 0 are divisible by
+    # x, so the scan starts at constant term 1; the order is unchanged.
     from . import poly  # deferred: poly imports this module
 
     prime_field = field_make(p, 1)
-    first = next(poly.enumerate_monic_irreducible(prime_field, k))
-    return tuple(c.coords[0] for c in first.coeffs)
+    tails = itertools.product(range(1, p), *[range(p)] * (k - 1))
+    return next(t + (1,) for t in tails
+                if poly.is_irreducible(poly.Polynomial(prime_field, t + (1,))))
 
 
 class FieldSpec:
-    """The field GF(p^k): carries the modulus and raw coordinate arithmetic.
+    """The field GF(p^k): carries the modulus and the element arithmetic.
 
     Do not instantiate directly; use :func:`field_make` so that equal (p, k)
     yield the identical object.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_red", "_zero", "_one")
+    __slots__ = ("p", "k", "q", "modulus", "unit", "_pw", "_pwl", "_ymat",
+                 "_red", "_tables", "zero", "one")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
         self.k = k
         self.q = p ** k
         self.modulus = modulus
-        self._red = self._reduction_rows()
-        self._zero = FieldElement(self, (0,) * k)
-        self._one = FieldElement(self, (1,) + (0,) * (k - 1))
+        #: index of the element 1
+        self.unit = p ** (k - 1)
+        self._pwl = [p ** (k - 1 - j) for j in range(k)]
+        self._pw = np.array(self._pwl, dtype=np.int64)
+        # _ymat row j: coordinates of y^(j+1); _red row i: those of y^(k+i)
+        ymod = [(-c) % p for c in modulus[:k]]
+        self._ymat = np.vstack([np.eye(k, dtype=np.int64)[1:], [ymod]])
+        self._red = self._matrix(ymod)[:k - 1]
+        self._tables = None
+        self.zero = FieldElement(self, 0)
+        self.one = FieldElement(self, self.unit)
 
-    def _reduction_rows(self) -> tuple[tuple[int, ...], ...]:
-        # _red[m - k] = coordinates of y^m for m in [k, 2k-2].
-        p, k = self.p, self.k
-        if k == 1:
-            return ()
-        rows = []
-        cur = [(-c) % p for c in self.modulus[:k]]  # y^k
-        rows.append(tuple(cur))
-        for _ in range(k - 2):
-            top = cur[k - 1]
-            cur = [0] + cur[: k - 1]
-            if top:
-                cur = [(cur[i] + top * rows[0][i]) % p for i in range(k)]
-            rows.append(tuple(cur))
-        return tuple(rows)
+    # -- coordinates -----------------------------------------------------------
 
-    # -- raw coordinate-tuple arithmetic ------------------------------------
+    def coords(self, u: int) -> tuple[int, ...]:
+        """Coordinate tuple (a0, ..., a_(k-1)) of the element with index u."""
+        return tuple(u // w % self.p for w in self._pwl)
 
-    def raw_add(self, u, v):
+    def index(self, coords) -> int:
+        """Index of the element with these coordinates (reduced mod p)."""
         p = self.p
-        return tuple((a + b) % p for a, b in zip(u, v))
+        return sum(c % p * w for c, w in zip(coords, self._pwl))
 
-    def raw_sub(self, u, v):
-        p = self.p
-        return tuple((a - b) % p for a, b in zip(u, v))
+    def to_coords(self, a):
+        """(n x k) coordinate matrix of an index vector."""
+        if self.k == 1:
+            return a[:, np.newaxis]
+        return a[:, np.newaxis] // self._pw % self.p
 
-    def raw_neg(self, u):
-        p = self.p
-        return tuple((-a) % p for a in u)
+    def from_coords(self, m):
+        """Index vector of an (n x k) coordinate matrix with entries in [0, p)."""
+        if self.k == 1:
+            return m[:, 0]
+        return m @ self._pw
 
-    def raw_mul(self, u, v):
-        p, k = self.p, self.k
-        if k == 1:
-            return ((u[0] * v[0]) % p,)
-        conv = [0] * (2 * k - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    conv[i + j] += a * b
-        red = self._red
-        for m in range(2 * k - 2, k - 1, -1):
-            c = conv[m] % p
-            if c:
-                row = red[m - k]
-                for i in range(k):
-                    conv[i] += c * row[i]
-        return tuple(conv[i] % p for i in range(k))
+    # -- element arithmetic on indices -------------------------------------------
 
-    def raw_pow(self, u, e: int):
-        if e < 0:
-            return self.raw_pow(self.raw_inv(u), -e)
-        result = self._one.coords
-        base = u
-        while e:
-            if e & 1:
-                result = self.raw_mul(result, base)
-            base = self.raw_mul(base, base)
-            e >>= 1
-        return result
+    def raw_add(self, u: int, v: int) -> int:
+        return sum((u // w + v // w) % self.p * w for w in self._pwl)
 
-    def raw_inv(self, u):
-        if not any(u):
+    def raw_sub(self, u: int, v: int) -> int:
+        return sum((u // w - v // w) % self.p * w for w in self._pwl)
+
+    def raw_neg(self, u: int) -> int:
+        return sum(-(u // w) % self.p * w for w in self._pwl)
+
+    def raw_mul(self, u: int, v: int) -> int:
+        if self.k == 1:
+            return u * v % self.p
+        if not (u and v):
+            return 0
+        exp, log = (self._tables or self._build_tables())[2:]
+        return exp[(log[u] + log[v]) % (self.q - 1)]
+
+    def raw_inv(self, u: int) -> int:
+        if not u:
             raise errors.DivisionByZero("inverse of zero")
-        # Fermat: u^(q-2); q <= 2^20 keeps this cheap.
-        return self.raw_pow(u, self.q - 2)
+        if self.k == 1:
+            return pow(u, -1, self.p)
+        exp, log = (self._tables or self._build_tables())[2:]
+        return exp[-log[u] % (self.q - 1)]
+
+    def raw_pow(self, u: int, e: int) -> int:
+        if not u:
+            if e < 0:
+                raise errors.DivisionByZero("inverse of zero")
+            return 0 if e else self.unit
+        if self.k == 1:
+            return pow(u, e, self.p)
+        exp, log = (self._tables or self._build_tables())[2:]
+        return exp[log[u] * e % (self.q - 1)]
+
+    def mul_vec(self, a, c: int):
+        """The index vector a times the nonzero element c, entrywise."""
+        if self.k == 1:
+            return a * c % self.p
+        exp, log = (self._tables or self._build_tables())[:2]
+        out = exp[(log[a] + int(log[c])) % (self.q - 1)].astype(np.int64)
+        out[a == 0] = 0
+        return out
+
+    def _matrix(self, coords):
+        """k x k matrix of multiplication by an element: row j is it times y^j."""
+        rows = [np.array(coords, dtype=np.int64)]
+        for _ in range(self.k - 1):
+            rows.append(rows[-1] @ self._ymat % self.p)
+        return np.array(rows)
+
+    def _build_tables(self):
+        # g is the first element in canonical order whose multiplication
+        # matrix has order q - 1.  Its powers come in blocks: g^0..g^(L-1) by
+        # doubling, then each next block is the last one times g^L.
+        p, k, order = self.p, self.k, self.q - 1
+
+        def mpow(m, e):
+            out = np.eye(k, dtype=np.int64)
+            while e:
+                if e & 1:
+                    out = out @ m % p
+                m = m @ m % p
+                e >>= 1
+            return out
+
+        ident = np.eye(k, dtype=np.int64)
+        primes = intmath.prime_factors(order)
+        candidates = (self._matrix(self.coords(u)) for u in range(1, self.q))
+        gmat = next(m for m in candidates
+                    if not any((mpow(m, order // r) == ident).all() for r in primes))
+        size = math.isqrt(order) + 1
+        block, step = ident[:1], gmat
+        while len(block) < size:
+            block = np.vstack([block, block @ step % p])
+            step = step @ step % p
+        block = block[:size]
+        giant = mpow(gmat, size)
+        exp = np.empty(order, dtype=np.int32)
+        for start in range(0, order, size):
+            n = min(size, order - start)
+            exp[start:start + n] = block[:n] @ self._pw
+            block = block @ giant % p
+        log = np.zeros(self.q, dtype=np.int32)
+        log[exp] = np.arange(order, dtype=np.int32)
+        # exp[i] = g^i, log its inverse (log[0] = 0), and memoryviews of both
+        # that index to Python ints for the scalar methods
+        self._tables = (exp, log, memoryview(exp), memoryview(log))
+        return self._tables
 
     # -- element construction ------------------------------------------------
 
     def element(self, value) -> "FieldElement":
-        """Build an element from an int (prime-subfield value), tuple, or element."""
+        """Build an element from an integer (prime-subfield value), a coordinate
+        sequence, or an element."""
         if isinstance(value, FieldElement):
             if value.owner is not self:
                 raise errors.FieldMismatch("element belongs to a different field")
             return value
-        if isinstance(value, int):
-            return FieldElement(self, (value % self.p,) + (0,) * (self.k - 1))
-        coords = tuple(int(c) % self.p for c in value)
+        try:
+            return FieldElement(self, operator.index(value) % self.p * self.unit)
+        except TypeError:
+            pass
+        coords = tuple(int(c) for c in value)
         if len(coords) != self.k:
             raise errors.Error(f"need {self.k} coordinates, got {len(coords)}")
-        return FieldElement(self, coords)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return self._zero
-
-    @property
-    def one(self) -> "FieldElement":
-        return self._one
+        return FieldElement(self, self.index(coords))
 
     def gen(self) -> "FieldElement":
         """The polynomial-basis generator (the class of y); equals 1 when k = 1."""
         if self.k == 1:
-            return self._one
-        return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
+            return self.one
+        return FieldElement(self, self.unit // self.p)
 
     def elements(self):
         """Yield all q elements in canonical (coordinate-lexicographic) order."""
-        for coords in itertools.product(range(self.p), repeat=self.k):
-            yield FieldElement(self, coords)
+        for u in range(self.q):
+            yield FieldElement(self, u)
+
+    def element_text(self, u: int) -> str:
+        """Prime fields: "2"; extension fields: "[a0 a1 ...]"."""
+        if self.k == 1:
+            return str(u)
+        return "[" + " ".join(map(str, self.coords(u))) + "]"
 
     @property
     def name(self) -> str:
@@ -208,14 +287,30 @@ class FieldSpec:
         return hash((FieldSpec, self.p, self.k))
 
 
+def _operator(method: str, swap: bool = False):
+    # FieldSpec.<method> on the two indices, looked up at call time as a
+    # method call would be
+    def op(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        u, v = (other.value, self.value) if swap else (self.value, other.value)
+        return FieldElement(self.owner, getattr(self.owner, method)(u, v))
+    return op
+
+
 class FieldElement:
-    """Immutable element of a :class:`FieldSpec` in the polynomial basis."""
+    """Immutable element of a :class:`FieldSpec`, held as its index."""
 
-    __slots__ = ("owner", "coords")
+    __slots__ = ("owner", "value")
 
-    def __init__(self, owner: FieldSpec, coords: tuple[int, ...]):
+    def __init__(self, owner: FieldSpec, value: int):
         self.owner = owner
-        self.coords = coords
+        self.value = value
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        return self.owner.coords(self.value)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -227,33 +322,10 @@ class FieldElement:
             return self.owner.element(other)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.owner, self.owner.raw_add(self.coords, other.coords))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.owner, self.owner.raw_sub(self.coords, other.coords))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.owner, self.owner.raw_sub(other.coords, self.coords))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.owner, self.owner.raw_mul(self.coords, other.coords))
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _operator("raw_add")
+    __sub__ = _operator("raw_sub")
+    __rsub__ = _operator("raw_sub", swap=True)
+    __mul__ = __rmul__ = _operator("raw_mul")
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -268,43 +340,41 @@ class FieldElement:
         return other * self.inverse()
 
     def __neg__(self):
-        return FieldElement(self.owner, self.owner.raw_neg(self.coords))
+        return FieldElement(self.owner, self.owner.raw_neg(self.value))
 
     def __pow__(self, e: int):
-        return FieldElement(self.owner, self.owner.raw_pow(self.coords, e))
+        return FieldElement(self.owner, self.owner.raw_pow(self.value, e))
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.owner, self.owner.raw_inv(self.coords))
+        return FieldElement(self.owner, self.owner.raw_inv(self.value))
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.value
 
     def is_one(self) -> bool:
-        return self.coords == self.owner._one.coords
+        return self.value == self.owner.unit
 
     def __bool__(self):
-        return any(self.coords)
+        return bool(self.value)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.owner.element(other)
         return (isinstance(other, FieldElement)
                 and self.owner is other.owner
-                and self.coords == other.coords)
+                and self.value == other.value)
 
     def __hash__(self):
-        return hash((self.owner.p, self.owner.k, self.coords))
+        return hash((self.owner.p, self.owner.k, self.value))
 
     def __int__(self):
         if self.owner.k != 1:
             raise TypeError("only prime-field elements convert to int")
-        return self.coords[0]
+        return self.value
 
     def to_text(self) -> str:
         """Prime fields: "2"; extension fields: "[a0 a1 ...]"."""
-        if self.owner.k == 1:
-            return str(self.coords[0])
-        return "[" + " ".join(str(c) for c in self.coords) + "]"
+        return self.owner.element_text(self.value)
 
     def __repr__(self):
         return f"{self.owner!r}({self.to_text()})"
@@ -319,8 +389,9 @@ def element_from_text(spec: FieldSpec, text: str) -> FieldElement:
     if text.startswith("["):
         if not text.endswith("]"):
             raise errors.Error(f"unterminated coordinate tuple: {text!r}")
-        return spec.element(tuple(int(t) for t in text[1:-1].split()))
-    return spec.element(int(text))
+        coords = text[1:-1].split()
+        return spec.element(tuple(parse_int(t, "coordinate") for t in coords))
+    return spec.element(parse_int(text, "element"))
 
 
 def is_square(s: FieldElement) -> bool:
@@ -343,30 +414,26 @@ def least_nonsquare(spec: FieldSpec) -> FieldElement:
     for e in spec.elements():
         if not e.is_zero() and not is_square(e):
             return e
-    raise AssertionError("odd field without a nonsquare")
+    raise errors.IdentityViolated("odd field without a nonsquare")
 
 
 @functools.lru_cache(maxsize=None)
-def _embedding_matrix(source: FieldSpec, target: FieldSpec) -> tuple[tuple[int, ...], ...]:
-    # Rows: coordinates in `target` of xi^i for i < source.k, where xi is the
-    # least root (canonical element order) of the source modulus in target.
+def _embedding_powers(source: FieldSpec, target: FieldSpec) -> tuple[FieldElement, ...]:
+    # xi^i in `target` for i < source.k, where xi is the least root (canonical
+    # element order) of the source modulus in target.
     consts = [target.element(c) for c in source.modulus]
-    root = None
-    for cand in target.elements():
+    for root in target.elements():
         acc = target.zero
         for c in reversed(consts):
-            acc = acc * cand + c
+            acc = acc * root + c
         if acc.is_zero():
-            root = cand
             break
-    if root is None:
-        raise AssertionError("source modulus has no root in target field")
-    rows = []
-    power = target.one
-    for _ in range(source.k):
-        rows.append(power.coords)
-        power = power * root
-    return tuple(rows)
+    else:
+        raise errors.IdentityViolated("source modulus has no root in target field")
+    powers = [target.one]
+    for _ in range(source.k - 1):
+        powers.append(powers[-1] * root)
+    return tuple(powers)
 
 
 def embed(e: FieldElement, target: FieldSpec) -> FieldElement:
@@ -381,11 +448,8 @@ def embed(e: FieldElement, target: FieldSpec) -> FieldElement:
     if source.p != target.p or target.k % source.k != 0:
         raise errors.NoEmbedding(
             f"no embedding of {source!r} into {target!r}")
-    rows = _embedding_matrix(source, target)
-    p = target.p
-    out = [0] * target.k
-    for a, row in zip(e.coords, rows):
+    out = target.zero
+    for a, power in zip(e.coords, _embedding_powers(source, target)):
         if a:
-            for j, b in enumerate(row):
-                out[j] = (out[j] + a * b) % p
-    return FieldElement(target, tuple(out))
+            out = out + power * a
+    return out

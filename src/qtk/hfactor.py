@@ -28,14 +28,15 @@ import os
 from dataclasses import dataclass
 
 from . import errors
-from .gf import FieldElement, FieldSpec, is_square
+from .gf import FieldElement, FieldSpec, is_square, parse_int
 from .intmath import divisors
 from .moebius import (CanonicalKind, QuadRationalExpr, reduce_canonical,
                       sigma_form)
 from .poly import Polynomial, enumerate_monic_irreducible, gcd, pow_mod
-from .transform import (is_invariant_generalized, is_sigma_self_reciprocal,
-                        linear_input_images, reconstruct, transform,
-                        transport_back, transport_forward)
+from .transform import (_validate_triple, is_invariant_generalized,
+                        is_sigma_self_reciprocal, linear_input_images,
+                        reconstruct, transform, transport_back,
+                        transport_forward)
 
 #: Default cap on q^n + 1 (the degree of H) for the verify operations.
 DEFAULT_SIZE_BOUND = 4096
@@ -49,7 +50,7 @@ def resolve_size_bound(explicit: int | None = None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("QTK_SIZE_BOUND")
-    return int(env) if env else DEFAULT_SIZE_BOUND
+    return parse_int(env, "QTK_SIZE_BOUND") if env else DEFAULT_SIZE_BOUND
 
 
 @dataclass(frozen=True)
@@ -64,15 +65,12 @@ class HSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise errors.InvalidArgument("n must be >= 1")
         spec = self.a.owner
         if self.b.owner is not spec or self.c.owner is not spec:
             raise errors.FieldMismatch("triple entries from different fields")
         a, b, c = self.a, self.b, self.c
-        if (b * b - a * c).is_zero():
-            raise errors.SingularTriple("b^2 - ac = 0")
-        if spec.p == 2 and a.is_zero() and c.is_zero():
-            raise errors.Char2Degenerate("a = c = 0 in characteristic 2")
+        _validate_triple(spec, a, b, c)
         if self.source is not None and cross_product_abc(self.source) != (a, b, c):
             raise errors.Error("triple does not match the source expression")
 
@@ -141,12 +139,12 @@ def build_h_meyn(sigma: FieldElement, n: int, size_bound: int | None = None) -> 
     spec = hspec_from_expr(sigma_form(sigma), n)
     h_full = build_h(spec, size_bound)
     core, rem = divmod(h_full, _fixed_part(spec, size_bound))
-    assert rem.is_zero()
+    errors.require(rem.is_zero(), "fixed-point part does not divide H")
     return core
 
 
 def h_squarefree_witness(spec: HSpec, size_bound: int | None = None) -> FieldElement:
-    """Compute (ax - b)*H' - a*H and assert it is the constant b^2 - ac.
+    """Compute (ax - b)*H' - a*H and check it is the constant b^2 - ac.
 
     A nonzero constant here means H has only simple roots and hence distinct
     irreducible factors.
@@ -278,7 +276,7 @@ def _image_irreducible(F: Polynomial, m: int) -> bool:
     x^(q^m) is not congruent to x modulo F.  (Checked against the generic
     criterion in the test suite.)
     """
-    assert F.degree == 2 * m
+    errors.require(F.degree == 2 * m, f"image of degree {F.degree}, not {2 * m}")
     fs = F.owner
     deriv = F.derivative()
     if deriv.is_zero() or gcd(F, deriv).degree > 0:
@@ -308,7 +306,7 @@ def _enumerate_image_factors(r: QuadRationalExpr, n: int) -> list[FactorMatch]:
         else:
             for f in _irreducible_stream(fs, m):
                 t = transform(f, r, monic=True)
-                assert not t.degree_dropped
+                errors.require(not t.degree_dropped, "image lost degree")
                 if _image_irreducible(t.result, m):
                     out.append(FactorMatch(t.result, 2 * m, "transform", f=f))
     out.sort(key=lambda mt: (mt.degree, mt.factor.sort_key()))
@@ -330,7 +328,7 @@ def _ddf_layers(h_core: Polynomial, n: int) -> dict[int, Polynomial]:
         layer = gcd(h_core, z - x) if not (z - x).is_zero() else h_core
         for d2 in divisors(d)[:-1]:
             q2, r2 = divmod(layer, exact[d2])
-            assert r2.is_zero()
+            errors.require(r2.is_zero(), "Frobenius layers do not nest")
             layer = q2
         exact[d] = layer
     return exact
@@ -438,7 +436,7 @@ def _verify_engine(r: QuadRationalExpr, n: int, size_bound: int | None,
 def _attach_reconstructions(r: QuadRationalExpr, matches: list[FactorMatch],
                             checks: list[CheckOutcome]) -> list[FactorMatch]:
     form, trail = reduce_canonical(r)
-    assert form.kind is CanonicalKind.X_PLUS_SIGMA_OVER_X
+    errors.require(form.kind is CanonicalKind.X_PLUS_SIGMA_OVER_X, "reduced to x^2")
     sigma_star = form.sigma
     out: list[FactorMatch] = []
     ok = True

@@ -70,15 +70,8 @@ def kernel(spec: FieldSpec, order) -> HigherKernel:
 def _kernel_transform(f: Polynomial, ker: HigherKernel) -> TransformResult:
     if f.is_zero():
         raise errors.ZeroPolynomial("transform of the zero polynomial")
-    spec = f.owner
-    n = int(f.degree)
-    cs = f.coeffs
-    acc = Polynomial(spec, [cs[-1]])
-    wpow = Polynomial.one(spec)
-    for i in range(n - 1, -1, -1):
-        wpow = wpow * ker.weight
-        acc = acc * ker.core_num + wpow.scale(cs[i])
-    full = int(ker.core_num.degree) * n
+    acc = compose_fraction(f, ker.core_num, ker.weight)
+    full = int(ker.core_num.degree) * int(f.degree)
     return TransformResult(acc, acc.degree < full, False)
 
 
@@ -174,5 +167,6 @@ def reconstruct_higher(F: Polynomial, order) -> Polynomial:
     if not residual.is_zero():
         raise errors.NoSolution("invariant polynomial escaped the image space")
     f = Polynomial(spec, coeffs)
-    assert _kernel_transform(f, ker).result == F
+    errors.require(_kernel_transform(f, ker).result == F,
+                   "recovered input does not reproduce F")
     return f

@@ -1,5 +1,7 @@
 """Small integer-arithmetic helpers (primality, divisors)."""
 
+from . import errors
+
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test; fine for n up to ~2**40."""
@@ -20,7 +22,7 @@ def is_prime(n: int) -> bool:
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, ascending."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise errors.InvalidArgument("n must be positive")
     out = []
     d = 2
     while d * d <= n:
@@ -37,7 +39,7 @@ def prime_factors(n: int) -> list[int]:
 def factorization(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise errors.InvalidArgument("n must be positive")
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:

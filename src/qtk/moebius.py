@@ -363,7 +363,8 @@ def reduce_canonical(r: QuadRationalExpr) -> tuple[CanonicalForm, ReductionTrail
         h0, _, _ = cur.h_triple()
         # now cur = (g2*x^2 + g0)/h0 with h constant
         push(PostAffine(h0 / g2, -(g0 / g2)))
-        assert cur.g == Polynomial.monomial(spec, 2) and cur.h == Polynomial.one(spec)
+        done = cur.g == Polynomial.monomial(spec, 2) and cur.h == Polynomial.one(spec)
+        errors.require(done, "reduction did not end at x^2")
         return (CanonicalForm(CanonicalKind.X_SQUARED),
                 ReductionTrail(r, tuple(steps), cur))
     if special:
@@ -388,8 +389,8 @@ def reduce_canonical(r: QuadRationalExpr) -> tuple[CanonicalForm, ReductionTrail
     # cur = (x^2 + c1 x + c0)/x; subtract the linear term of the numerator
     push(PostAffine(one, -cur.g.coeff(1)))
     sigma = cur.g.coeff(0)
-    assert not sigma.is_zero()
-    assert cur == sigma_form(sigma)
+    errors.require(not sigma.is_zero() and cur == sigma_form(sigma),
+                   "reduction did not end at (x^2 + sigma)/x")
     return (CanonicalForm(CanonicalKind.X_PLUS_SIGMA_OVER_X, sigma),
             ReductionTrail(r, tuple(steps), cur))
 
@@ -419,9 +420,9 @@ def classify_sigma(r: QuadRationalExpr) -> SigmaClass:
     if g2 * h1 == g1 * h2:
         cur = apply_pre(cur, MoebiusMap.inversion(spec))
     w = cur.wronskian()
-    assert w.degree == 2, "classification polynomial must be quadratic here"
+    errors.require(w.degree == 2, "classification polynomial must be quadratic here")
     disc = w.coeff(1) * w.coeff(1) - 4 * w.coeff(2) * w.coeff(0)
-    assert not disc.is_zero()
+    errors.require(not disc.is_zero(), "classification polynomial has a double root")
     return SigmaClass.SQUARE if is_square(disc) else SigmaClass.NONSQUARE
 
 

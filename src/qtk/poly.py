@@ -1,15 +1,19 @@
 """Dense univariate polynomials over GF(p^k).
 
-A polynomial is a tuple of coefficients in ascending degree with no trailing
-zeros; the zero polynomial has no coefficients and its degree is the
-distinguished marker :data:`NEG_INF` (never the integer -1, so accidental
-arithmetic on it fails loudly in comparisons rather than silently).
+A polynomial holds one int64 numpy array: the element indices (see
+:mod:`qtk.gf`) of its coefficients in ascending degree, with no trailing
+zeros; coefficient elements and text are built only when asked for.  The zero
+polynomial has no coefficients and its degree is the distinguished marker
+:data:`NEG_INF` (never the integer -1, so accidental arithmetic on it fails
+loudly in comparisons rather than silently).
 
-Internally each coefficient is a raw coordinate tuple, and the hot
-operations (multiplication, division, modular exponentiation) run on a
-(k x n) integer matrix through numpy, which keeps degree-1000 work from
-the H-polynomial verifiers fast while staying exact: everything is int64
-residue arithmetic, never floating point.
+Multiplication, division and modular exponentiation run on these arrays
+through numpy, exactly: int64 residue arithmetic, never floating point.  Over
+GF(p^k) a product convolves the (k x n) coordinate rows, so a sum reaches
+k * (shorter length + 1) * (p-1)^2; that must stay below 2^63 and is checked
+before every product.  Long division adds one reduced multiple of the divisor
+per quotient coefficient and reduces at the end, so a coordinate reaches at
+most (divisor length) * (p-1).
 
 Two text formats are accepted everywhere:
   (a) ascending coefficient list: "1,0,2" or "[1 0],[0 1]" for extensions;
@@ -30,101 +34,84 @@ from .gf import FieldElement, FieldSpec, element_from_text
 #: Degree of the zero polynomial.
 NEG_INF = float("-inf")
 
+_EMPTY = np.zeros(0, dtype=np.int64)
+
 
 class Polynomial:
     """Immutable dense polynomial over a fixed :class:`FieldSpec`."""
 
-    __slots__ = ("owner", "_c", "_mat", "_hash")
+    __slots__ = ("owner", "_a", "_hash")
 
     def __init__(self, owner: FieldSpec, coeffs=()):
-        """Build from an iterable of coefficients (ints, tuples, or elements)."""
-        raw = []
+        """Build from coefficients: elements, integers or coordinate sequences."""
+        values = []
         for c in coeffs:
             if isinstance(c, FieldElement):
                 if c.owner is not owner:
                     raise errors.FieldMismatch("coefficient from a different field")
-                raw.append(c.coords)
+                values.append(c.value)
             else:
-                raw.append(owner.element(c).coords)
-        while raw and not any(raw[-1]):
-            raw.pop()
+                values.append(owner.element(c).value)
         self.owner = owner
-        self._c = tuple(raw)
-        self._mat = None
+        self._a = _trim(np.array(values, dtype=np.int64))
         self._hash = None
 
     @classmethod
-    def _from_raw(cls, owner: FieldSpec, raw) -> "Polynomial":
-        # raw: list of coordinate tuples, ascending degree, may carry trailing zeros
+    def _wrap(cls, owner: FieldSpec, a) -> "Polynomial":
+        # a: int64 index vector without trailing zeros; taken, not copied
         self = cls.__new__(cls)
-        raw = list(raw)
-        while raw and not any(raw[-1]):
-            raw.pop()
         self.owner = owner
-        self._c = tuple(raw)
-        self._mat = None
+        self._a = a
         self._hash = None
         return self
 
     @classmethod
-    def _from_mat(cls, owner: FieldSpec, mat) -> "Polynomial":
-        return cls._from_raw(owner, [tuple(int(v) for v in col) for col in mat.T])
-
-    @classmethod
     def zero(cls, owner: FieldSpec) -> "Polynomial":
-        return cls._from_raw(owner, [])
+        return cls._wrap(owner, _EMPTY)
 
     @classmethod
     def one(cls, owner: FieldSpec) -> "Polynomial":
-        return cls._from_raw(owner, [owner.one.coords])
+        return cls.monomial(owner, 0)
 
     @classmethod
     def x(cls, owner: FieldSpec) -> "Polynomial":
-        return cls._from_raw(owner, [owner.zero.coords, owner.one.coords])
+        return cls.monomial(owner, 1)
 
     @classmethod
     def monomial(cls, owner: FieldSpec, degree: int, coeff=1) -> "Polynomial":
-        c = owner.element(coeff)
-        return cls._from_raw(owner, [owner.zero.coords] * degree + [c.coords])
+        a = np.zeros(degree + 1, dtype=np.int64)
+        a[degree] = owner.element(coeff).value
+        return cls._wrap(owner, _trim(a))
 
     # -- structure -----------------------------------------------------------
 
     @property
     def degree(self):
         """Degree, or NEG_INF for the zero polynomial."""
-        return len(self._c) - 1 if self._c else NEG_INF
+        return len(self._a) - 1 if len(self._a) else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not len(self._a)
 
     @property
     def coeffs(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.owner, c) for c in self._c)
+        owner = self.owner
+        return tuple(FieldElement(owner, u) for u in self._a.tolist())
 
     def coeff(self, i: int) -> FieldElement:
         """Coefficient of x^i (zero beyond the degree)."""
-        if 0 <= i < len(self._c):
-            return FieldElement(self.owner, self._c[i])
+        if 0 <= i < len(self._a):
+            return FieldElement(self.owner, int(self._a[i]))
         return self.owner.zero
 
     @property
     def leading(self) -> FieldElement:
-        if not self._c:
+        if not len(self._a):
             raise errors.ZeroPolynomial("zero polynomial has no leading coefficient")
-        return FieldElement(self.owner, self._c[-1])
+        return FieldElement(self.owner, int(self._a[-1]))
 
     def is_monic(self) -> bool:
-        return bool(self._c) and self._c[-1] == self.owner.one.coords
-
-    def matrix(self):
-        """(k x n) int64 coordinate matrix; cached, treat as read-only."""
-        if self._mat is None:
-            k = self.owner.k
-            if not self._c:
-                self._mat = np.zeros((k, 0), dtype=np.int64)
-            else:
-                self._mat = np.array(self._c, dtype=np.int64).T.copy()
-        return self._mat
+        return len(self._a) > 0 and int(self._a[-1]) == self.owner.unit
 
     # -- ring operations -------------------------------------------------------
 
@@ -134,32 +121,24 @@ class Polynomial:
         if other.owner is not self.owner:
             raise errors.FieldMismatch("polynomials over different fields")
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "Polynomial":
+        # self + sign * other, on the coordinates
         self._check_owner(other)
         spec = self.owner
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = spec.raw_add(out[i], c)
-        return Polynomial._from_raw(spec, out)
+        a, b = self._a, other._a
+        C = np.zeros((max(len(a), len(b)), spec.k), dtype=np.int64)
+        C[:len(a)] = spec.to_coords(a)
+        C[:len(b)] += sign * spec.to_coords(b)
+        return Polynomial._wrap(spec, _trim(spec.from_coords(C % spec.p)))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check_owner(other)
-        spec = self.owner
-        n = max(len(self._c), len(other._c))
-        zero = spec.zero.coords
-        out = []
-        for i in range(n):
-            u = self._c[i] if i < len(self._c) else zero
-            v = other._c[i] if i < len(other._c) else zero
-            out.append(spec.raw_sub(u, v))
-        return Polynomial._from_raw(spec, out)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        spec = self.owner
-        return Polynomial._from_raw(spec, [spec.raw_neg(c) for c in self._c])
+        return Polynomial.zero(self.owner)._combine(self, -1)
 
     def __mul__(self, other):
         if isinstance(other, (FieldElement, int)):
@@ -167,8 +146,7 @@ class Polynomial:
         self._check_owner(other)
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(self.owner)
-        return Polynomial._from_mat(
-            self.owner, _kmul(self.owner, self.matrix(), other.matrix()))
+        return Polynomial._wrap(self.owner, _kmul(self.owner, self._a, other._a))
 
     def __rmul__(self, other):
         if isinstance(other, (FieldElement, int)):
@@ -181,17 +159,16 @@ class Polynomial:
         c = spec.element(c)
         if c.is_zero():
             return Polynomial.zero(spec)
-        return Polynomial._from_raw(spec, [spec.raw_mul(u, c.coords) for u in self._c])
+        return Polynomial._wrap(spec, spec.mul_vec(self._a, c.value))
 
     def __divmod__(self, other):
         self._check_owner(other)
         if other.is_zero():
             raise errors.DivisionByZero("polynomial division by zero")
-        if self.is_zero() or len(self._c) < len(other._c):
+        if len(self._a) < len(other._a):
             return Polynomial.zero(self.owner), self
-        q, r = _kdivmod(self.owner, self.matrix(), other.matrix())
-        return (Polynomial._from_mat(self.owner, q),
-                Polynomial._from_mat(self.owner, r))
+        q, r = _Divisor(self.owner, other._a).divmod(self._a)
+        return Polynomial._wrap(self.owner, q), Polynomial._wrap(self.owner, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -222,25 +199,21 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         """Formal derivative; note x^p differentiates to zero in characteristic p."""
         spec = self.owner
-        out = []
-        for i in range(1, len(self._c)):
-            mult = spec.element(i)
-            out.append(spec.raw_mul(self._c[i], mult.coords))
-        return Polynomial._from_raw(spec, out)
+        mult = np.arange(1, len(self._a), dtype=np.int64)[:, np.newaxis] % spec.p
+        C = spec.to_coords(self._a[1:]) * mult % spec.p
+        return Polynomial._wrap(spec, _trim(spec.from_coords(C)))
 
     def reciprocal(self) -> "Polynomial":
         """x^deg * f(1/x): the coefficient sequence reversed."""
-        if self.is_zero():
-            return self
-        return Polynomial._from_raw(self.owner, list(reversed(self._c)))
+        return Polynomial._wrap(self.owner, _trim(self._a[::-1].copy()))
 
     def compose(self, other: "Polynomial") -> "Polynomial":
         """f(other(x)) by Horner."""
         self._check_owner(other)
         spec = self.owner
         acc = Polynomial.zero(spec)
-        for c in reversed(self._c):
-            acc = acc * other + Polynomial._from_raw(spec, [c])
+        for c in reversed(self.coeffs):
+            acc = acc * other + Polynomial(spec, [c])
         return acc
 
     def __call__(self, a: FieldElement) -> FieldElement:
@@ -265,43 +238,42 @@ class Polynomial:
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
                 and self.owner is other.owner
-                and self._c == other._c)
+                and len(self._a) == len(other._a)
+                and self._a.tobytes() == other._a.tobytes())
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.owner.p, self.owner.k, self._c))
+            self._hash = hash((self.owner.p, self.owner.k, self._a.tobytes()))
         return self._hash
 
     def sort_key(self):
-        """Deterministic ordering key: degree, then coefficients from constant up."""
-        return (len(self._c), self._c)
+        """Deterministic ordering key: degree, then coefficients from constant up
+        (in canonical element order)."""
+        return (len(self._a), tuple(self._a.tolist()))
 
     # -- text ------------------------------------------------------------------
 
     def to_text(self) -> str:
         """Form (a): ascending coefficient list."""
-        if not self._c:
+        if not len(self._a):
             return "0"
-        return ",".join(
-            FieldElement(self.owner, c).to_text() for c in self._c)
+        return ",".join(map(self.owner.element_text, self._a.tolist()))
 
     def to_human(self) -> str:
         """Form (b): "x^2+2*x+1" with coefficients as residues."""
-        if not self._c:
+        if not len(self._a):
             return "0"
-        k = self.owner.k
+        spec = self.owner
         terms = []
-        for i in range(len(self._c) - 1, -1, -1):
-            c = self._c[i]
-            if not any(c):
+        for i, u in reversed(list(enumerate(self._a.tolist()))):
+            if not u:
                 continue
-            ctext = FieldElement(self.owner, c).to_text()
-            is_unit = (c == self.owner.one.coords)
+            ctext = spec.element_text(u)
             if i == 0:
                 terms.append(ctext)
             else:
                 xpart = "x" if i == 1 else f"x^{i}"
-                if is_unit and k == 1:
+                if u == spec.unit and spec.k == 1:
                     terms.append(xpart)
                 else:
                     terms.append(f"{ctext}*{xpart}")
@@ -317,119 +289,80 @@ class Polynomial:
         return is_irreducible(self)
 
 
-# -- numpy kernels -------------------------------------------------------------
+# -- numpy kernels on index vectors ----------------------------------------------
 
 
-def _ktrim(mat):
-    n = mat.shape[1]
-    while n > 0 and not mat[:, n - 1].any():
-        n -= 1
-    return mat[:, :n]
+def _trim(a):
+    """a without its trailing zeros."""
+    if not len(a) or a[-1]:
+        return a
+    nz = np.flatnonzero(a)
+    return a[:nz[-1] + 1] if len(nz) else _EMPTY
 
 
-def _kmul(spec: FieldSpec, A, B):
-    """Product of two nonzero coefficient matrices, reduced mod p and modulus."""
+def _check_headroom(spec: FieldSpec, terms: int):
+    """Refuse a product whose convolution sums could leave int64."""
+    if spec.k * (terms + 1) * (spec.p - 1) ** 2 >= 2 ** 63:
+        raise errors.SizeBoundExceeded(
+            f"a product of {terms} terms over {spec!r} could overflow int64")
+
+
+def _kmul(spec: FieldSpec, a, b):
+    """Product of two nonzero index vectors."""
     p, k = spec.p, spec.k
+    _check_headroom(spec, min(len(a), len(b)))
     if k == 1:
-        return (np.convolve(A[0], B[0]) % p)[np.newaxis, :]
-    n = A.shape[1] + B.shape[1] - 1
-    acc = np.zeros((2 * k - 1, n), dtype=np.int64)
-    for i in range(k):
-        if not A[i].any():
-            continue
-        for j in range(k):
-            if B[j].any():
-                acc[i + j] += np.convolve(A[i], B[j])
-    # fold the generator powers y^k .. y^(2k-2) back into the basis
-    for m in range(2 * k - 2, k - 1, -1):
-        row = acc[m] % p
-        if row.any():
-            red = spec._red[m - k]
-            for t in range(k):
-                if red[t]:
-                    acc[t] += red[t] * row
-    return acc[:k] % p
+        return np.convolve(a, b) % p
+    A, B = spec.to_coords(a).T, spec.to_coords(b).T
+    rows_b = np.flatnonzero(B.any(axis=1))
+    acc = np.zeros((2 * k - 1, len(a) + len(b) - 1), dtype=np.int64)
+    for i in np.flatnonzero(A.any(axis=1)):
+        for j in rows_b:
+            acc[i + j] += np.convolve(A[i], B[j])
+    # fold y^k .. y^(2k-2) back into the basis
+    C = (acc[:k] + spec._red.T @ (acc[k:] % p)) % p
+    return spec.from_coords(C.T)
 
 
-def _mulmat(spec: FieldSpec, coords):
-    """k x k matrix of multiplication by the element with these coordinates."""
-    k = spec.k
-    out = np.zeros((k, k), dtype=np.int64)
-    col = list(coords)
-    out[:, 0] = col
-    for j in range(1, k):
-        top = col[k - 1]
-        col = [0] + col[: k - 1]
-        if top:
-            red = spec._red[0]  # y^k row
-            col = [(col[i] + top * red[i]) % spec.p for i in range(k)]
-        out[:, j] = col
-    return out
+class _Divisor:
+    """A nonzero divisor prepared for repeated long division by its monic
+    multiple; the negated body multiples -c*body are built once per quotient
+    coefficient c and kept."""
 
+    __slots__ = ("spec", "inv", "body", "multiples")
 
-def _kdivmod(spec: FieldSpec, A, B, want_quotient: bool = True):
-    """Long division of coefficient matrices; B nonzero."""
-    p, k = spec.p, spec.k
-    B = _ktrim(B)
-    m = B.shape[1]
-    lead = tuple(int(v) for v in B[:, m - 1])
-    lead_inv = spec.raw_inv(lead)
-    if lead != spec.one.coords:
-        if k == 1:
-            Bm = (B * lead_inv[0]) % p
-        else:
-            Bm = (_mulmat(spec, lead_inv) @ B) % p
-    else:
-        Bm = B
-    R = A % p
-    n = R.shape[1]
-    if n < m:
-        return np.zeros((k, 0), dtype=np.int64), _ktrim(R)
-    Q = np.zeros((k, n - m + 1), dtype=np.int64) if want_quotient else None
-    if k == 1:
-        r = R[0].copy()
-        b = Bm[0, : m - 1]
-        for i in range(n - 1, m - 2, -1):
-            c = r[i]
+    def __init__(self, spec: FieldSpec, b):
+        self.spec = spec
+        lead = int(b[-1])
+        self.inv = None if lead == spec.unit else spec.raw_inv(lead)
+        self.body = (b if self.inv is None else spec.mul_vec(b, self.inv))[:-1]
+        self.multiples = {}
+
+    def divmod(self, a, want_quotient: bool = True):
+        """(quotient, remainder) index vectors; the quotient is None unless wanted."""
+        spec, p, k = self.spec, self.spec.p, self.spec.k
+        m = len(self.body)
+        n = len(a)
+        if n <= m:
+            return (_EMPTY if want_quotient else None), a
+        R = spec.to_coords(a).copy()
+        Q = np.zeros(n - m, dtype=np.int64) if want_quotient else None
+        multiples = self.multiples
+        for i in range(n - 1, m - 1, -1):
+            row = R[i].tolist()
+            c = row[0] % p if k == 1 else spec.index(row)
             if c:
                 if want_quotient:
-                    Q[0, i - m + 1] = c
-                if m > 1:
-                    r[i - m + 1: i] = (r[i - m + 1: i] - c * b) % p
-                r[i] = 0
-        R = r[np.newaxis, :]
-    else:
-        R = R.copy()
-        body = Bm[:, : m - 1]
-        for i in range(n - 1, m - 2, -1):
-            c = R[:, i]
-            if c.any():
-                if want_quotient:
-                    Q[:, i - m + 1] = c
-                if m > 1:
-                    Mc = _mulmat(spec, tuple(int(v) for v in c))
-                    R[:, i - m + 1: i] = (R[:, i - m + 1: i] - Mc @ body) % p
-                R[:, i] = 0
-    if not want_quotient:
-        return None, _ktrim(R)
-    # division was by the monic form; rescale the quotient
-    if lead != spec.one.coords:
-        if k == 1:
-            Q = (Q * lead_inv[0]) % p
-        else:
-            Q = (_mulmat(spec, lead_inv) @ Q) % p
-    return _ktrim(Q), _ktrim(R)
-
-
-def _kmod(spec, A, B):
-    return _kdivmod(spec, A, B, want_quotient=False)[1]
-
-
-def _kgcd(spec, A, B):
-    A, B = _ktrim(A), _ktrim(B)
-    while B.shape[1]:
-        A, B = B, _kmod(spec, A, B)
-    return A
+                    Q[i - m] = c
+                t = multiples.get(c)
+                if t is None:
+                    t = multiples[c] = spec.to_coords(
+                        spec.mul_vec(self.body, spec.raw_neg(c)))
+                R[i - m:i] += t
+        r = _trim(spec.from_coords(R[:m] % p))
+        if want_quotient and self.inv is not None:
+            Q = spec.mul_vec(Q, self.inv)
+        return Q, r
 
 
 # -- ring-level functions --------------------------------------------------------
@@ -440,12 +373,11 @@ def gcd(p1: Polynomial, p2: Polynomial) -> Polynomial:
     p1._check_owner(p2)
     if p1.is_zero() and p2.is_zero():
         raise errors.BothZero("gcd(0, 0) is undefined")
-    if p1.is_zero():
-        return p2.monic()
-    if p2.is_zero():
-        return p1.monic()
-    g = Polynomial._from_mat(p1.owner, _kgcd(p1.owner, p1.matrix(), p2.matrix()))
-    return g.monic()
+    spec = p1.owner
+    a, b = p1._a, p2._a
+    while len(b):
+        a, b = b, _Divisor(spec, b).divmod(a, want_quotient=False)[1]
+    return Polynomial._wrap(spec, a).monic()
 
 
 def pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
@@ -456,19 +388,19 @@ def pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     if e < 0:
         raise ValueError("negative exponent")
     spec = base.owner
-    M = mod.matrix()
-    r = Polynomial.one(spec).matrix()
-    b = _kmod(spec, base.matrix(), M)
+    div = _Divisor(spec, mod._a)
+    r = Polynomial.one(spec)._a
+    b = div.divmod(base._a, want_quotient=False)[1]
     while e:
         if e & 1:
-            if r.shape[1] and b.shape[1]:
-                r = _kmod(spec, _kmul(spec, r, b), M)
+            if len(r) and len(b):
+                r = div.divmod(_kmul(spec, r, b), want_quotient=False)[1]
             else:
-                r = np.zeros((spec.k, 0), dtype=np.int64)
+                r = _EMPTY
         e >>= 1
-        if e and b.shape[1]:
-            b = _kmod(spec, _kmul(spec, b, b), M)
-    return Polynomial._from_mat(spec, r)
+        if e and len(b):
+            b = div.divmod(_kmul(spec, b, b), want_quotient=False)[1]
+    return Polynomial._wrap(spec, r)
 
 
 def _frobenius_step(z: Polynomial, steps: int, mod: Polynomial) -> Polynomial:
@@ -512,10 +444,9 @@ def enumerate_monic(spec: FieldSpec, d: int, limit: int | None = None):
     if spec.q ** d > bound:
         raise errors.SizeBoundExceeded(
             f"enumeration space {spec.q}^{d} exceeds the bound {bound}")
-    one = spec.one.coords
-    lower = [e.coords for e in spec.elements()]
-    for tail in itertools.product(lower, repeat=d):
-        yield Polynomial._from_raw(spec, list(tail) + [one])
+    lead = (spec.unit,)
+    for tail in itertools.product(range(spec.q), repeat=d):
+        yield Polynomial._wrap(spec, np.array(tail + lead, dtype=np.int64))
 
 
 #: Guard on enumeration spaces (candidate count).
@@ -615,7 +546,7 @@ def compose_fraction(f: Polynomial, num: Polynomial, den: Polynomial) -> Polynom
         return f
     spec = f.owner
     cs = f.coeffs
-    acc = Polynomial._from_raw(spec, [cs[-1].coords])
+    acc = Polynomial(spec, [cs[-1]])
     dpow = Polynomial.one(spec)
     for i in range(len(cs) - 2, -1, -1):
         dpow = dpow * den

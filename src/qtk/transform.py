@@ -20,7 +20,7 @@ linear solve in characteristic two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 
 from . import errors
 from .gf import FieldElement, FieldSpec, embed, field_make
@@ -52,7 +52,7 @@ def transform(f: Polynomial, r: QuadRationalExpr, monic: bool = False) -> Transf
     dropped = out.degree < 2 * n
     h2 = r.h.coeff(2)
     expected_drop = (not h2.is_zero()) and f(r.g.coeff(2) / h2).is_zero()
-    assert dropped == expected_drop, "degree-drop criterion out of sync"
+    errors.require(dropped == expected_drop, "degree-drop criterion out of sync")
     if monic:
         out = out.monic()
     return TransformResult(out, dropped, monic)
@@ -122,10 +122,7 @@ def roots_orbit_check(F: Polynomial, a: FieldElement, b: FieldElement,
     fixed = Polynomial(spec, [c, -(b + b), a])
     if not fixed.is_zero() and fixed.degree >= 1 and gcd(F, fixed).degree > 0:
         raise errors.NotCoprime("F shares a factor with the fixed-point quadratic")
-    degrees = factorize(F, int(F.degree)).degrees()
-    m = 1
-    for d in degrees:
-        m = m * d // _gcd_int(m, d)
+    m = lcm(*factorize(F, int(F.degree)).degrees())
     if size_bound is None:
         size_bound = 2 ** 20
     if spec.q ** m > size_bound:
@@ -149,7 +146,7 @@ def roots_orbit_check(F: Polynomial, a: FieldElement, b: FieldElement,
             rem = q2
             mult += 1
         roots[t] = mult
-    assert sum(roots.values()) == int(F.degree), "not split in the chosen field"
+    errors.require(sum(roots.values()) == int(F.degree), "not split in the chosen field")
     for xi, mult in roots.items():
         den = aa * xi - bb
         if den.is_zero():
@@ -158,12 +155,6 @@ def roots_orbit_check(F: Polynomial, a: FieldElement, b: FieldElement,
         if roots.get(eta) != mult:
             return False
     return True
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- Dickson polynomials -----------------------------------------------------------
@@ -185,7 +176,7 @@ def dickson(params: DicksonParams) -> Polynomial:
     """
     n, a = params.n, params.a
     if n < 0:
-        raise ValueError("Dickson degree must be >= 0")
+        raise errors.InvalidArgument("Dickson degree must be >= 0")
     spec = a.owner
     if n == 0:
         return Polynomial(spec, [spec.element(2)])
@@ -221,7 +212,7 @@ def reconstruct(F: Polynomial, sigma: FieldElement) -> Polynomial:
     else:
         f = _reconstruct_closed_form(F, sigma)
     check = transform(f, sigma_form(sigma)).result
-    assert check == F, "reconstruction failed to invert the transformation"
+    errors.require(check == F, "reconstruction failed to invert the transformation")
     return f
 
 
@@ -360,7 +351,7 @@ def count_preserving_bijections_check(r: QuadRationalExpr, r2: QuadRationalExpr,
     if n <= 1:
         raise errors.RequiresNGreaterThan1("count comparison needs n > 1")
     if side not in ("pre", "post"):
-        raise ValueError("side must be 'pre' or 'post'")
+        raise errors.InvalidArgument("side must be 'pre' or 'post'")
     expected = apply_pre(r, m) if side == "pre" else apply_post(r, m)
     if r2 != expected:
         raise errors.Error("r2 is not the stated composition of r and m")

@@ -1,12 +1,22 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import qtk
 from qtk import errors, field_make
 from qtk.moebius import MoebiusMap, QuadRationalExpr
 from qtk.poly import Polynomial
 
 FIELD_GRID = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+def subprocess_env():
+    """The environment with this qtk's source directory first on PYTHONPATH."""
+    src = str(Path(qtk.__file__).resolve().parent.parent)
+    rest = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + rest if rest else ""))
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,84 @@
+"""Reference arithmetic on coordinate tuples, independent of qtk's kernels.
+
+An element of GF(p^k) is a tuple of k residues (ascending powers of the
+generator y); a polynomial is a list of such tuples in ascending degree.
+Products convolve the coordinates and fold y^k .. y^(2k-2) back with the
+field's modulus, inverses come from Fermat's little theorem, and division is
+per-coefficient long division.  Slow and plain on purpose: the differential
+tests hold the table-driven field arithmetic and the numpy kernels to it.
+"""
+
+
+def _reduction_rows(spec):
+    # rows[m - k] = coordinates of y^m for m in [k, 2k-2]
+    p, k = spec.p, spec.k
+    rows = []
+    cur = [(-c) % p for c in spec.modulus[:k]]  # y^k
+    for _ in range(k - 1):
+        rows.append(tuple(cur))
+        top = cur[k - 1]
+        cur = [0] + cur[:k - 1]
+        cur = [(cur[i] + top * rows[0][i]) % p for i in range(k)]
+    return rows
+
+
+def mul(spec, u, v):
+    p, k = spec.p, spec.k
+    conv = [0] * (2 * k - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            conv[i + j] += a * b
+    rows = _reduction_rows(spec)
+    for m in range(2 * k - 2, k - 1, -1):
+        c = conv[m] % p
+        for i in range(k):
+            conv[i] += c * rows[m - k][i]
+    return tuple(conv[i] % p for i in range(k))
+
+
+def add(spec, u, v):
+    return tuple((a + b) % spec.p for a, b in zip(u, v))
+
+
+def sub(spec, u, v):
+    return tuple((a - b) % spec.p for a, b in zip(u, v))
+
+
+def inv(spec, u):
+    # Fermat: u^(q-2)
+    result, base, e = (1,) + (0,) * (spec.k - 1), u, spec.q - 2
+    while e:
+        if e & 1:
+            result = mul(spec, result, base)
+        base = mul(spec, base, base)
+        e >>= 1
+    return result
+
+
+def _trim(coeffs):
+    while coeffs and not any(coeffs[-1]):
+        coeffs.pop()
+    return coeffs
+
+
+def poly_mul(spec, a, b):
+    zero = (0,) * spec.k
+    out = [zero] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] = add(spec, out[i + j], mul(spec, u, v))
+    return _trim(out)
+
+
+def poly_divmod(spec, a, b):
+    """Long division one quotient coefficient at a time; b nonzero."""
+    zero = (0,) * spec.k
+    rem = list(a)
+    lead_inv = inv(spec, b[-1])
+    quot = [zero] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        c = mul(spec, rem[i + len(b) - 1], lead_inv)
+        quot[i] = c
+        for j, v in enumerate(b):
+            rem[i + j] = sub(spec, rem[i + j], mul(spec, c, v))
+    return _trim(quot), _trim(rem)

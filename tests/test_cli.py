@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qtk import cli, field_make
 from qtk.counting import count_carlitz
@@ -158,3 +164,73 @@ def test_module_entry_point():
          "--variant", "carlitz"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and "value=1" in proc.stdout
+
+
+@pytest.mark.parametrize("env,argv", [
+    ({}, ["count", "--field", "3", "--n", "0", "--variant", "carlitz"]),
+    ({}, ["dickson", "--field", "3", "--n", "-1", "--a", "1"]),
+    ({}, ["count", "--field", "3", "--n", "2", "--variant", "sigma"]),
+    ({"QTK_SIZE_BOUND": "abc"}, ["hverify", "--field", "3", "--n", "2", "--sigma", "1"]),
+    ({}, ["count", "--field", "abc", "--variant", "carlitz"]),
+    ({}, ["count", "--field", "3", "--n", "2", "--variant", "ahmadi"]),
+])
+def test_bad_input_exits_with_one_stderr_line(monkeypatch, capsys, env, argv):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+_FUZZ_VALUES = {
+    "--field": st.sampled_from(["2", "3", "4", "5", "7", "8", "9", "3^2", "6", "0", "x"]),
+    "--n": st.integers(-1, 3).map(str),
+    "--n-max": st.integers(-1, 2).map(str),
+    "--fields": st.sampled_from(["2", "3,4", "5", "9", "2,x"]),
+    "--variant": st.sampled_from(["carlitz", "sigma", "ahmadi", "linear",
+                                  "corollary", "bogus"]),
+    "--sigma": st.sampled_from(["0", "1", "2", "3", "[0 1]", "[1 1]", "[1", "x", ""]),
+    "--a": st.sampled_from(["0", "1", "2", "[0 1]", "y"]),
+    "--expr": st.sampled_from(["1,0,1 / 0,1", "0,0,1 / 1", "1,1,1 / 0,0,1",
+                               "x^2+1 / x", "2,1 / 1,0,1", "1 / 1", "0 / 0,1",
+                               "[0 1],0,1 / 0,1", "/", "1,0,1"]),
+    "--f": st.sampled_from(["1,0,1", "x^2+1", "0", "2", "1,1", "[1 1],1", "x^", ","]),
+    "--F": st.sampled_from(["1,0,0,0,1", "1,0,1", "0", "x^4+1", "1,2"]),
+    "--size-bound": st.sampled_from(["10", "100", "-1", "abc"]),
+}
+
+#: Options each subcommand needs, then the flags it takes; the fuzzer leaves
+#: a needed option out now and then, and adds a stray one.
+_FUZZ_COMMANDS = {
+    "count": (["--field", "--n", "--variant"], ["--oracle"]),
+    "reduce": (["--field", "--expr"], []),
+    "transform": (["--field", "--f", "--expr"], ["--monic", "--human"]),
+    "reconstruct": (["--field", "--F", "--sigma"], ["--human"]),
+    "dickson": (["--field", "--n", "--a"], []),
+    "hverify": (["--field", "--n", "--expr"], []),
+    "table": (["--fields", "--n-max"], ["--oracle"]),
+    "bogus": ([], []),
+}
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    needed, flags = _FUZZ_COMMANDS[cmd]
+    options = [opt for opt in needed if draw(st.integers(0, 9))]
+    options += draw(st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=1))
+    argv = ["--json", cmd] if draw(st.booleans()) else [cmd]
+    for opt in options:
+        argv += [opt, draw(_FUZZ_VALUES[opt])]
+    return argv + draw(st.lists(st.sampled_from(flags or ["--human"]), max_size=1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_cli_fuzz_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()

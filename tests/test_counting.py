@@ -1,6 +1,10 @@
+import subprocess
+import sys
+
 import pytest
 
-from conftest import random_expr
+import qtk
+from conftest import random_expr, subprocess_env
 from qtk import errors
 from qtk.counting import (CountQuery, brute_count, count_ahmadi,
                           count_carlitz, count_corollary, count_linear_inputs,
@@ -162,3 +166,21 @@ def test_evaluate_dispatch(fields):
     assert evaluate(CountQuery(F3, 2, "carlitz")).value == 2
     with pytest.raises(errors.Error):
         evaluate(CountQuery(F3, 2, "nonsense"))
+
+
+def test_exact_div_refuses_a_remainder_under_python_O():
+    # the check must survive -O, which strips every assert
+    code = ("from qtk import counting, errors\n"
+            "try:\n    print(counting._exact_div(7, 2))\n"
+            "except errors.IdentityViolated:\n    print('raised')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == "raised", proc.stderr
+
+
+def test_query_without_its_parameter_is_refused():
+    spec = qtk.field_make(3)
+    with pytest.raises(errors.InvalidArgument):
+        CountQuery(spec, 2, "sigma")
+    with pytest.raises(errors.InvalidArgument):
+        CountQuery(spec, 2, "ahmadi")
