@@ -1,22 +1,26 @@
 """Closed-form counts of irreducible polynomials arising through quadratic
 transformations, with brute-force oracles.
 
-The headline counts (all exact; every division is integer-exact and
-checked so):
+Every count is one formula in q, n and a square class epsilon:
+
+    (sum over odd d | n of mu(d) * q^(n/d) - delta) / (2n),
+
+where delta = epsilon^n when q is odd and n is a power of two, and delta = 0
+otherwise.  epsilon is 0 for q even and +1/-1 for q odd by the square class
+of sigma, or of b^2 - ac for an expression g/h with involution triple
+(a, b, c).  The division is integer-exact and checked so.  The counts:
 
 * ``count_carlitz``: monic irreducible self-reciprocal polynomials of
-  degree 2n over GF(q).
+  degree 2n over GF(q) (sigma = 1).
 * ``count_sigma``: monic irreducible F of degree 2n with
-  x^(2n) F(sigma/x) = sigma^n F(x).  Here epsilon is +1/-1 for q odd by
-  the square class of sigma, 0 for q even.
+  x^(2n) F(sigma/x) = sigma^n F(x).
 * ``count_ahmadi``: monic irreducible f of degree n > 1 with irreducible
   image under a fixed quadratic transformation; equal to the Carlitz count
   except in the degenerate even-characteristic case, independently of the
   expression.
 * ``count_linear_inputs``: irreducible monic quadratics among the linear
-  combinations of g and h (the n = 1 case).
-* ``count_corollary``: the sigma count written as a single divisor sum with
-  a correction term delta.
+  combinations of g and h (the formula at n = 1).
+* ``count_corollary``: the sigma count, reporting delta itself.
 
 ``brute_count`` recomputes any of these by exhaustive enumeration and is
 the oracle the test suite pins every formula against.
@@ -27,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import errors
-from .gf import FieldElement, FieldSpec, is_square
+from .gf import FieldElement, FieldSpec, square_class
 from .intmath import divisors, factorization, is_power_of_two
 from .moebius import QuadRationalExpr, SigmaClass, classify_sigma, sigma_form
 from .transform import irreducible_image_count, linear_input_images
@@ -96,19 +100,23 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _odd_divisor_sum(q: int, n: int) -> int:
-    return sum(moebius_mu(d) * q ** (n // d) for d in divisors(n) if d % 2 == 1)
+def _count(q: int, n: int, eps: int) -> tuple[int, int]:
+    """(value, delta): value = (sum over odd d | n of mu(d) q^(n/d) - delta) / (2n),
+    with delta = eps^n when q is odd and n a power of two, else 0."""
+    delta = eps ** n if q % 2 and is_power_of_two(n) else 0
+    total = sum(moebius_mu(d) * q ** (n // d) for d in divisors(n) if d % 2)
+    return _exact_div(total - delta, 2 * n), delta
+
+
+def _count_result(q: int, n: int, eps: int) -> CountResult:
+    # the carlitz/sigma/ahmadi report: delta folded into the value
+    value, delta = _count(q, n, eps)
+    return CountResult(value, eps, 0, "odd-q-power-of-2" if delta else "mobius-sum")
 
 
 def count_carlitz(field: FieldSpec, n: int) -> CountResult:
     """Number of self-reciprocal irreducible monic polynomials of degree 2n."""
-    if n < 1:
-        raise errors.InvalidArgument("n must be >= 1")
-    q = field.q
-    eps = 1 if q % 2 else 0
-    if q % 2 and is_power_of_two(n):
-        return CountResult(_exact_div(q ** n - 1, 2 * n), eps, 0, "odd-q-power-of-2")
-    return CountResult(_exact_div(_odd_divisor_sum(q, n), 2 * n), eps, 0, "mobius-sum")
+    return count_sigma(field, n, field.one)
 
 
 def _sigma_epsilon(field: FieldSpec, n: int, sigma: FieldElement) -> int:
@@ -120,9 +128,7 @@ def _sigma_epsilon(field: FieldSpec, n: int, sigma: FieldElement) -> int:
         raise errors.FieldMismatch("sigma not in the stated field")
     if n < 1:
         raise errors.InvalidArgument("n must be >= 1")
-    if field.p == 2:
-        return 0
-    return 1 if is_square(sigma) else -1
+    return square_class(sigma)
 
 
 def count_sigma(field: FieldSpec, n: int, sigma: FieldElement) -> CountResult:
@@ -131,13 +137,7 @@ def count_sigma(field: FieldSpec, n: int, sigma: FieldElement) -> CountResult:
     n = 1 counts as a power of two, which is where the epsilon = -1 case
     (sigma a nonsquare) departs from the Carlitz value.
     """
-    eps = _sigma_epsilon(field, n, sigma)
-    q = field.q
-    if q % 2 and is_power_of_two(n):
-        return CountResult(_exact_div(q ** n - eps ** n, 2 * n), eps, 0,
-                           "odd-q-power-of-2")
-    return CountResult(_exact_div(_odd_divisor_sum(q, n), 2 * n), eps, 0,
-                       "mobius-sum")
+    return _count_result(field.q, n, _sigma_epsilon(field, n, sigma))
 
 
 def count_ahmadi(field: FieldSpec, n: int, expr: QuadRationalExpr) -> CountResult:
@@ -150,43 +150,25 @@ def count_ahmadi(field: FieldSpec, n: int, expr: QuadRationalExpr) -> CountResul
         raise errors.RequiresNGreaterThan1("this count requires n > 1")
     if expr.owner is not field:
         raise errors.FieldMismatch("expression not over the stated field")
-    q = field.q
-    cls = classify_sigma(expr)
-    if cls is SigmaClass.X_SQUARED:
+    if classify_sigma(expr) is SigmaClass.X_SQUARED:
         return CountResult(0, 0, 0, "even-degenerate")
-    eps = 0 if q % 2 == 0 else (1 if cls is SigmaClass.SQUARE else -1)
-    if q % 2 and is_power_of_two(n):
-        return CountResult(_exact_div(q ** n - 1, 2 * n), eps, 0, "odd-q-power-of-2")
-    return CountResult(_exact_div(_odd_divisor_sum(q, n), 2 * n), eps, 0, "mobius-sum")
+    return _count_result(field.q, n, square_class(expr.discriminant()))
 
 
 def count_linear_inputs(field: FieldSpec, expr: QuadRationalExpr) -> CountResult:
     """Number of irreducible monic quadratics spanned by g and h.
 
-    q/2 for q even; (q - 1)/2 or (q + 1)/2 for q odd according to whether
-    g'h - gh' splits over GF(q).
+    The n = 1 count: q/2 for q even; (q - 1)/2 or (q + 1)/2 for q odd
+    according to whether g'h - gh' splits over GF(q), that is whether
+    b^2 - ac is a square.
     """
     if expr.owner is not field:
         raise errors.FieldMismatch("expression not over the stated field")
-    q = field.q
-    w = expr.wronskian()
-    if q % 2 == 0:
-        if w.is_zero():
-            raise errors.Char2Degenerate(
-                "g' = h' = 0: no irreducible combination exists")
-        return CountResult(q // 2, 0, 0, "even")
-    if _splits_over_base(w):
-        return CountResult((q - 1) // 2, 1, 0, "split")
-    return CountResult((q + 1) // 2, -1, 0, "nonsplit")
-
-
-def _splits_over_base(w) -> bool:
-    # w has degree <= 2 here; it splits iff it is constant/linear or a
-    # quadratic with a root in the base field (the cofactor is then linear).
-    if w.degree <= 1:
-        return True
-    spec = w.owner
-    return any(w(t).is_zero() for t in spec.elements())
+    if classify_sigma(expr) is SigmaClass.X_SQUARED:
+        raise errors.Char2Degenerate("g' = h' = 0: no irreducible combination exists")
+    eps = square_class(expr.discriminant())
+    branch = {0: "even", 1: "split", -1: "nonsplit"}[eps]
+    return CountResult(_count(field.q, 1, eps)[0], eps, 0, branch)
 
 
 def count_corollary(field: FieldSpec, n: int, sigma: FieldElement) -> CountResult:
@@ -196,16 +178,13 @@ def count_corollary(field: FieldSpec, n: int, sigma: FieldElement) -> CountResul
     sigma a square/nonsquare; 0 otherwise.
     """
     eps = _sigma_epsilon(field, n, sigma)
-    q = field.q
-    if q % 2 and n > 1 and is_power_of_two(n):
-        delta, branch = 1, "odd-q-power-of-2"
-    elif q % 2 and n == 1 and is_square(sigma):
-        delta, branch = 1, "odd-q-n1-square"
-    elif q % 2 and n == 1:
-        delta, branch = -1, "odd-q-n1-nonsquare"
+    value, delta = _count(field.q, n, eps)
+    if not delta:
+        branch = "otherwise"
+    elif n > 1:
+        branch = "odd-q-power-of-2"
     else:
-        delta, branch = 0, "otherwise"
-    value = _exact_div(-delta + _odd_divisor_sum(q, n), 2 * n)
+        branch = "odd-q-n1-square" if delta > 0 else "odd-q-n1-nonsquare"
     return CountResult(value, eps, delta, branch)
 
 

@@ -407,6 +407,13 @@ def is_square(s: FieldElement) -> bool:
     return (s ** ((s.owner.q - 1) // 2)).is_one()
 
 
+def square_class(s: FieldElement) -> int:
+    """epsilon of nonzero s: 0 in characteristic 2, otherwise +1 for a square
+    and -1 for a nonsquare."""
+    square = is_square(s)
+    return 0 if s.owner.p == 2 else (1 if square else -1)
+
+
 def least_nonsquare(spec: FieldSpec) -> FieldElement:
     """The first nonsquare in canonical element order (odd characteristic)."""
     if spec.p == 2:

@@ -23,16 +23,15 @@ form there, and transporting back; the result must reproduce the factor.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 
 from . import errors
-from .gf import FieldElement, FieldSpec, is_square, parse_int
+from .gf import FieldElement, FieldSpec, parse_int, square_class
 from .intmath import divisors
-from .moebius import (CanonicalKind, QuadRationalExpr, reduce_canonical,
-                      sigma_form)
-from .poly import Polynomial, enumerate_monic_irreducible, gcd, pow_mod
+from .moebius import (CanonicalKind, QuadRationalExpr, SigmaClass,
+                      classify_sigma, reduce_canonical, sigma_form)
+from .poly import Polynomial, gcd, monic_irreducibles, pow_mod
 from .transform import (_validate_triple, is_invariant_generalized,
                         is_sigma_self_reciprocal, linear_input_images,
                         reconstruct, transform, transport_back,
@@ -71,7 +70,7 @@ class HSpec:
             raise errors.FieldMismatch("triple entries from different fields")
         a, b, c = self.a, self.b, self.c
         _validate_triple(spec, a, b, c)
-        if self.source is not None and cross_product_abc(self.source) != (a, b, c):
+        if self.source is not None and self.source.abc != (a, b, c):
             raise errors.Error("triple does not match the source expression")
 
     @property
@@ -82,17 +81,8 @@ class HSpec:
         return self.b * self.b - self.a * self.c
 
 
-def cross_product_abc(r: QuadRationalExpr):
-    """(a, b, c) = (g2h1 - g1h2, g0h2 - g2h0, g1h0 - g0h1).
-
-    The cross product of the coefficient triples of h and g; orthogonal to
-    both, and nonsingular (b^2 - ac != 0) for every valid expression.
-    """
-    return r.abc
-
-
 def hspec_from_expr(r: QuadRationalExpr, n: int) -> HSpec:
-    a, b, c = cross_product_abc(r)
+    a, b, c = r.abc
     return HSpec(n, a, b, c, source=r)
 
 
@@ -120,7 +110,7 @@ def fixed_point_quadratic(spec: HSpec) -> Polynomial:
     return Polynomial(fs, [spec.c, -(spec.b + spec.b), spec.a])
 
 
-def _fixed_part(spec: HSpec, size_bound: int | None = None) -> Polynomial:
+def _fixed_part(spec: HSpec) -> Polynomial:
     """gcd(a*x^2 - 2bx + c, x^(q^n) - x): the part of H carried by fixed points
     and base-field roots."""
     fs = spec.owner
@@ -131,15 +121,21 @@ def _fixed_part(spec: HSpec, size_bound: int | None = None) -> Polynomial:
     return gcd(fixq, z - Polynomial.x(fs))
 
 
+def _split_h(spec: HSpec, size_bound: int | None):
+    """(H, fixed part, H // fixed part, whether the division is exact)."""
+    h = build_h(spec, size_bound)
+    fixed = _fixed_part(spec)
+    core, rem = divmod(h, fixed)
+    return h, fixed, core, rem.is_zero()
+
+
 def build_h_meyn(sigma: FieldElement, n: int, size_bound: int | None = None) -> Polynomial:
     """(x^(q^n+1) - sigma) / gcd(x^2 - sigma, x^(q^n-1) - 1), the normalized H
     for the special form (x^2 + sigma)/x."""
     if sigma.is_zero():
         raise errors.ZeroSigma("sigma must be nonzero")
-    spec = hspec_from_expr(sigma_form(sigma), n)
-    h_full = build_h(spec, size_bound)
-    core, rem = divmod(h_full, _fixed_part(spec, size_bound))
-    errors.require(rem.is_zero(), "fixed-point part does not divide H")
+    _, _, core, exact = _split_h(hspec_from_expr(sigma_form(sigma), n), size_bound)
+    errors.require(exact, "fixed-point part does not divide H")
     return core
 
 
@@ -166,14 +162,10 @@ def product_degree_summary(r: QuadRationalExpr, n: int,
     q^n - epsilon^n; returns (degree, epsilon) or raises on disagreement."""
     spec = hspec_from_expr(r, n)
     fs = spec.owner
-    h = build_h(spec, size_bound)
-    core, rem = divmod(h, _fixed_part(spec, size_bound))
-    if not rem.is_zero():
+    _, _, core, exact = _split_h(spec, size_bound)
+    if not exact:
         raise errors.MismatchFound("fixed-point part does not divide H")
-    if fs.p == 2:
-        eps = 0
-    else:
-        eps = 1 if is_square(spec.discriminant()) else -1
+    eps = square_class(spec.discriminant())
     degree = int(core.degree)
     if degree != fs.q ** n - eps ** n:
         raise errors.MismatchFound(
@@ -261,11 +253,6 @@ class HVerifyReport:
         }
 
 
-@functools.lru_cache(maxsize=None)
-def _irreducible_stream(fs: FieldSpec, degree: int) -> tuple[Polynomial, ...]:
-    return tuple(enumerate_monic_irreducible(fs, degree))
-
-
 def _image_irreducible(F: Polynomial, m: int) -> bool:
     """Irreducibility of a degree-2m image of an irreducible degree-m input.
 
@@ -304,7 +291,7 @@ def _enumerate_image_factors(r: QuadRationalExpr, n: int) -> list[FactorMatch]:
                     f = Polynomial(fs, [-alpha, fs.one])
                     out.append(FactorMatch(cand, 2, "pencil", f=f, alpha=alpha))
         else:
-            for f in _irreducible_stream(fs, m):
+            for f in monic_irreducibles(fs, m):
                 t = transform(f, r, monic=True)
                 errors.require(not t.degree_dropped, "image lost degree")
                 if _image_irreducible(t.result, m):
@@ -341,27 +328,24 @@ def _verify_engine(r: QuadRationalExpr, n: int, size_bound: int | None,
     if fs.q ** n + 1 > bound:
         raise errors.SizeBoundExceeded(
             f"q^n + 1 = {fs.q ** n + 1} exceeds the size bound {bound}")
-    g1, h1 = r.g.coeff(1), r.h.coeff(1)
-    if fs.p == 2 and g1.is_zero() and h1.is_zero():
+    if classify_sigma(r) is SigmaClass.X_SQUARED:
         raise errors.Char2Degenerate(
             "characteristic 2 with g and h both even: no irreducible images")
     hspec = hspec_from_expr(r, n)
     a, b, c = hspec.a, hspec.b, hspec.c
     checks: list[CheckOutcome] = []
 
-    h_full = build_h(hspec, bound)
+    h_full, fixed, h_core, exact = _split_h(hspec, bound)
     witness = h_squarefree_witness(hspec, bound)
     checks.append(CheckOutcome(
         "squarefree-witness", witness == hspec.discriminant(), witness.to_text()))
 
-    fixed = _fixed_part(hspec, bound)
-    h_core, rem = divmod(h_full, fixed)
     checks.append(CheckOutcome(
-        "fixed-part-divides", rem.is_zero(), f"deg fixed part = {fixed.degree}"))
+        "fixed-part-divides", exact, f"deg fixed part = {fixed.degree}"))
     h_core_monic = h_core.monic()
     scalar = h_core.leading
 
-    eps = 0 if fs.p == 2 else (1 if is_square(hspec.discriminant()) else -1)
+    eps = square_class(hspec.discriminant())
     expected_deg = fs.q ** n - eps ** n
     checks.append(CheckOutcome(
         "degree-identity", int(h_core.degree) == expected_deg,

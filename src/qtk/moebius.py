@@ -8,8 +8,8 @@ nonzero sigma, or to x^2 in characteristic two.  :func:`reduce_canonical`
 performs that reduction constructively and returns a replayable trail of
 the affine/inversion steps used, so the reduction itself is machine
 checkable.  :func:`classify_sigma` computes the invariant that labels the
-equivalence class (the square class of the discriminant of g'h - gh')
-without running the full reduction.
+equivalence class (the square class of b^2 - ac, that of the discriminant
+of g'h - gh' = ax^2 - 2bx + c) without running the full reduction.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 
 from . import errors
-from .gf import FieldElement, FieldSpec, is_square, least_nonsquare
+from .gf import FieldElement, FieldSpec, least_nonsquare, square_class
 from .poly import Polynomial, gcd, parse_poly
 
 
@@ -170,9 +170,11 @@ class QuadRationalExpr:
         h0, h1, h2 = self.h_triple()
         return (g2 * h1 - g1 * h2, g0 * h2 - g2 * h0, g1 * h0 - g0 * h1)
 
-    def wronskian(self) -> Polynomial:
-        """g'h - gh', the classification polynomial."""
-        return self.g.derivative() * self.h - self.g * self.h.derivative()
+    def discriminant(self) -> FieldElement:
+        """b^2 - ac; g'h - gh' = ax^2 - 2bx + c has discriminant 4(b^2 - ac),
+        so this carries its square class."""
+        a, b, c = self.abc
+        return b * b - a * c
 
     def __eq__(self, other):
         return (isinstance(other, QuadRationalExpr)
@@ -400,30 +402,13 @@ def classify_sigma(r: QuadRationalExpr) -> SigmaClass:
 
     Characteristic 2: X_SQUARED exactly when g' = h' = 0, otherwise SQUARE
     (every element is a square).  Odd characteristic: the square class of
-    the discriminant of g'h - gh', computed after the same preliminary
-    normalizations the reduction uses (substitute x+1 out of the
-    biquadratic shape, pre-invert if the quadratic term of g'h - gh'
-    vanishes).
+    the discriminant of g'h - gh' = ax^2 - 2bx + c, which is that of b^2 - ac.
     """
-    spec = r.owner
-    cur = r
-    g0, g1, g2 = cur.g_triple()
-    h0, h1, h2 = cur.h_triple()
-    if spec.p == 2:
-        if g1.is_zero() and h1.is_zero():
-            return SigmaClass.X_SQUARED
-        return SigmaClass.SQUARE
-    if g1.is_zero() and h1.is_zero():
-        cur = apply_pre(cur, MoebiusMap.affine(spec.one, spec.one))
-        g0, g1, g2 = cur.g_triple()
-        h0, h1, h2 = cur.h_triple()
-    if g2 * h1 == g1 * h2:
-        cur = apply_pre(cur, MoebiusMap.inversion(spec))
-    w = cur.wronskian()
-    errors.require(w.degree == 2, "classification polynomial must be quadratic here")
-    disc = w.coeff(1) * w.coeff(1) - 4 * w.coeff(2) * w.coeff(0)
-    errors.require(not disc.is_zero(), "classification polynomial has a double root")
-    return SigmaClass.SQUARE if is_square(disc) else SigmaClass.NONSQUARE
+    if r.owner.p == 2 and r.g.coeff(1).is_zero() and r.h.coeff(1).is_zero():
+        return SigmaClass.X_SQUARED
+    disc = r.discriminant()
+    errors.require(not disc.is_zero(), "b^2 - ac vanishes for a valid expression")
+    return SigmaClass.NONSQUARE if square_class(disc) < 0 else SigmaClass.SQUARE
 
 
 def normalized_sigma(r_or_class, spec: FieldSpec | None = None) -> FieldElement:

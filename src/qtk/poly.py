@@ -23,6 +23,7 @@ Emission uses form (a) plus a human-form annotation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
@@ -435,15 +436,14 @@ def is_irreducible(f: Polynomial) -> bool:
     return z == x % f
 
 
-def enumerate_monic(spec: FieldSpec, d: int, limit: int | None = None):
+def enumerate_monic(spec: FieldSpec, d: int):
     """All monic polynomials of degree d, coefficient-lexicographic ascending
     from the constant term."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    bound = SIZE_BOUND_ENUM if limit is None else limit
-    if spec.q ** d > bound:
+    if spec.q ** d > SIZE_BOUND_ENUM:
         raise errors.SizeBoundExceeded(
-            f"enumeration space {spec.q}^{d} exceeds the bound {bound}")
+            f"enumeration space {spec.q}^{d} exceeds the bound {SIZE_BOUND_ENUM}")
     lead = (spec.unit,)
     for tail in itertools.product(range(spec.q), repeat=d):
         yield Polynomial._wrap(spec, np.array(tail + lead, dtype=np.int64))
@@ -453,13 +453,20 @@ def enumerate_monic(spec: FieldSpec, d: int, limit: int | None = None):
 SIZE_BOUND_ENUM = 2 ** 20
 
 
-def enumerate_monic_irreducible(spec: FieldSpec, d: int, limit: int | None = None):
+def enumerate_monic_irreducible(spec: FieldSpec, d: int):
     """Monic irreducibles of degree d in the same deterministic order."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    for f in enumerate_monic(spec, d, limit):
+    for f in enumerate_monic(spec, d):
         if is_irreducible(f):
             yield f
+
+
+@functools.lru_cache(maxsize=None)
+def monic_irreducibles(spec: FieldSpec, d: int) -> tuple[Polynomial, ...]:
+    """The monic irreducibles of degree d in enumeration order, found once
+    per (field, degree)."""
+    return tuple(enumerate_monic_irreducible(spec, d))
 
 
 class Factorization:
@@ -522,7 +529,7 @@ def factorize(f: Polynomial, bound: int) -> Factorization:
         if d > bound:
             raise errors.BoundTooSmall(
                 f"cofactor of degree {work.degree} remains after trial division to {bound}")
-        for phi in enumerate_monic_irreducible(spec, d):
+        for phi in monic_irreducibles(spec, d):
             mult = 0
             while True:
                 q, r = divmod(work, phi)

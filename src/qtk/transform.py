@@ -26,8 +26,8 @@ from . import errors
 from .gf import FieldElement, FieldSpec, embed, field_make
 from .moebius import (PostAffine, PostInversion, PreAffine, PreInversion,
                       QuadRationalExpr, ReductionTrail, sigma_form)
-from .poly import (Polynomial, compose_fraction, enumerate_monic_irreducible,
-                   factorize, gcd, is_irreducible)
+from .poly import (Polynomial, compose_fraction, factorize, gcd, is_irreducible,
+                   monic_irreducibles)
 
 
 @dataclass(frozen=True)
@@ -320,7 +320,7 @@ def irreducible_image_count(r: QuadRationalExpr, n: int) -> int:
     """Number of monic irreducible f of degree n whose image f_R is irreducible."""
     spec = r.owner
     count = 0
-    for f in enumerate_monic_irreducible(spec, n):
+    for f in monic_irreducibles(spec, n):
         t = transform(f, r, monic=True)
         if t.result.degree == 2 * n and is_irreducible(t.result):
             count += 1

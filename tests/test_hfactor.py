@@ -5,7 +5,7 @@ from qtk import errors, field_make
 from qtk.counting import count_sigma
 from qtk.gf import least_nonsquare
 from qtk.hfactor import (HSpec, _image_irreducible, build_h, build_h_meyn,
-                         cross_product_abc, fixed_point_quadratic,
+                         fixed_point_quadratic,
                          h_squarefree_witness, hspec_from_expr,
                          permitted_source_degrees, product_degree_summary,
                          verify_meyn_generalized, verify_meyn_product)
@@ -16,11 +16,11 @@ from qtk.poly import Polynomial, enumerate_monic, factorize, is_irreducible, \
 
 def test_cross_product_examples():
     F3 = field_make(3)
-    a, b, c = cross_product_abc(expr_parse(F3, "1,0,1 / 0,1"))
+    a, b, c = expr_parse(F3, "1,0,1 / 0,1").abc
     assert (a, b, c) == (F3.one, F3.zero, F3.element(2))  # (1, 0, -1)
-    a, b, c = cross_product_abc(expr_parse(F3, "2,0,1 / 0,1"))
+    a, b, c = expr_parse(F3, "2,0,1 / 0,1").abc
     assert (a, b, c) == (F3.one, F3.zero, F3.element(1))  # (1, 0, -2)
-    a, b, c = cross_product_abc(expr_parse(F3, "0,0,1 / 1"))
+    a, b, c = expr_parse(F3, "0,0,1 / 1").abc
     assert (a, b, c) == (F3.zero, F3.element(2), F3.zero)  # (0, -1, 0)
     assert not (b * b - a * c).is_zero()
 

@@ -101,6 +101,17 @@ def test_classify_examples():
     assert classify_sigma(expr_parse(F3, "0,0,1 / 1")) is SigmaClass.SQUARE
 
 
+def test_wronskian_is_the_fixed_point_quadratic(fields, rng):
+    # why the class is the square class of b^2 - ac: g'h - gh' = ax^2 - 2bx + c
+    for spec in fields.values():
+        for _ in range(25):
+            r = random_expr(spec, rng)
+            a, b, c = r.abc
+            w = r.g.derivative() * r.h - r.g * r.h.derivative()
+            assert w == Polynomial(spec, [c, -(b + b), a])
+            assert r.discriminant() == b * b - a * c
+
+
 def test_trail_replay_randomized(fields, rng):
     for spec in fields.values():
         for _ in range(25):
