@@ -60,7 +60,6 @@ class HSpec:
     a: FieldElement
     b: FieldElement
     c: FieldElement
-    source: QuadRationalExpr | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -68,10 +67,7 @@ class HSpec:
         spec = self.a.owner
         if self.b.owner is not spec or self.c.owner is not spec:
             raise errors.FieldMismatch("triple entries from different fields")
-        a, b, c = self.a, self.b, self.c
-        _validate_triple(spec, a, b, c)
-        if self.source is not None and self.source.abc != (a, b, c):
-            raise errors.Error("triple does not match the source expression")
+        _validate_triple(spec, self.a, self.b, self.c)
 
     @property
     def owner(self) -> FieldSpec:
@@ -82,8 +78,7 @@ class HSpec:
 
 
 def hspec_from_expr(r: QuadRationalExpr, n: int) -> HSpec:
-    a, b, c = r.abc
-    return HSpec(n, a, b, c, source=r)
+    return HSpec(n, *r.abc)
 
 
 def build_h(spec: HSpec, size_bound: int | None = None) -> Polynomial:
@@ -132,8 +127,6 @@ def _split_h(spec: HSpec, size_bound: int | None):
 def build_h_meyn(sigma: FieldElement, n: int, size_bound: int | None = None) -> Polynomial:
     """(x^(q^n+1) - sigma) / gcd(x^2 - sigma, x^(q^n-1) - 1), the normalized H
     for the special form (x^2 + sigma)/x."""
-    if sigma.is_zero():
-        raise errors.ZeroSigma("sigma must be nonzero")
     _, _, core, exact = _split_h(hspec_from_expr(sigma_form(sigma), n), size_bound)
     errors.require(exact, "fixed-point part does not divide H")
     return core
@@ -145,8 +138,11 @@ def h_squarefree_witness(spec: HSpec, size_bound: int | None = None) -> FieldEle
     A nonzero constant here means H has only simple roots and hence distinct
     irreducible factors.
     """
+    return _squarefree_witness(spec, build_h(spec, size_bound))
+
+
+def _squarefree_witness(spec: HSpec, h: Polynomial) -> FieldElement:
     fs = spec.owner
-    h = build_h(spec, size_bound)
     lin = Polynomial(fs, [-spec.b, spec.a])
     combo = lin * h.derivative() - h.scale(spec.a)
     expected = spec.discriminant()
@@ -336,7 +332,7 @@ def _verify_engine(r: QuadRationalExpr, n: int, size_bound: int | None,
     checks: list[CheckOutcome] = []
 
     h_full, fixed, h_core, exact = _split_h(hspec, bound)
-    witness = h_squarefree_witness(hspec, bound)
+    witness = _squarefree_witness(hspec, h_full)
     checks.append(CheckOutcome(
         "squarefree-witness", witness == hspec.discriminant(), witness.to_text()))
 
@@ -458,8 +454,6 @@ def verify_meyn_product(sigma: FieldElement, n: int,
     """Verify the factorization of the normalized H for R = (x^2 + sigma)/x:
     its factors are exactly the sigma-self-reciprocal irreducibles of degree
     dividing 2n but not n."""
-    if sigma.is_zero():
-        raise errors.ZeroSigma("sigma must be nonzero")
     return _verify_engine(sigma_form(sigma), n, size_bound, sigma)
 
 

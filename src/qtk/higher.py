@@ -19,6 +19,7 @@ coefficients peel off from the top down.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import errors
@@ -33,12 +34,13 @@ TRANSLATION = "translation"
 
 @dataclass(frozen=True)
 class HigherKernel:
-    """A fixed invariance kernel: weight cofactor and core numerator/denominator."""
+    """A fixed invariance kernel: the core numerator over the weight cofactor,
+    and the predicate that recognizes its images."""
 
     order: int | str
     weight: Polynomial
     core_num: Polynomial
-    core_den: Polynomial
+    invariant: Callable[[Polynomial], bool]
     #: order 3 in characteristic 3 degenerates: the map is conjugate to x -> x+1.
     translation_conjugate: bool = False
 
@@ -50,7 +52,7 @@ def kernel(spec: FieldSpec, order) -> HigherKernel:
     if order == ORDER3:
         weight = x * (x - one)  # x(x-1)
         num = Polynomial(spec, [1, -3, 0, 1])  # x^3 - 3x + 1
-        return HigherKernel(ORDER3, weight, num, weight,
+        return HigherKernel(ORDER3, weight, num, is_invariant_order3,
                             translation_conjugate=(spec.p == 3))
     if order == ORDER4:
         if spec.p == 2:
@@ -60,10 +62,10 @@ def kernel(spec: FieldSpec, order) -> HigherKernel:
         weight = x * (x - one) * (x - Polynomial(spec, [half]))
         num = Polynomial(spec, [-quarter, spec.element(2), spec.element(-3),
                                 spec.zero, spec.one])  # x^4 - 3x^2 + 2x - 1/4
-        return HigherKernel(ORDER4, weight, num, weight)
+        return HigherKernel(ORDER4, weight, num, is_invariant_order4)
     if order == TRANSLATION:
         num = Polynomial.monomial(spec, spec.p) - x  # x^p - x
-        return HigherKernel(TRANSLATION, one, num, one)
+        return HigherKernel(TRANSLATION, one, num, is_invariant_translation)
     raise errors.Error(f"unknown kernel order {order!r}")
 
 
@@ -127,8 +129,7 @@ def is_invariant_translation(F: Polynomial) -> bool:
     if F.is_zero():
         raise errors.ZeroPolynomial("zero polynomial")
     spec = F.owner
-    shift = Polynomial(spec, [1, 1])
-    return F.compose(shift) == F
+    return compose_fraction(F, Polynomial(spec, [1, 1]), Polynomial.one(spec)) == F
 
 
 def reconstruct_higher(F: Polynomial, order) -> Polynomial:
@@ -140,15 +141,7 @@ def reconstruct_higher(F: Polynomial, order) -> Polynomial:
     """
     spec = F.owner
     ker = kernel(spec, order)
-    if order == ORDER3:
-        invariant = is_invariant_order3(F)
-    elif order == ORDER4:
-        invariant = is_invariant_order4(F)
-    elif order == TRANSLATION:
-        invariant = is_invariant_translation(F)
-    else:
-        raise errors.Error(f"unknown kernel order {order!r}")
-    if not invariant:
+    if not ker.invariant(F):
         raise errors.NotInvariant(f"input is not order-{order} invariant")
     step = int(ker.core_num.degree)  # 3, 4, or p
     d = int(F.degree) if not F.is_zero() else 0

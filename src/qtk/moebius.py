@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import errors
 from .gf import FieldElement, FieldSpec, least_nonsquare, square_class
-from .poly import Polynomial, gcd, parse_poly
+from .poly import Polynomial, compose_fraction, gcd, parse_poly
 
 
 class MoebiusMap:
@@ -65,6 +65,11 @@ class MoebiusMap:
             raise errors.Error("affine map needs alpha != 0")
         spec = alpha.owner
         return cls(alpha, beta, spec.zero, spec.one)
+
+    def fraction(self) -> tuple[Polynomial, Polynomial]:
+        """The numerator ax + b and the denominator cx + d."""
+        spec = self.owner
+        return Polynomial(spec, [self.b, self.a]), Polynomial(spec, [self.d, self.c])
 
     def det(self) -> FieldElement:
         return self.a * self.d - self.b * self.c
@@ -211,21 +216,16 @@ def apply_pre(r: QuadRationalExpr, m: MoebiusMap) -> QuadRationalExpr:
     """R o m: substitute m into the expression."""
     if m.owner is not r.owner:
         raise errors.FieldMismatch("map and expression over different fields")
-    spec = r.owner
-    num = Polynomial(spec, [m.b, m.a])
-    den = Polynomial(spec, [m.d, m.c])
-    new_g = _form2_subst(r.g_triple(), num, den)
-    new_h = _form2_subst(r.h_triple(), num, den)
+    num, den = m.fraction()
+
+    def subst(p: Polynomial) -> Polynomial:
+        # den^2 * p(num/den), whatever the degree of p
+        return compose_fraction(p, num, den) * den ** (2 - int(p.degree))
+
     try:
-        return QuadRationalExpr(new_g, new_h)
+        return QuadRationalExpr(subst(r.g), subst(r.h))
     except errors.Error as exc:  # impossible for invertible m
         raise errors.DegenerateResult(str(exc)) from exc
-
-
-def _form2_subst(triple, num: Polynomial, den: Polynomial) -> Polynomial:
-    # Degree-2 homogeneous substitution: sum c_i * num^i * den^(2-i).
-    c0, c1, c2 = triple
-    return (den * den).scale(c0) + (num * den).scale(c1) + (num * num).scale(c2)
 
 
 def apply_post(r: QuadRationalExpr, m: MoebiusMap) -> QuadRationalExpr:
@@ -242,61 +242,36 @@ def apply_post(r: QuadRationalExpr, m: MoebiusMap) -> QuadRationalExpr:
 
 # -- reduction trail -------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class PreAffine:
-    """Substitute x -> alpha*x + beta."""
-    alpha: FieldElement
-    beta: FieldElement
-
-    def apply(self, r: QuadRationalExpr) -> QuadRationalExpr:
-        return apply_pre(r, MoebiusMap.affine(self.alpha, self.beta))
-
-    def to_text(self):
-        return f"pre-affine {self.alpha.to_text()} {self.beta.to_text()}"
+PRE, POST = "pre", "post"
 
 
 @dataclass(frozen=True)
-class PreInversion:
-    """Substitute x -> 1/x."""
+class Step:
+    """One reduction step: a map substituted into R ("pre", R o m) or acting
+    on its value ("post", m o R).  Trails use affine maps and the inversion."""
+
+    side: str
+    map: MoebiusMap
 
     def apply(self, r: QuadRationalExpr) -> QuadRationalExpr:
-        return apply_pre(r, MoebiusMap.inversion(r.owner))
+        return (apply_pre if self.side == PRE else apply_post)(r, self.map)
 
-    def to_text(self):
-        return "pre-inversion"
-
-
-@dataclass(frozen=True)
-class PostAffine:
-    """Replace R by alpha*R + beta."""
-    alpha: FieldElement
-    beta: FieldElement
-
-    def apply(self, r: QuadRationalExpr) -> QuadRationalExpr:
-        return apply_post(r, MoebiusMap.affine(self.alpha, self.beta))
-
-    def to_text(self):
-        return f"post-affine {self.alpha.to_text()} {self.beta.to_text()}"
-
-
-@dataclass(frozen=True)
-class PostInversion:
-    """Replace R by 1/R."""
-
-    def apply(self, r: QuadRationalExpr) -> QuadRationalExpr:
-        return apply_post(r, MoebiusMap.inversion(r.owner))
-
-    def to_text(self):
-        return "post-inversion"
-
-
-Step = PreAffine | PreInversion | PostAffine | PostInversion
+    def to_text(self) -> str:
+        m = self.map
+        if m.c.is_zero():
+            return f"{self.side}-affine {(m.a / m.d).to_text()} {(m.b / m.d).to_text()}"
+        errors.require(m == MoebiusMap.inversion(m.owner),
+                       "trail step is neither affine nor the inversion")
+        return f"{self.side}-inversion"
 
 
 @dataclass(frozen=True)
 class ReductionTrail:
-    """Ordered record of the reduction steps from `start` to `end`."""
+    """Ordered record of the reduction steps from `start` to `end`.
+
+    The pre- and post-steps fold into two maps, M = composite("pre") and
+    N = composite("post"), with end == N o start o M.
+    """
 
     start: QuadRationalExpr
     steps: tuple[Step, ...]
@@ -308,6 +283,15 @@ class ReductionTrail:
             cur = step.apply(cur)
         return cur
 
+    def composite(self, side: str) -> MoebiusMap:
+        """The composite of one side's maps, numbered in step order:
+        M = m1 @ m2 @ ... for the pre-steps, N = ... @ n2 @ n1 for the post."""
+        out = MoebiusMap.identity(self.start.owner)
+        for step in self.steps:
+            if step.side == side:
+                out = out @ step.map if side == PRE else step.map @ out
+        return out
+
 
 class CanonicalKind(enum.Enum):
     X_PLUS_SIGMA_OVER_X = "x+sigma/x"
@@ -318,12 +302,6 @@ class CanonicalKind(enum.Enum):
 class CanonicalForm:
     kind: CanonicalKind
     sigma: FieldElement | None = None
-
-    def as_expr(self, spec: FieldSpec) -> QuadRationalExpr:
-        if self.kind is CanonicalKind.X_SQUARED:
-            return QuadRationalExpr(
-                Polynomial.monomial(spec, 2), Polynomial.one(spec))
-        return sigma_form(self.sigma)
 
 
 class SigmaClass(enum.Enum):
@@ -342,16 +320,17 @@ def reduce_canonical(r: QuadRationalExpr) -> tuple[CanonicalForm, ReductionTrail
     """
     spec = r.owner
     one, zero = spec.one, spec.zero
+    affine, inversion = MoebiusMap.affine, MoebiusMap.inversion(spec)
+    identity = MoebiusMap.identity(spec)
     steps: list[Step] = []
     cur = r
 
-    def push(step: Step):
+    def push(side: str, m: MoebiusMap):
         nonlocal cur
-        if isinstance(step, (PreAffine, PostAffine)) \
-                and step.alpha.is_one() and step.beta.is_zero():
+        if m == identity:
             return
-        steps.append(step)
-        cur = step.apply(cur)
+        steps.append(Step(side, m))
+        cur = steps[-1].apply(cur)
 
     g0, g1, g2 = cur.g_triple()
     h0, h1, h2 = cur.h_triple()
@@ -359,37 +338,37 @@ def reduce_canonical(r: QuadRationalExpr) -> tuple[CanonicalForm, ReductionTrail
     if special and spec.p == 2:
         # both g and h lie in K[x^2]; the class of x^2
         if not h2.is_zero():
-            push(PostAffine(one, -(g2 / h2)))
-            push(PostInversion())
+            push(POST, affine(one, -(g2 / h2)))
+            push(POST, inversion)
         g0, g1, g2 = cur.g_triple()
         h0, _, _ = cur.h_triple()
         # now cur = (g2*x^2 + g0)/h0 with h constant
-        push(PostAffine(h0 / g2, -(g0 / g2)))
+        push(POST, affine(h0 / g2, -(g0 / g2)))
         done = cur.g == Polynomial.monomial(spec, 2) and cur.h == Polynomial.one(spec)
         errors.require(done, "reduction did not end at x^2")
         return (CanonicalForm(CanonicalKind.X_SQUARED),
                 ReductionTrail(r, tuple(steps), cur))
     if special:
-        push(PreAffine(one, one))  # escape the x^2-like shape
+        push(PRE, affine(one, one))  # escape the x^2-like shape
 
     g0, g1, g2 = cur.g_triple()
     h0, h1, h2 = cur.h_triple()
     if g2 * h1 == g1 * h2:
-        push(PreInversion())
+        push(PRE, inversion)
         g0, g1, g2 = cur.g_triple()
         h0, h1, h2 = cur.h_triple()
     # now g2*h1 != g1*h2; remove the quadratic denominator term
     if not h2.is_zero():
-        push(PostAffine(one, -(g2 / h2)))
-        push(PostInversion())
+        push(POST, affine(one, -(g2 / h2)))
+        push(POST, inversion)
     # cur = (a2 x^2 + a1 x + a0)/(b1 x + b0) with a2, b1 != 0
     b0, b1, _ = cur.h_triple()
-    push(PreAffine(one, -(b0 / b1)))
+    push(PRE, affine(one, -(b0 / b1)))
     a2 = cur.g.coeff(2)
     b1 = cur.h.coeff(1)
-    push(PostAffine(b1 / a2, zero))
+    push(POST, affine(b1 / a2, zero))
     # cur = (x^2 + c1 x + c0)/x; subtract the linear term of the numerator
-    push(PostAffine(one, -cur.g.coeff(1)))
+    push(POST, affine(one, -cur.g.coeff(1)))
     sigma = cur.g.coeff(0)
     errors.require(not sigma.is_zero() and cur == sigma_form(sigma),
                    "reduction did not end at (x^2 + sigma)/x")

@@ -208,15 +208,6 @@ class Polynomial:
         """x^deg * f(1/x): the coefficient sequence reversed."""
         return Polynomial._wrap(self.owner, _trim(self._a[::-1].copy()))
 
-    def compose(self, other: "Polynomial") -> "Polynomial":
-        """f(other(x)) by Horner."""
-        self._check_owner(other)
-        spec = self.owner
-        acc = Polynomial.zero(spec)
-        for c in reversed(self.coeffs):
-            acc = acc * other + Polynomial(spec, [c])
-        return acc
-
     def __call__(self, a: FieldElement) -> FieldElement:
         """Evaluate at a point of the base field or an extension of it."""
         from .gf import embed
@@ -546,7 +537,11 @@ def factorize(f: Polynomial, bound: int) -> Factorization:
 
 
 def compose_fraction(f: Polynomial, num: Polynomial, den: Polynomial) -> Polynomial:
-    """den^deg(f) * f(num/den), the denominator-cleared fractional substitution."""
+    """den^deg(f) * f(num/den) by Horner: the one change of variable in qtk.
+
+    Moebius maps, the quadratic transformation and the higher-order kernels
+    all substitute through it (den = 1 for a polynomial substitution).
+    """
     f._check_owner(num)
     f._check_owner(den)
     if f.is_zero():

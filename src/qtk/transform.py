@@ -24,8 +24,8 @@ from math import comb, lcm
 
 from . import errors
 from .gf import FieldElement, FieldSpec, embed, field_make
-from .moebius import (PostAffine, PostInversion, PreAffine, PreInversion,
-                      QuadRationalExpr, ReductionTrail, sigma_form)
+from .moebius import (POST, PRE, MoebiusMap, QuadRationalExpr, ReductionTrail,
+                      Step, sigma_form)
 from .poly import (Polynomial, compose_fraction, factorize, gcd, is_irreducible,
                    monic_irreducibles)
 
@@ -281,36 +281,26 @@ def transport_forward(F: Polynomial, trail: ReductionTrail) -> Polynomial:
     """Carry a transformed image along a reduction trail.
 
     If F is (a scalar multiple of) f_R for the trail's start expression,
-    the result is the corresponding image for the trail's end expression:
-    pre-composition steps act on the image (substitution or reciprocal);
-    post-composition steps do not change it.
+    the result is the monic image for the trail's end expression
+    N o R o M: F with M substituted.  The post-composition map N does not
+    change the image.  F is returned unchanged when M is the identity.
     """
-    spec = F.owner
-    for step in trail.steps:
-        if isinstance(step, PreAffine):
-            m = Polynomial(spec, [step.beta, step.alpha])
-            F = F.compose(m).monic()
-        elif isinstance(step, PreInversion):
-            F = F.reciprocal().monic()
-    return F
+    m = trail.composite(PRE)
+    if m == MoebiusMap.identity(F.owner):
+        return F
+    return compose_fraction(F, *m.fraction()).monic()
 
 
 def transport_back(f: Polynomial, trail: ReductionTrail) -> Polynomial:
     """Carry a source polynomial back along a reduction trail.
 
-    Inverse bookkeeping of :func:`transport_forward` on the f side:
-    post-affine steps compose, post-inversion steps take the reciprocal,
-    pre-composition steps do not change f.  Sound for irreducible f of
-    degree >= 2 (the reciprocal is degree-preserving there).
+    Inverse bookkeeping of :func:`transport_forward` on the f side: f with
+    the post-composition map N substituted (f itself when N is the
+    identity); M does not change f.  The result is correct up to a nonzero
+    scalar.  Sound for irreducible f of degree >= 2, where the substitution
+    preserves the degree.
     """
-    spec = f.owner
-    for step in reversed(trail.steps):
-        if isinstance(step, PostAffine):
-            m = Polynomial(spec, [step.beta, step.alpha])
-            f = f.compose(m)
-        elif isinstance(step, PostInversion):
-            f = f.reciprocal()
-    return f
+    return compose_fraction(f, *trail.composite(POST).fraction())
 
 
 # -- enumeration helpers ---------------------------------------------------------------
@@ -347,12 +337,10 @@ def count_preserving_bijections_check(r: QuadRationalExpr, r2: QuadRationalExpr,
                                       m, side: str, n: int) -> bool:
     """Whether composing r with m on the given side preserves the number of
     irreducible degree-n inputs with irreducible image (it always must)."""
-    from .moebius import apply_post, apply_pre
     if n <= 1:
         raise errors.RequiresNGreaterThan1("count comparison needs n > 1")
-    if side not in ("pre", "post"):
+    if side not in (PRE, POST):
         raise errors.InvalidArgument("side must be 'pre' or 'post'")
-    expected = apply_pre(r, m) if side == "pre" else apply_post(r, m)
-    if r2 != expected:
+    if r2 != Step(side, m).apply(r):
         raise errors.Error("r2 is not the stated composition of r and m")
     return irreducible_image_count(r, n) == irreducible_image_count(r2, n)

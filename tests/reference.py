@@ -82,3 +82,57 @@ def poly_divmod(spec, a, b):
         for j, v in enumerate(b):
             rem[i + j] = sub(spec, rem[i + j], mul(spec, c, v))
     return _trim(quot), _trim(rem)
+
+
+def poly_add(spec, a, b):
+    zero = (0,) * spec.k
+    n = max(len(a), len(b))
+    a, b = list(a) + [zero] * (n - len(a)), list(b) + [zero] * (n - len(b))
+    return _trim([add(spec, u, v) for u, v in zip(a, b)])
+
+
+def poly_monic(spec, a):
+    lead_inv = inv(spec, a[-1])
+    return [mul(spec, u, lead_inv) for u in a]
+
+
+# -- step-by-step trail transport ------------------------------------------------
+#
+# The transports as they ran before a trail folded into two composite maps:
+# one substitution or reversal per step.  An affine step x -> alpha*x + beta
+# is stored as the normalized map [1 beta/alpha; 0 1/alpha], so
+# alpha = a/d and beta = b/d; every other trail step is the inversion.
+
+
+def _step_transport(spec, f, step):
+    """f under one trail step: Horner substitution of alpha*x + beta for an
+    affine step, the reversed coefficients for the inversion."""
+    m = step.map
+    if any(m.c.coords):
+        return _trim(list(reversed(f)))
+    d_inv = inv(spec, m.d.coords)
+    lin = [mul(spec, m.b.coords, d_inv), mul(spec, m.a.coords, d_inv)]
+    acc = []
+    for c in reversed(f):
+        acc = poly_add(spec, poly_mul(spec, acc, lin), [c])
+    return acc
+
+
+def transport_forward_stepwise(F, trail):
+    """The image carried along the pre-steps in order, made monic after each."""
+    spec = F.owner
+    f = [c.coords for c in F.coeffs]
+    for step in trail.steps:
+        if step.side == "pre":
+            f = poly_monic(spec, _step_transport(spec, f, step))
+    return f
+
+
+def transport_back_stepwise(f, trail):
+    """The source polynomial carried back along the post-steps, last first."""
+    spec = f.owner
+    out = [c.coords for c in f.coeffs]
+    for step in reversed(trail.steps):
+        if step.side == "post":
+            out = _step_transport(spec, out, step)
+    return out

@@ -225,3 +225,11 @@ def test_report_json_shape():
         "squarefree-witness", "degree-identity", "product-identity",
         "frobenius-closure", "reconstruction-roundtrip"}
     assert all(c["ok"] for c in d["checks"])
+
+
+def test_zero_sigma_is_refused():
+    F3 = field_make(3)
+    with pytest.raises(errors.ZeroSigma):
+        build_h_meyn(F3.zero, 2)
+    with pytest.raises(errors.ZeroSigma):
+        verify_meyn_product(F3.zero, 2)

@@ -151,3 +151,12 @@ def test_char3_order3_conjugate_to_translation():
                     if m @ t @ m.inverse() == shift:
                         witnesses.append(m)
     assert witnesses, "no conjugating element found"
+
+
+@pytest.mark.parametrize("order", [2, 5, "dilation"])
+def test_unknown_order_is_refused(order):
+    F5 = field_make(5)
+    with pytest.raises(errors.Error, match="unknown kernel order"):
+        kernel(F5, order)
+    with pytest.raises(errors.Error, match="unknown kernel order"):
+        reconstruct_higher(P(F5, "1,0,1"), order)

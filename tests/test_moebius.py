@@ -123,6 +123,15 @@ def test_trail_replay_randomized(fields, rng):
                 assert trail.end == sigma_form(form.sigma)
 
 
+def test_trail_folds_into_two_composite_maps(fields, rng):
+    for spec in fields.values():
+        for _ in range(40):
+            form, trail = reduce_canonical(random_expr(spec, rng))
+            M, N = trail.composite("pre"), trail.composite("post")
+            assert apply_post(apply_pre(trail.start, M), N) == trail.end \
+                == trail.replay()
+
+
 def test_classify_agrees_with_reduction(fields, rng):
     for spec in fields.values():
         for _ in range(25):

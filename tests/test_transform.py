@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import reference
 from conftest import random_expr, random_moebius, random_poly
 from qtk import errors, field_make
 from qtk.gf import embed
@@ -266,6 +267,33 @@ def test_transport_roundtrip(fields, rng):
                 assert is_sigma_self_reciprocal(F_star, form.sigma)
                 f_star = reconstruct(F_star, form.sigma)
                 assert transport_back(f_star, trail).monic() == f
+
+
+def test_composite_transports_match_the_stepwise_reference(fields, rng):
+    # one substitution by M (or N) per transport gives the same monic results
+    # as one substitution or reversal per trail step
+    compared = 0
+    for spec in fields.values():
+        for _ in range(6):
+            r = random_expr(spec, rng)
+            if spec.p == 2 and r.g.coeff(1).is_zero() and r.h.coeff(1).is_zero():
+                continue
+            form, trail = reduce_canonical(r)
+            for n in (2, 3):
+                for f in itertools.islice(enumerate_monic_irreducible(spec, n), 5):
+                    F = transform(f, r, monic=True).result
+                    if not is_irreducible(F):
+                        continue
+                    F_star = transport_forward(F, trail)
+                    assert [c.coords for c in F_star.coeffs] \
+                        == reference.transport_forward_stepwise(F, trail)
+                    f_star = reconstruct(F_star, form.sigma)
+                    back = reference.poly_monic(
+                        spec, reference.transport_back_stepwise(f_star, trail))
+                    assert [c.coords for c in transport_back(f_star, trail).monic().coeffs] \
+                        == back
+                    compared += 1
+    assert compared >= 50
 
 
 def test_count_preserving_bijections():
