@@ -427,14 +427,19 @@ def is_irreducible(f: Polynomial) -> bool:
     return z == x % f
 
 
-def enumerate_monic(spec: FieldSpec, d: int):
-    """All monic polynomials of degree d, coefficient-lexicographic ascending
-    from the constant term."""
-    if d < 0:
-        raise ValueError("degree must be >= 0")
+def _check_space(spec: FieldSpec, d: int, least: int):
+    """Refuse a degree below `least` or more than SIZE_BOUND_ENUM candidates."""
+    if d < least:
+        raise ValueError(f"degree must be >= {least}")
     if spec.q ** d > SIZE_BOUND_ENUM:
         raise errors.SizeBoundExceeded(
             f"enumeration space {spec.q}^{d} exceeds the bound {SIZE_BOUND_ENUM}")
+
+
+def enumerate_monic(spec: FieldSpec, d: int):
+    """All monic polynomials of degree d, coefficient-lexicographic ascending
+    from the constant term."""
+    _check_space(spec, d, 0)
     lead = (spec.unit,)
     for tail in itertools.product(range(spec.q), repeat=d):
         yield Polynomial._wrap(spec, np.array(tail + lead, dtype=np.int64))
@@ -443,11 +448,13 @@ def enumerate_monic(spec: FieldSpec, d: int):
 #: Guard on enumeration spaces (candidate count).
 SIZE_BOUND_ENUM = 2 ** 20
 
+#: Cofactors per sieve block (at most 2^14 x 20 int64: q^d <= 2^20 gives d*k <= 20).
+_SIEVE_ROWS = 2 ** 14
+
 
 def enumerate_monic_irreducible(spec: FieldSpec, d: int):
-    """Monic irreducibles of degree d in the same deterministic order."""
-    if d < 1:
-        raise ValueError("degree must be >= 1")
+    """Monic irreducibles of degree d in the same order, one Rabin test each."""
+    _check_space(spec, d, 1)
     for f in enumerate_monic(spec, d):
         if is_irreducible(f):
             yield f
@@ -456,8 +463,35 @@ def enumerate_monic_irreducible(spec: FieldSpec, d: int):
 @functools.lru_cache(maxsize=None)
 def monic_irreducibles(spec: FieldSpec, d: int) -> tuple[Polynomial, ...]:
     """The monic irreducibles of degree d in enumeration order, found once
-    per (field, degree)."""
-    return tuple(enumerate_monic_irreducible(spec, d))
+    per (field, degree) by a sieve: each phi * g, phi monic irreducible of
+    degree i <= d/2 and g monic of degree d - i (g in blocks), is struck out.
+    Candidate u has the tail c_0..c_(d-1) with u = sum c_j q^(d-1-j), the
+    order of :func:`enumerate_monic`: the base-p number of its d*k tail
+    coordinates."""
+    _check_space(spec, d, 1)
+    p, k, q = spec.p, spec.k, spec.q
+    composite = np.zeros(q ** d, dtype=bool)
+    weights = p ** np.arange(d * k - 1, -1, -1, dtype=np.int64)
+    for i in range(1, d // 2 + 1):
+        e = d - i
+        # phi * (x^e + g) = x^e phi + x^i g + sum over t < i of phi_t x^t g
+        factors = [(spec.to_coords(phi._a[:-1]),
+                    [(t, c if k == 1 else spec._matrix(spec.coords(c)))
+                     for t, c in enumerate(phi._a[:-1].tolist()) if c])
+                   for phi in monic_irreducibles(spec, i)]
+        for start in range(0, q ** e, _SIEVE_ROWS):
+            v = np.arange(start, min(start + _SIEVE_ROWS, q ** e), dtype=np.int64)
+            G = (v[:, np.newaxis] // weights[i * k:] % p).reshape(len(v), e, k)
+            for body, terms in factors:
+                P = np.zeros((len(v), d, k), dtype=np.int64)
+                P[:, e:] = body
+                P[:, i:] += G
+                for t, m in terms:
+                    P[:, t:t + e] += G * m if k == 1 else G @ m
+                composite[(P % p).reshape(len(v), d * k) @ weights] = True
+    tails = np.flatnonzero(~composite)[:, np.newaxis]
+    C = np.hstack([tails // weights[k - 1::k] % q, np.full_like(tails, spec.unit)])
+    return tuple(Polynomial._wrap(spec, row) for row in C)
 
 
 class Factorization:
@@ -540,7 +574,9 @@ def compose_fraction(f: Polynomial, num: Polynomial, den: Polynomial) -> Polynom
     """den^deg(f) * f(num/den) by Horner: the one change of variable in qtk.
 
     Moebius maps, the quadratic transformation and the higher-order kernels
-    all substitute through it (den = 1 for a polynomial substitution).
+    all substitute through it (den = 1 for a polynomial substitution).  A
+    constant den = d0 folds into the coefficients as c_i * d0^(n-i), which
+    leaves plain Horner in num.
     """
     f._check_owner(num)
     f._check_owner(den)
@@ -548,11 +584,15 @@ def compose_fraction(f: Polynomial, num: Polynomial, den: Polynomial) -> Polynom
         return f
     spec = f.owner
     cs = f.coeffs
+    if den.degree == 0:
+        cs = [c * den.leading ** (len(cs) - 1 - i) for i, c in enumerate(cs)]
+        den = None
     acc = Polynomial(spec, [cs[-1]])
     dpow = Polynomial.one(spec)
-    for i in range(len(cs) - 2, -1, -1):
-        dpow = dpow * den
-        acc = acc * num + dpow.scale(cs[i])
+    for c in reversed(cs[:-1]):
+        if den is not None:
+            dpow = dpow * den
+        acc = acc * num + dpow.scale(c)
     return acc
 
 

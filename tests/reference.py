@@ -96,6 +96,17 @@ def poly_monic(spec, a):
     return [mul(spec, u, lead_inv) for u in a]
 
 
+def poly_compose_fraction(spec, f, num, den):
+    """den^n * f(num/den) for f of degree n, by Horner with a running power
+    of den: sum of c_i * num^i * den^(n-i)."""
+    acc = [f[-1]]
+    dpow = [spec.one.coords]
+    for c in reversed(f[:-1]):
+        dpow = poly_mul(spec, dpow, den)
+        acc = poly_add(spec, poly_mul(spec, acc, num), poly_mul(spec, dpow, [c]))
+    return acc
+
+
 # -- step-by-step trail transport ------------------------------------------------
 #
 # The transports as they ran before a trail folded into two composite maps:

@@ -1,11 +1,16 @@
+import subprocess
+import sys
+
 import pytest
 
-from conftest import random_poly
-from qtk import errors, field_make
+import reference
+from conftest import random_poly, subprocess_env
+from qtk import errors, field_make, poly
 from qtk.counting import moebius_mu
 from qtk.intmath import divisors
-from qtk.poly import (NEG_INF, Polynomial, enumerate_monic_irreducible,
-                      factorize, gcd, is_irreducible, parse_poly, pow_mod)
+from qtk.poly import (NEG_INF, Polynomial, compose_fraction,
+                      enumerate_monic_irreducible, factorize, gcd,
+                      is_irreducible, monic_irreducibles, parse_poly, pow_mod)
 
 
 def P(spec, text):
@@ -92,7 +97,7 @@ def test_irreducibility_examples():
 
 def test_irreducibility_exhaustive_small(fields):
     # one sweep over all monic polynomials of degree <= 6 for q <= 5:
-    # is_irreducible must agree with trial division by the enumerated
+    # is_irreducible must agree with trial division by the sieved
     # irreducibles of degree <= deg/2, and the number of irreducibles of
     # each degree must match (1/d) sum mu(e) q^(d/e)
     from qtk.poly import enumerate_monic
@@ -100,7 +105,7 @@ def test_irreducibility_exhaustive_small(fields):
         spec = fields[q]
         for d in range(1, 7):
             small = [phi for dd in range(1, d // 2 + 1)
-                     for phi in enumerate_monic_irreducible(spec, dd)]
+                     for phi in monic_irreducibles(spec, dd)]
             found = 0
             for f in enumerate_monic(spec, d):
                 oracle = not any((f % phi).is_zero() for phi in small)
@@ -110,6 +115,72 @@ def test_irreducibility_exhaustive_small(fields):
             expected = sum(moebius_mu(e) * q ** (d // e)
                            for e in divisors(d)) // d
             assert found == expected, (q, d, found, expected)
+
+
+def necklace_count(q, d):
+    return sum(moebius_mu(e) * q ** (d // e) for e in divisors(d)) // d
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                  (2, 3), (3, 2), (2, 4), (5, 2)])
+def test_sieve_agrees_with_rabin(p, k):
+    F = field_make(p, k)
+    d = 1
+    while F.q ** d <= 2 ** 12:
+        sieved = monic_irreducibles(F, d)
+        assert sieved == tuple(enumerate_monic_irreducible(F, d)), (F, d)
+        assert len(sieved) == necklace_count(F.q, d), (F, d)
+        d += 1
+    with pytest.raises(ValueError):
+        monic_irreducibles(F, 0)
+
+
+def test_sieve_refuses_large_spaces():
+    with pytest.raises(errors.SizeBoundExceeded):
+        monic_irreducibles(field_make(5), 40)
+
+
+def test_sieve_runs_no_rabin_test(monkeypatch):
+    def refuse(f):
+        raise AssertionError("the sieve called is_irreducible")
+    monkeypatch.setattr(poly, "is_irreducible", refuse)
+    monic_irreducibles.cache_clear()
+    try:
+        for p, k, d in [(2, 1, 9), (3, 1, 5), (2, 2, 4), (3, 2, 3)]:
+            assert len(monic_irreducibles(field_make(p, k), d)) \
+                == necklace_count(p ** k, d)
+    finally:
+        monic_irreducibles.cache_clear()
+
+
+def test_sieve_memory_and_time_at_the_bound():
+    # 2^20 candidates, the largest space the bound admits, in blocks
+    code = ("import resource, time\nfrom qtk import field_make\n"
+            "from qtk.poly import monic_irreducibles\nt = time.perf_counter()\n"
+            "n = len(monic_irreducibles(field_make(2), 20))\n"
+            "print(n, time.perf_counter() - t,"
+            " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    count, seconds, maxrss_kb = proc.stdout.split()
+    assert int(count) == 52377 == necklace_count(2, 20)
+    assert float(seconds) < 20
+    assert int(maxrss_kb) < 200 * 1024
+
+
+def test_compose_fraction_with_constant_denominator(fields, rng):
+    # the folded coefficients against the running-power Horner of the
+    # reference arithmetic, over the field grid plus GF(16)
+    for spec in [*fields.values(), field_make(2, 4)]:
+        for trial in range(12):
+            f = random_poly(spec, rng.randrange(9), rng)
+            num = random_poly(spec, rng.randrange(3), rng)
+            den = Polynomial.one(spec) if trial % 3 == 0 else random_poly(spec, 0, rng)
+            expected = reference.poly_compose_fraction(
+                spec, *([c.coords for c in g.coeffs] for g in (f, num, den)))
+            got = compose_fraction(f, num, den)
+            assert [c.coords for c in got.coeffs] == expected, (spec, f, num, den)
 
 
 def test_enumeration_order_and_examples():
