@@ -429,13 +429,13 @@ def _attach_reconstructions(r: QuadRationalExpr, matches: list[FactorMatch],
             out.append(FactorMatch(m.factor, m.degree, m.source_kind,
                                    f=m.f, alpha=m.alpha, reconstructed_f=m.f))
             continue
-        f_star_img = transport_forward(m.factor, trail)
-        if not is_sigma_self_reciprocal(f_star_img, sigma_star):
+        try:
+            f_star = reconstruct(transport_forward(m.factor, trail), sigma_star)
+        except errors.NotInvariant:
             ok = False
             detail = f"transported factor {m.factor.to_human()} not invariant"
             out.append(m)
             continue
-        f_star = reconstruct(f_star_img, sigma_star)
         f_back = transport_back(f_star, trail).monic()
         image = transform(f_back, r, monic=True).result
         if image != m.factor or f_back != m.f:

@@ -12,20 +12,23 @@ three equivalent descriptions, all implemented here:
 * closure of the root multiset under the involution
   xi -> (b*xi-c)/(a*xi-b) in a splitting field (:func:`roots_orbit_check`).
 
-:func:`reconstruct` inverts the transformation in the sigma form, through
-the Dickson-polynomial closed form in odd characteristic and a triangular
-linear solve in characteristic two.
+:func:`solve_kernel` inverts every transformation of the form
+F = weight^n * f(core/weight), in every characteristic, by one triangular
+solve from the top coefficient down; :func:`reconstruct` is that solve for
+the sigma form (core x^2 + sigma over weight x), and the higher-order
+kernels in :mod:`qtk.higher` use it too.  :func:`reconstruct_dickson_sum`
+is the independent cross-check through Dickson polynomials.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb, lcm
 
 from . import errors
 from .gf import FieldElement, FieldSpec, embed, field_make
-from .moebius import (POST, PRE, MoebiusMap, QuadRationalExpr, ReductionTrail,
-                      Step, sigma_form)
+from .moebius import POST, PRE, MoebiusMap, QuadRationalExpr, ReductionTrail, Step
 from .poly import (Polynomial, compose_fraction, factorize, gcd, is_irreducible,
                    monic_irreducibles)
 
@@ -194,68 +197,62 @@ def dickson(params: DicksonParams) -> Polynomial:
 # -- reconstruction -----------------------------------------------------------------
 
 
-def reconstruct(F: Polynomial, sigma: FieldElement) -> Polynomial:
-    """The unique f with F = x^n * f(x + sigma/x), for invariant F of degree 2n.
+@functools.lru_cache(maxsize=32)
+def _kernel_terms(core: Polynomial, weight: Polynomial, n: int) -> tuple[Polynomial, ...]:
+    """core^j * weight^(n-j) for j = 0..n, from running powers."""
+    one = Polynomial.one(core.owner)
+    cpows, wpows = [one], [one]
+    for _ in range(n):
+        cpows.append(cpows[-1] * core)
+        wpows.append(wpows[-1] * weight)
+    return tuple(cpows[j] * wpows[n - j] for j in range(n + 1))
 
-    Odd characteristic uses the closed form for the coefficient of y^j,
-      sum_i (2i+j)/(i+j) * C(i+j, i) * (-sigma)^i * b_(n+2i+j)
-    (with the central coefficient halved); characteristic two solves the
-    triangular coefficient system by back-substitution.  The result is
-    checked by applying the transformation again.
+
+def solve_kernel(F: Polynomial, core: Polynomial, weight: Polynomial) -> Polynomial:
+    """The f with weight^n * f(core/weight) = F, where n = deg F / deg core.
+
+    core and weight are monic with deg weight < deg core, so
+    f_j * core^j * weight^(n-j) is f_j times a monic polynomial of degree
+    (deg weight)*n + j*(deg core - deg weight): the f_j peel off from the
+    top down.  A nonzero residual raises NoSolution, and the result is
+    checked by substituting it again.
     """
-    if not is_sigma_self_reciprocal(F, sigma):
-        raise errors.NotInvariant("F is not sigma-self-reciprocal")
+    F._check_owner(core)
+    F._check_owner(weight)
+    if F.is_zero():
+        raise errors.ZeroPolynomial("zero polynomial")
+    errors.require(core.is_monic() and weight.is_monic() and weight.degree < core.degree,
+                   "kernel needs monic core and weight, deg weight < deg core")
+    cdeg, wdeg = int(core.degree), int(weight.degree)
+    d = int(F.degree)
+    if d % cdeg:
+        raise errors.DegreeNotMultiple(f"degree {d} is not a multiple of {cdeg}")
+    n = d // cdeg
+    terms = _kernel_terms(core, weight, n)
     spec = F.owner
-    n = int(F.degree) // 2
-    if spec.p == 2:
-        f = _reconstruct_linear_solve(F, sigma)
-    else:
-        f = _reconstruct_closed_form(F, sigma)
-    check = transform(f, sigma_form(sigma)).result
-    errors.require(check == F, "reconstruction failed to invert the transformation")
+    coeffs = [spec.zero] * (n + 1)
+    residual = F
+    for j in range(n, -1, -1):
+        c = residual.coeff(wdeg * n + j * (cdeg - wdeg))
+        if not c.is_zero():
+            coeffs[j] = c
+            residual = residual - terms[j].scale(c)
+    if not residual.is_zero():
+        raise errors.NoSolution("F is not in the image of the kernel")
+    f = Polynomial(spec, coeffs)
+    errors.require(compose_fraction(f, core, weight) == F,
+                   "recovered input does not reproduce F")
     return f
 
 
-def _reconstruct_closed_form(F: Polynomial, sigma: FieldElement) -> Polynomial:
-    # Odd characteristic only: the i = j = 0 term carries the halved central
-    # coefficient times the constant 2 of the degree-0 Dickson polynomial,
-    # so it contributes exactly b_n.
+def reconstruct(F: Polynomial, sigma: FieldElement) -> Polynomial:
+    """The unique f with F = x^n * f(x + sigma/x), for invariant F of degree 2n:
+    the kernel solve with core x^2 + sigma over weight x."""
+    if not is_sigma_self_reciprocal(F, sigma):
+        raise errors.NotInvariant("F is not sigma-self-reciprocal")
     spec = F.owner
-    n = int(F.degree) // 2
-    minus_sigma = -sigma
-    out = []
-    for j in range(n + 1):
-        acc = spec.zero
-        spow = spec.one
-        for i in range((n - j) // 2 + 1):
-            b = F.coeff(n + 2 * i + j)
-            if i == 0 and j == 0:
-                acc = acc + b
-            else:
-                t = comb(i + j, i) + (comb(i + j - 1, i - 1) if i >= 1 else 0)
-                acc = acc + spec.element(t) * spow * b
-            spow = spow * minus_sigma
-        out.append(acc)
-    return Polynomial(spec, out)
-
-
-def _reconstruct_linear_solve(F: Polynomial, sigma: FieldElement) -> Polynomial:
-    # Valid in every characteristic: the coefficient of x^(n+k) in
-    # x^n f(x + sigma/x) is sum over j >= k, j = k (mod 2), of
-    # f_j * C(j, (j+k)/2) * sigma^((j-k)/2); solve descending from f_n.
-    spec = F.owner
-    n = int(F.degree) // 2
-    f = [spec.zero] * (n + 1)
-    spows = [spec.one]
-    for _ in range(n):
-        spows.append(spows[-1] * sigma)
-    for k in range(n, -1, -1):
-        acc = F.coeff(n + k)
-        for j in range(k + 2, n + 1, 2):
-            t = comb(j, (j + k) // 2)
-            acc = acc - spec.element(t) * spows[(j - k) // 2] * f[j]
-        f[k] = acc
-    return Polynomial(spec, f)
+    return solve_kernel(F, Polynomial(spec, [sigma, spec.zero, spec.one]),
+                        Polynomial.x(spec))
 
 
 def reconstruct_dickson_sum(F: Polynomial, sigma: FieldElement) -> Polynomial:

@@ -8,6 +8,8 @@ per-coefficient long division.  Slow and plain on purpose: the differential
 tests hold the table-driven field arithmetic and the numpy kernels to it.
 """
 
+from math import comb
+
 
 def _reduction_rows(spec):
     # rows[m - k] = coordinates of y^m for m in [k, 2k-2]
@@ -105,6 +107,35 @@ def poly_compose_fraction(spec, f, num, den):
         dpow = poly_mul(spec, dpow, den)
         acc = poly_add(spec, poly_mul(spec, acc, num), poly_mul(spec, dpow, [c]))
     return acc
+
+
+def const(spec, v):
+    """The coordinates of the integer v in GF(p^k)."""
+    return (v % spec.p,) + (0,) * (spec.k - 1)
+
+
+def reconstruct_closed_form(spec, F, sigma):
+    """The f with F = x^n * f(x + sigma/x) for sigma-self-reciprocal F of
+    degree 2n, odd characteristic only, by the Dickson closed form
+
+      f_j = sum_i (2i+j)/(i+j) * C(i+j, i) * (-sigma)^i * b_(n+2i+j),
+
+    where the integer (2i+j)/(i+j) * C(i+j, i) = C(i+j, i) + C(i+j-1, i-1)
+    is formed exactly before reduction mod p, and the i = j = 0 term is b_n.
+    """
+    zero = (0,) * spec.k
+    n = (len(F) - 1) // 2
+    minus_sigma = sub(spec, zero, sigma)
+    out = []
+    for j in range(n + 1):
+        acc, spow = zero, const(spec, 1)
+        for i in range((n - j) // 2 + 1):
+            t = comb(i + j, i) + (comb(i + j - 1, i - 1) if i else 0)
+            term = mul(spec, mul(spec, const(spec, t), spow), F[n + 2 * i + j])
+            acc = add(spec, acc, term)
+            spow = mul(spec, spow, minus_sigma)
+        out.append(acc)
+    return _trim(out)
 
 
 # -- step-by-step trail transport ------------------------------------------------

@@ -1,10 +1,12 @@
 import pytest
 
+import reference
 from conftest import random_poly
 from qtk import errors, field_make
-from qtk.higher import (ORDER3, ORDER4, TRANSLATION, is_invariant_order3,
-                        is_invariant_order4, is_invariant_translation, kernel,
-                        reconstruct_higher, transform_order3, transform_order4,
+from qtk.higher import (ORDER3, ORDER4, TRANSLATION, is_invariant,
+                        is_invariant_order3, is_invariant_order4,
+                        is_invariant_translation, kernel, reconstruct_higher,
+                        transform_order3, transform_order4,
                         transform_translation)
 from qtk.moebius import MoebiusMap
 from qtk.poly import Polynomial, parse_poly
@@ -37,6 +39,55 @@ def test_order3_kernel_identity():
     assert not is_invariant_order3(P(F7, "0,0,0,1"))  # x^3
     with pytest.raises(errors.DegreeNotMultiple):
         is_invariant_order3(P(F7, "x^2+1"))
+
+
+#: each kernel's Moebius map [a b; c d], scalar, degree block and transform
+KERNEL_IDENTITIES = {
+    ORDER3: ((0, 1, -1, 1), -1, 3, transform_order3),
+    ORDER4: ((0, 1, -2, 2), -4, 4, transform_order4),
+    TRANSLATION: ((1, 1, 0, 1), 1, 1, transform_translation),
+}
+
+
+def _paper_identity(spec, F, order):
+    """The paper's invariance identity for F, on coordinate tuples:
+    (x-1)^(3n) F(-1/(x-1)) = F, (-1/4)^n (2-2x)^(4n) F(1/(2-2x)) = F, or
+    F(x+1) = F."""
+    one, two, four, minus_one, minus_two = (
+        reference.const(spec, v) for v in (1, 2, 4, -1, -2))
+    f = [e.coords for e in F.coeffs]
+    if order == ORDER3:
+        lhs = reference.poly_compose_fraction(spec, f, [minus_one], [minus_one, one])
+    elif order == ORDER4:
+        lhs = reference.poly_compose_fraction(spec, f, [one], [two, minus_two])
+        factor = reference.mul(spec, minus_one, reference.inv(spec, four))
+        for _ in range((len(f) - 1) // 4):
+            lhs = reference.poly_mul(spec, lhs, [factor])
+    else:
+        lhs = reference.poly_compose_fraction(spec, f, [one, one], [one])
+    return lhs == f
+
+
+def test_is_invariant_matches_the_paper_identity(fields, rng):
+    # images (invariant) and random monic F of the right degree (mostly not)
+    for spec in fields.values():
+        for order, (abcd, scalar, block, transform_kernel) in KERNEL_IDENTITIES.items():
+            if order == ORDER4 and spec.p == 2:
+                continue
+            ker = kernel(spec, order)
+            assert ker.map == MoebiusMap.from_ints(spec, *abcd)
+            assert (ker.scalar, ker.block) == (spec.element(scalar), block)
+            step = int(ker.core_num.degree)
+            seen = set()
+            for _ in range(6):
+                f = random_poly(spec, rng.randrange(1, 4), rng, monic=True)
+                F = transform_kernel(f).result
+                assert is_invariant(F, ker) and _paper_identity(spec, F, order)
+                F = random_poly(spec, step * rng.randrange(1, 4), rng, monic=True)
+                got = is_invariant(F, ker)
+                assert got == _paper_identity(spec, F, order)
+                seen.add(got)
+            assert False in seen
 
 
 def test_transform_order3_examples():

@@ -14,9 +14,8 @@ from qtk.transform import (DicksonParams,
                            count_preserving_bijections_check, dickson,
                            is_invariant_generalized, is_sigma_self_reciprocal,
                            reconstruct, reconstruct_dickson_sum,
-                           roots_orbit_check, transform, transport_back,
-                           transport_forward, _reconstruct_closed_form,
-                           _reconstruct_linear_solve)
+                           roots_orbit_check, solve_kernel, transform,
+                           transport_back, transport_forward)
 
 
 def P(spec, text):
@@ -232,8 +231,18 @@ def test_reconstruct_solvers_agree_in_odd_char(fields, rng):
             sigma = rng.choice(nonzero)
             f = random_poly(spec, rng.randrange(1, 6), rng)
             F = transform(f, sigma_form(sigma)).result
-            assert _reconstruct_closed_form(F, sigma) \
-                == _reconstruct_linear_solve(F, sigma)
+            want = reference.reconstruct_closed_form(
+                spec, [c.coords for c in F.coeffs], sigma.coords)
+            assert [c.coords for c in reconstruct(F, sigma).coeffs] == want
+
+
+def test_solve_kernel_failure_paths():
+    F3 = field_make(3)
+    core, weight = P(F3, "x^2+1"), Polynomial.x(F3)
+    with pytest.raises(errors.NoSolution):
+        solve_kernel(P(F3, "x^2+x+2"), core, weight)
+    with pytest.raises(errors.DegreeNotMultiple):
+        solve_kernel(P(F3, "x^3+1"), core, weight)
 
 
 def test_irreducibility_transport_exhaustive(fields):
