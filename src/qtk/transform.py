@@ -22,7 +22,6 @@ is the independent cross-check through Dickson polynomials.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import comb, lcm
 
@@ -197,25 +196,16 @@ def dickson(params: DicksonParams) -> Polynomial:
 # -- reconstruction -----------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=32)
-def _kernel_terms(core: Polynomial, weight: Polynomial, n: int) -> tuple[Polynomial, ...]:
-    """core^j * weight^(n-j) for j = 0..n, from running powers."""
-    one = Polynomial.one(core.owner)
-    cpows, wpows = [one], [one]
-    for _ in range(n):
-        cpows.append(cpows[-1] * core)
-        wpows.append(wpows[-1] * weight)
-    return tuple(cpows[j] * wpows[n - j] for j in range(n + 1))
-
-
 def solve_kernel(F: Polynomial, core: Polynomial, weight: Polynomial) -> Polynomial:
     """The f with weight^n * f(core/weight) = F, where n = deg F / deg core.
 
-    core and weight are monic with deg weight < deg core, so
-    f_j * core^j * weight^(n-j) is f_j times a monic polynomial of degree
-    (deg weight)*n + j*(deg core - deg weight): the f_j peel off from the
-    top down.  A nonzero residual raises NoSolution, and the result is
-    checked by substituting it again.
+    core and weight are monic with deg weight < deg core.  With
+    R_n = F and R_j = sum_(i<=j) f_i * core^i * weight^(j-i), the top term
+    of R_j is f_j * core^j, and R_j - f_j * core^j = weight * R_(j-1): each
+    f_j is the coefficient of x^(j * deg core) in R_j, and the f_j peel off
+    from the top down by exact division by weight.  A nonzero remainder or
+    residual raises NoSolution, and the result is checked by substituting
+    it again.
     """
     F._check_owner(core)
     F._check_owner(weight)
@@ -223,23 +213,28 @@ def solve_kernel(F: Polynomial, core: Polynomial, weight: Polynomial) -> Polynom
         raise errors.ZeroPolynomial("zero polynomial")
     errors.require(core.is_monic() and weight.is_monic() and weight.degree < core.degree,
                    "kernel needs monic core and weight, deg weight < deg core")
-    cdeg, wdeg = int(core.degree), int(weight.degree)
+    cdeg = int(core.degree)
     d = int(F.degree)
     if d % cdeg:
         raise errors.DegreeNotMultiple(f"degree {d} is not a multiple of {cdeg}")
     n = d // cdeg
-    terms = _kernel_terms(core, weight, n)
-    spec = F.owner
-    coeffs = [spec.zero] * (n + 1)
+    powers = [Polynomial.one(F.owner), core]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * core)
+    coeffs = []
     residual = F
     for j in range(n, -1, -1):
-        c = residual.coeff(wdeg * n + j * (cdeg - wdeg))
+        c = residual.coeff(cdeg * j)
+        coeffs.append(c)
         if not c.is_zero():
-            coeffs[j] = c
-            residual = residual - terms[j].scale(c)
+            residual = residual - powers[j].scale(c)
+        if j:
+            residual, rem = divmod(residual, weight)
+            if not rem.is_zero():
+                raise errors.NoSolution("F is not in the image of the kernel")
     if not residual.is_zero():
         raise errors.NoSolution("F is not in the image of the kernel")
-    f = Polynomial(spec, coeffs)
+    f = Polynomial(F.owner, coeffs[::-1])
     errors.require(compose_fraction(f, core, weight) == F,
                    "recovered input does not reproduce F")
     return f

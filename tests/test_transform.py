@@ -241,6 +241,9 @@ def test_solve_kernel_failure_paths():
     core, weight = P(F3, "x^2+1"), Polynomial.x(F3)
     with pytest.raises(errors.NoSolution):
         solve_kernel(P(F3, "x^2+x+2"), core, weight)
+    # weight 1 divides exactly, so the final residual has to catch this one
+    with pytest.raises(errors.NoSolution):
+        solve_kernel(P(F3, "x^3+x^2"), P(F3, "x^3+2*x"), Polynomial.one(F3))
     with pytest.raises(errors.DegreeNotMultiple):
         solve_kernel(P(F3, "x^3+1"), core, weight)
 
