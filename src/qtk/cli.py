@@ -327,9 +327,9 @@ def main(argv=None) -> int:
     except errors.SizeBoundExceeded as exc:
         print(f"size bound exceeded: {exc}", file=sys.stderr)
         return EXIT_SIZE_BOUND
-    except errors.MismatchFound as exc:
+    except (errors.MismatchFound, errors.IdentityViolated) as exc:
         print(f"FALSIFIED: {exc}", file=sys.stderr)
-        if exc.report is not None:
+        if getattr(exc, "report", None) is not None:
             print(json.dumps(exc.report.to_json_dict(), sort_keys=True),
                   file=sys.stderr)
         return EXIT_MISMATCH

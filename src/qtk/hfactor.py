@@ -138,18 +138,16 @@ def h_squarefree_witness(spec: HSpec, size_bound: int | None = None) -> FieldEle
     A nonzero constant here means H has only simple roots and hence distinct
     irreducible factors.
     """
-    return _squarefree_witness(spec, build_h(spec, size_bound))
-
-
-def _squarefree_witness(spec: HSpec, h: Polynomial) -> FieldElement:
-    fs = spec.owner
-    lin = Polynomial(fs, [-spec.b, spec.a])
-    combo = lin * h.derivative() - h.scale(spec.a)
-    expected = spec.discriminant()
-    if combo != Polynomial(fs, [expected]):
+    combo = _squarefree_combo(spec, build_h(spec, size_bound))
+    if combo != Polynomial(spec.owner, [spec.discriminant()]):
         raise errors.IdentityViolated(
             f"(ax-b)H' - aH = {combo.to_human()} != b^2-ac")
-    return expected
+    return spec.discriminant()
+
+
+def _squarefree_combo(spec: HSpec, h: Polynomial) -> Polynomial:
+    """(ax - b)*H' - a*H, the constant b^2 - ac when H is built correctly."""
+    return Polynomial(spec.owner, [-spec.b, spec.a]) * h.derivative() - h.scale(spec.a)
 
 
 def product_degree_summary(r: QuadRationalExpr, n: int,
@@ -332,9 +330,10 @@ def _verify_engine(r: QuadRationalExpr, n: int, size_bound: int | None,
     checks: list[CheckOutcome] = []
 
     h_full, fixed, h_core, exact = _split_h(hspec, bound)
-    witness = _squarefree_witness(hspec, h_full)
+    combo = _squarefree_combo(hspec, h_full)
     checks.append(CheckOutcome(
-        "squarefree-witness", witness == hspec.discriminant(), witness.to_text()))
+        "squarefree-witness", combo == Polynomial(fs, [hspec.discriminant()]),
+        combo.to_text()))
 
     checks.append(CheckOutcome(
         "fixed-part-divides", exact, f"deg fixed part = {fixed.degree}"))
@@ -431,7 +430,7 @@ def _attach_reconstructions(r: QuadRationalExpr, matches: list[FactorMatch],
             continue
         try:
             f_star = reconstruct(transport_forward(m.factor, trail), sigma_star)
-        except errors.NotInvariant:
+        except (errors.NotInvariant, errors.NoSolution):
             ok = False
             detail = f"transported factor {m.factor.to_human()} not invariant"
             out.append(m)

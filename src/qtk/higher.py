@@ -1,8 +1,9 @@
 """Invariance under Moebius transformations of order 3 and 4, and under
 translation in characteristic p.
 
-Each kernel is a transformation F = weight^n * f(core/weight) whose images
-are exactly the polynomials invariant under a Moebius map A, in the sense
+Each kernel is a record g/h, like a quadratic rational expression, whose
+images F = h^n * f(g/h) under :func:`qtk.transform.transform` are exactly
+the polynomials invariant under a Moebius map A, in the sense
 den^(deg F) * F(A(x)) = scalar^(deg F / block) * F(x) (den the denominator
 of A):
 
@@ -13,9 +14,9 @@ of A):
 * translation, A = x+1, scalar 1, block 1 (characteristic p):
   F = f(x^p - x).
 
-:func:`is_invariant` is the one identity; recovery of f from F is
-:func:`qtk.transform.solve_kernel`, the triangular solve that also inverts
-the quadratic transformation.
+:func:`is_invariant` tests it through :meth:`qtk.moebius.MoebiusMap.fixes`,
+the identity behind the quadratic case too; recovery of f from F is
+:func:`qtk.transform.solve_kernel`, the same triangular solve.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 from . import errors
 from .gf import FieldElement, FieldSpec
 from .moebius import MoebiusMap
-from .poly import Polynomial, compose_fraction
-from .transform import TransformResult, solve_kernel
+from .poly import Polynomial
+from .transform import TransformResult, solve_kernel, transform
 
 ORDER3 = 3
 ORDER4 = 4
@@ -35,12 +36,11 @@ TRANSLATION = "translation"
 
 @dataclass(frozen=True)
 class HigherKernel:
-    """A fixed invariance kernel: the core numerator over the weight cofactor,
-    and the Moebius map, scalar and degree block of its invariance identity."""
+    """A fixed invariance kernel: the core g over the weight h, and the
+    Moebius map, scalar and degree block of its invariance identity."""
 
-    order: int | str
-    weight: Polynomial
-    core_num: Polynomial
+    g: Polynomial
+    h: Polynomial
     map: MoebiusMap
     scalar: FieldElement
     block: int
@@ -56,7 +56,7 @@ def kernel(spec: FieldSpec, order) -> HigherKernel:
         weight = x * (x - one)  # x(x-1)
         num = Polynomial(spec, [1, -3, 0, 1])  # x^3 - 3x + 1
         a = MoebiusMap.from_ints(spec, 0, 1, -1, 1)  # 1/(1-x)
-        return HigherKernel(ORDER3, weight, num, a, spec.element(-1), 3,
+        return HigherKernel(num, weight, a, spec.element(-1), 3,
                             translation_conjugate=(spec.p == 3))
     if order == ORDER4:
         if spec.p == 2:
@@ -67,47 +67,33 @@ def kernel(spec: FieldSpec, order) -> HigherKernel:
         num = Polynomial(spec, [-quarter, spec.element(2), spec.element(-3),
                                 spec.zero, spec.one])  # x^4 - 3x^2 + 2x - 1/4
         a = MoebiusMap.from_ints(spec, 0, 1, -2, 2)  # 1/(2-2x)
-        return HigherKernel(ORDER4, weight, num, a, spec.element(-4), 4)
+        return HigherKernel(num, weight, a, spec.element(-4), 4)
     if order == TRANSLATION:
         num = Polynomial.monomial(spec, spec.p) - x  # x^p - x
         a = MoebiusMap.from_ints(spec, 1, 1, 0, 1)  # x+1
-        return HigherKernel(TRANSLATION, one, num, a, spec.one, 1)
+        return HigherKernel(num, one, a, spec.one, 1)
     raise errors.Error(f"unknown kernel order {order!r}")
-
-
-def _kernel_transform(f: Polynomial, ker: HigherKernel) -> TransformResult:
-    if f.is_zero():
-        raise errors.ZeroPolynomial("transform of the zero polynomial")
-    acc = compose_fraction(f, ker.core_num, ker.weight)
-    full = int(ker.core_num.degree) * int(f.degree)
-    return TransformResult(acc, acc.degree < full, False)
 
 
 def transform_order3(f: Polynomial) -> TransformResult:
     """x^n (x-1)^n * f(core), n = deg f."""
-    return _kernel_transform(f, kernel(f.owner, ORDER3))
+    return transform(f, kernel(f.owner, ORDER3))
 
 
 def transform_order4(f: Polynomial) -> TransformResult:
     """x^n (x-1)^n (x-1/2)^n * f(core), n = deg f; characteristic != 2."""
-    return _kernel_transform(f, kernel(f.owner, ORDER4))
+    return transform(f, kernel(f.owner, ORDER4))
 
 
 def transform_translation(f: Polynomial) -> TransformResult:
     """f(x^p - x)."""
-    return _kernel_transform(f, kernel(f.owner, TRANSLATION))
+    return transform(f, kernel(f.owner, TRANSLATION))
 
 
 def is_invariant(F: Polynomial, ker: HigherKernel) -> bool:
     """Whether den^(deg F) * F(A(x)) = scalar^(deg F / block) * F(x) for the
     kernel's map A = num/den; deg F must be a multiple of the block."""
-    if F.is_zero():
-        raise errors.ZeroPolynomial("zero polynomial")
-    d = int(F.degree)
-    if d % ker.block:
-        raise errors.DegreeNotMultiple(f"degree {d} is not a multiple of {ker.block}")
-    lhs = compose_fraction(F, *ker.map.fraction())
-    return lhs == F.scale(ker.scalar ** (d // ker.block))
+    return ker.map.fixes(F, ker.scalar, ker.block)
 
 
 def is_invariant_order3(F: Polynomial) -> bool:
@@ -131,4 +117,4 @@ def reconstruct_higher(F: Polynomial, order) -> Polynomial:
     ker = kernel(F.owner, order)
     if not is_invariant(F, ker):
         raise errors.NotInvariant(f"input is not order-{order} invariant")
-    return solve_kernel(F, ker.core_num, ker.weight)
+    return solve_kernel(F, ker.g, ker.h)

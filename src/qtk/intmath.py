@@ -21,19 +21,7 @@ def is_prime(n: int) -> bool:
 
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, ascending."""
-    if n < 1:
-        raise errors.InvalidArgument("n must be positive")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    return list(factorization(n))
 
 
 def factorization(n: int) -> dict[int, int]:

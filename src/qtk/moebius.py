@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import errors
 from .gf import FieldElement, FieldSpec, least_nonsquare, square_class
@@ -73,6 +74,17 @@ class MoebiusMap:
 
     def det(self) -> FieldElement:
         return self.a * self.d - self.b * self.c
+
+    def fixes(self, F: Polynomial, scalar: FieldElement, block: int) -> bool:
+        """Whether den^(deg F) * F(num/den) = scalar^(deg F / block) * F(x) for
+        this map num/den: the invariance identity of every kernel.  deg F
+        must be a multiple of the block."""
+        if F.is_zero():
+            raise errors.ZeroPolynomial("zero polynomial")
+        d = int(F.degree)
+        if d % block:
+            raise errors.DegreeNotMultiple(f"degree {d} is not a multiple of {block}")
+        return compose_fraction(F, *self.fraction()) == F.scale(scalar ** (d // block))
 
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
@@ -286,10 +298,14 @@ class ReductionTrail:
     def composite(self, side: str) -> MoebiusMap:
         """The composite of one side's maps, numbered in step order:
         M = m1 @ m2 @ ... for the pre-steps, N = ... @ n2 @ n1 for the post."""
-        out = MoebiusMap.identity(self.start.owner)
+        return self._composites[side]
+
+    @cached_property
+    def _composites(self) -> dict[str, MoebiusMap]:
+        out = dict.fromkeys((PRE, POST), MoebiusMap.identity(self.start.owner))
         for step in self.steps:
-            if step.side == side:
-                out = out @ step.map if side == PRE else step.map @ out
+            m = out[step.side]
+            out[step.side] = m @ step.map if step.side == PRE else step.map @ m
         return out
 
 

@@ -337,6 +337,11 @@ class _Divisor:
         n = len(a)
         if n <= m:
             return (_EMPTY if want_quotient else None), a
+        # by c * x^m the division is a shift; a nonzero body[0] rules it out
+        # without the scan, which would cost a share of the gcd and Rabin loops
+        if not (m and self.body[0]) and not self.body.any():
+            Q = a[m:] if self.inv is None else spec.mul_vec(a[m:], self.inv)
+            return (Q if want_quotient else None), _trim(a[:m])
         R = spec.to_coords(a).copy()
         Q = np.zeros(n - m, dtype=np.int64) if want_quotient else None
         multiples = self.multiples

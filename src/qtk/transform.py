@@ -1,8 +1,10 @@
-"""The quadratic transformation f -> f_R and its invariance theory.
+"""The transformation f -> f_R = h^(deg f) * f(g/h) and its invariance theory.
 
-For a quadratic rational expression R = g/h, the transformation sends a
-nonzero f to f_R = h^(deg f) * f(g/h).  Invariant polynomials come in
-three equivalent descriptions, all implemented here:
+:func:`transform` is the one forward map, for a quadratic rational
+expression R = g/h and for the kernels of :mod:`qtk.higher` alike.  Each
+image is fixed, up to a constant scalar, by a Moebius map A with R o A = R;
+:meth:`qtk.moebius.MoebiusMap.fixes` is the one test of that identity.  For
+quadratic R, invariant polynomials have three equivalent descriptions:
 
 * the coefficient identity b_(n-k) = b_(n+k) * sigma^k for the special
   form R = (x^2+sigma)/x (:func:`is_sigma_self_reciprocal`);
@@ -39,21 +41,20 @@ class TransformResult:
     normalized_monic: bool
 
 
-def transform(f: Polynomial, r: QuadRationalExpr, monic: bool = False) -> TransformResult:
-    """f_R = h^(deg f) * f(g/h), expanded.
+def transform(f: Polynomial, r, monic: bool = False) -> TransformResult:
+    """f_R = h^(deg f) * f(g/h), expanded, for an expression or a kernel r = g/h.
 
-    The degree drops below 2*deg f exactly when h is genuinely quadratic
-    and f vanishes at g2/h2 (the value of R at infinity); the flag records
-    that.  With monic=True the result is scaled monic.
+    With d = max(deg g, deg h), the degree drops below d*deg f exactly when
+    deg h = d and f vanishes at g_d/h_d (the value of R at infinity); the
+    flag records that.  With monic=True the result is scaled monic.
     """
     if f.is_zero():
         raise errors.ZeroPolynomial("transform of the zero polynomial")
     f._check_owner(r.g)
     out = compose_fraction(f, r.g, r.h)
-    n = int(f.degree)
-    dropped = out.degree < 2 * n
-    h2 = r.h.coeff(2)
-    expected_drop = (not h2.is_zero()) and f(r.g.coeff(2) / h2).is_zero()
+    d = max(int(r.g.degree), int(r.h.degree))
+    dropped = out.degree < d * int(f.degree)
+    expected_drop = r.h.degree == d and f(r.g.coeff(d) / r.h.coeff(d)).is_zero()
     errors.require(dropped == expected_drop, "degree-drop criterion out of sync")
     if monic:
         out = out.monic()
@@ -91,20 +92,18 @@ def _validate_triple(spec: FieldSpec, a, b, c):
 
 def is_invariant_generalized(F: Polynomial, a: FieldElement, b: FieldElement,
                              c: FieldElement) -> bool:
-    """Whether (ax-b)^(2n) * F((bx-c)/(ax-b)) = (b^2-ac)^n * F(x)."""
-    spec = F.owner
-    _validate_triple(spec, a, b, c)
+    """Whether (ax-b)^(2n) * F((bx-c)/(ax-b)) = (b^2-ac)^n * F(x).
+
+    That is the map x -> (bx-c)/(ax-b) fixing F with block 2 and scalar
+    -det, which is (b^2-ac)/e^2 for the entry e the map is normalized by.
+    """
+    _validate_triple(F.owner, a, b, c)
     if F.is_zero():
         raise errors.ZeroPolynomial("zero polynomial")
-    d = int(F.degree)
-    if d % 2:
-        raise errors.OddDegree(f"degree {d} is odd")
-    n = d // 2
-    num = Polynomial(spec, [-c, b])
-    den = Polynomial(spec, [-b, a])
-    lhs = compose_fraction(F, num, den)
-    rhs = F.scale((b * b - a * c) ** n)
-    return lhs == rhs
+    if int(F.degree) % 2:
+        raise errors.OddDegree(f"degree {F.degree} is odd")
+    involution = MoebiusMap(b, -c, a, -b)
+    return involution.fixes(F, -involution.det(), 2)
 
 
 def roots_orbit_check(F: Polynomial, a: FieldElement, b: FieldElement,

@@ -209,7 +209,7 @@ def test_c8_higher_order(grid):
                 assert reconstruct_higher(image, ORDER4) == f
                 checked += 1
         # kernel identity: the cubic core is itself invariant
-        assert is_invariant_order3(kernel(spec, ORDER3).core_num)
+        assert is_invariant_order3(kernel(spec, ORDER3).g)
         if spec.p != 2:
             # core equals the sum of the iterates of 1/(2-2x)
             x, one = Polynomial.x(spec), Polynomial.one(spec)
@@ -222,7 +222,7 @@ def test_c8_higher_order(grid):
                 num = num * fd + fn * den
                 den = den * fd
             ker = kernel(spec, ORDER4)
-            assert num * ker.weight == ker.core_num * den
+            assert num * ker.h == ker.g * den
     print(f"\nACCEPTANCE 8 (higher-order roundtrips, {checked}): PASS")
 
 

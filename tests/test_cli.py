@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qtk import cli, field_make
+from qtk import cli, errors, field_make
 from qtk.counting import count_carlitz
 
 
@@ -132,6 +132,17 @@ def test_mismatch_exit_code(monkeypatch):
     code, out = run_cli("count", "--field", "3", "--n", "2",
                         "--variant", "carlitz", "--oracle")
     assert code == cli.EXIT_MISMATCH and "MISMATCH" in out
+
+
+def test_identity_violation_exits_3_with_one_stderr_line(monkeypatch, capsys):
+    def broken(F, sigma):
+        errors.require(False, "recovered input does not reproduce F")
+
+    monkeypatch.setattr(cli, "reconstruct", broken)
+    code = cli.main(["reconstruct", "--field", "5", "--sigma", "1", "--F", "1,0,1"])
+    assert code == cli.EXIT_MISMATCH
+    assert capsys.readouterr().err.splitlines() == [
+        "FALSIFIED: recovered input does not reproduce F"]
 
 
 def test_size_bound_env(monkeypatch):

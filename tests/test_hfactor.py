@@ -75,6 +75,21 @@ def test_squarefree_witness_randomized(fields, rng):
                 assert h_squarefree_witness(hs) == hs.discriminant()
 
 
+def test_corrupted_h_fails_the_squarefree_witness_check(monkeypatch):
+    # H + x^2 breaks (ax-b)H' - aH = b^2 - ac: the report records the failed
+    # check, and the public witness still raises
+    import qtk.hfactor as hfactor
+    real = hfactor.build_h
+    monkeypatch.setattr(hfactor, "build_h", lambda spec, bound=None:
+                        real(spec, bound) + Polynomial.monomial(spec.owner, 2))
+    F3 = field_make(3)
+    with pytest.raises(errors.MismatchFound) as exc:
+        verify_meyn_product(F3.element(2), 2)
+    assert {c.name: c.ok for c in exc.value.report.checks}["squarefree-witness"] is False
+    with pytest.raises(errors.IdentityViolated):
+        h_squarefree_witness(hspec_from_expr(sigma_form(F3.element(2)), 2))
+
+
 def test_fixed_point_quadratic_char2():
     F4 = field_make(2, 2)
     gen = F4.gen()

@@ -19,12 +19,12 @@ def P(spec, text):
 def test_kernel_shapes():
     F5 = field_make(5)
     k3 = kernel(F5, ORDER3)
-    assert k3.core_num == P(F5, "1,2,0,1")  # x^3 - 3x + 1
-    assert k3.weight == P(F5, "0,4,1")      # x(x-1)
+    assert k3.g == P(F5, "1,2,0,1")  # x^3 - 3x + 1
+    assert k3.h == P(F5, "0,4,1")      # x(x-1)
     k4 = kernel(F5, ORDER4)
-    assert k4.core_num == P(F5, "1,2,2,0,1")  # x^4 - 3x^2 + 2x - 1/4
+    assert k4.g == P(F5, "1,2,2,0,1")  # x^4 - 3x^2 + 2x - 1/4
     kt = kernel(F5, TRANSLATION)
-    assert kt.core_num == P(F5, "0,4,0,0,0,1")  # x^5 - x
+    assert kt.g == P(F5, "0,4,0,0,0,1")  # x^5 - x
     with pytest.raises(errors.Char2Unsupported):
         kernel(field_make(2), ORDER4)
     assert kernel(field_make(3), ORDER3).translation_conjugate
@@ -34,7 +34,7 @@ def test_kernel_shapes():
 def test_order3_kernel_identity():
     # the core numerator itself satisfies (x-1)^3 F(1/(1-x)) = F
     for spec in (field_make(7), field_make(5), field_make(2), field_make(3, 2)):
-        assert is_invariant_order3(kernel(spec, ORDER3).core_num)
+        assert is_invariant_order3(kernel(spec, ORDER3).g)
     F7 = field_make(7)
     assert not is_invariant_order3(P(F7, "0,0,0,1"))  # x^3
     with pytest.raises(errors.DegreeNotMultiple):
@@ -77,7 +77,7 @@ def test_is_invariant_matches_the_paper_identity(fields, rng):
             ker = kernel(spec, order)
             assert ker.map == MoebiusMap.from_ints(spec, *abcd)
             assert (ker.scalar, ker.block) == (spec.element(scalar), block)
-            step = int(ker.core_num.degree)
+            step = int(ker.g.degree)
             seen = set()
             for _ in range(6):
                 f = random_poly(spec, rng.randrange(1, 4), rng, monic=True)
@@ -165,7 +165,7 @@ def test_order4_iterate_sum(fields):
             num = num * fd + fn * den
             den = den * fd
         ker = kernel(spec, ORDER4)
-        assert num * ker.weight == ker.core_num * den
+        assert num * ker.h == ker.g * den
 
 
 def test_order3_symmetric_function_identity(fields):
@@ -181,8 +181,8 @@ def test_order3_symmetric_function_identity(fields):
             pn, pd = its[i][0] * its[j][0], its[i][1] * its[j][1]
             e2n = e2n * pd + pn * e2d
             e2d = e2d * pd
-        lhs = e2n * ker.weight - ker.core_num * e2d
-        assert lhs == ker.weight.scale(spec.element(-3)) * e2d
+        lhs = e2n * ker.h - ker.g * e2d
+        assert lhs == ker.h.scale(spec.element(-3)) * e2d
 
 
 def test_char3_order3_conjugate_to_translation():

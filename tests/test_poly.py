@@ -47,6 +47,23 @@ def test_divrem_roundtrip_randomized(fields, rng):
         divmod(P(fields[3], "x"), Polynomial.zero(fields[3]))
 
 
+def test_division_by_a_monomial_matches_long_division(rng):
+    # c * x^k has a zero body, so the division is a shift of the dividend
+    for spec in (field_make(5), field_make(2, 4)):
+        nonzero = [e for e in spec.elements() if not e.is_zero()]
+        for k in range(4):
+            for c in (spec.one, rng.choice(nonzero)):
+                b = Polynomial.monomial(spec, k).scale(c)
+                for _ in range(6):
+                    a = random_poly(spec, rng.randrange(0, 9), rng)
+                    q, r = divmod(a, b)
+                    want = reference.poly_divmod(
+                        spec, [e.coords for e in a.coeffs], [e.coords for e in b.coeffs])
+                    assert ([e.coords for e in q.coeffs],
+                            [e.coords for e in r.coeffs]) == want
+                    assert a % b == r
+
+
 def test_gcd_examples():
     F2, F3 = field_make(2), field_make(3)
     assert gcd(P(F3, "x^2+2"), P(F3, "x^2+2")) == P(F3, "x^2+2")

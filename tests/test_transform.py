@@ -6,6 +6,7 @@ import reference
 from conftest import random_expr, random_moebius, random_poly
 from qtk import errors, field_make
 from qtk.gf import embed
+from qtk.higher import ORDER3, ORDER4, TRANSLATION, HigherKernel, is_invariant, kernel
 from qtk.moebius import MoebiusMap, apply_post, apply_pre, expr_parse, \
     reduce_canonical, sigma_form
 from qtk.poly import (Polynomial, enumerate_monic, enumerate_monic_irreducible,
@@ -142,6 +143,74 @@ def test_transform_images_are_invariant(fields, rng):
                 continue
             a, b, c = r.abc
             assert is_invariant_generalized(t.result, a, b, c)
+
+
+def _coords(F):
+    return [e.coords for e in F.coeffs]
+
+
+def test_one_transform_and_one_identity_for_every_kernel(fields, rng):
+    # expressions and higher kernels alike: the image is the reference
+    # substitution, it satisfies its kernel's identity, and the degree drops
+    # below d * deg f exactly when deg h = d and f(g_d/h_d) = 0
+    drops = set()
+    for spec in fields.values():
+        kernels = [kernel(spec, order) for order in (ORDER3, ORDER4, TRANSLATION)
+                   if order != ORDER4 or spec.p != 2]
+        for _ in range(12):
+            r = rng.choice(kernels + [random_expr(spec, rng)] * len(kernels))
+            d = max(r.g.degree, r.h.degree)
+            f = random_poly(spec, rng.randrange(1, 4), rng)
+            if r.h.degree == d and rng.random() < 0.5:
+                f = f * Polynomial(spec, [-(r.g.coeff(d) / r.h.coeff(d)), spec.one])
+            t = transform(f, r)
+            image = reference.poly_compose_fraction(
+                spec, _coords(f), _coords(r.g), _coords(r.h))
+            assert _coords(t.result) == image
+            criterion = False
+            if r.h.degree == d:
+                alpha = reference.mul(spec, r.g.coeff(d).coords,
+                                      reference.inv(spec, r.h.coeff(d).coords))
+                value = (0,) * spec.k
+                for co in reversed(_coords(f)):
+                    value = reference.add(spec, reference.mul(spec, value, alpha), co)
+                criterion = not any(value)
+            assert t.degree_dropped == criterion == (len(image) - 1 < d * f.degree)
+            drops.add(t.degree_dropped)
+            if isinstance(r, HigherKernel):
+                assert is_invariant(t.result, r)
+            elif not t.degree_dropped and not (
+                    spec.p == 2 and r.g.coeff(1).is_zero() and r.h.coeff(1).is_zero()):
+                assert is_invariant_generalized(t.result, *r.abc)
+    assert drops == {True, False}
+
+
+def test_generalized_invariance_is_the_paper_identity(fields, rng):
+    # (ax-b)^(2n) F((bx-c)/(ax-b)) = (b^2-ac)^n F on coordinate tuples, for
+    # images (mostly invariant) and random F (mostly not)
+    for spec in fields.values():
+        seen = set()
+        zero = (0,) * spec.k
+        for _ in range(10):
+            r = random_expr(spec, rng)
+            if spec.p == 2 and r.g.coeff(1).is_zero() and r.h.coeff(1).is_zero():
+                continue
+            A, B, C = (e.coords for e in r.abc)
+            disc = reference.sub(spec, reference.mul(spec, B, B), reference.mul(spec, A, C))
+            for F in (transform(random_poly(spec, rng.randrange(1, 4), rng), r).result,
+                      random_poly(spec, 2 * rng.randrange(1, 4), rng)):
+                if F.degree % 2:
+                    continue
+                lhs = reference.poly_compose_fraction(
+                    spec, _coords(F), [reference.sub(spec, zero, C), B],
+                    [reference.sub(spec, zero, B), A])
+                rhs = _coords(F)
+                for _ in range(F.degree // 2):
+                    rhs = reference.poly_mul(spec, rhs, [disc])
+                got = is_invariant_generalized(F, *r.abc)
+                assert got == (lhs == rhs)
+                seen.add(got)
+        assert seen == {True, False}
 
 
 def test_roots_orbit_examples():
