@@ -182,8 +182,8 @@ class FieldSpec:
         return exp[log[u] * e % (self.q - 1)]
 
     def mul_vec(self, a, c: int):
-        """The index vector a times the nonzero element c, entrywise."""
-        if self.k == 1:
+        """The index vector a times the element c, entrywise."""
+        if self.k == 1 or not c:
             return a * c % self.p
         exp, log = (self._tables or self._build_tables())[:2]
         out = exp[(log[a] + int(log[c])) % (self.q - 1)].astype(np.int64)

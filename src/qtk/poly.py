@@ -9,8 +9,12 @@ loudly in comparisons rather than silently).
 
 Multiplication, division and modular exponentiation run on these arrays
 through numpy, exactly: int64 residue arithmetic, never floating point.  Over
-GF(p^k) a product convolves the (k x n) coordinate rows, so a sum reaches
-k * (shorter length + 1) * (p-1)^2; that must stay below 2^63 and is checked
+GF(p) a product is one ``np.convolve``; over GF(p^k) it is one Python integer
+product (Kronecker substitution).  Coordinate j of coefficient i fills slot
+i*(2k-1)+j, the product's slots hold the coordinates of y^0..y^(2k-2), and
+y^k..y^(2k-2) fold back into the basis.  A slot sums at most k * (shorter
+length) * (p-1)^2 terms and is the narrowest of 1, 2, 4 or 8 bytes holding
+that, so none carries; k * (shorter length + 1) * (p-1)^2 < 2^63 is checked
 before every product.  Long division adds one reduced multiple of the divisor
 per quotient coefficient and reduces at the end, so a coordinate reaches at
 most (divisor length) * (p-1).
@@ -305,15 +309,21 @@ def _kmul(spec: FieldSpec, a, b):
     _check_headroom(spec, min(len(a), len(b)))
     if k == 1:
         return np.convolve(a, b) % p
-    A, B = spec.to_coords(a).T, spec.to_coords(b).T
-    rows_b = np.flatnonzero(B.any(axis=1))
-    acc = np.zeros((2 * k - 1, len(a) + len(b) - 1), dtype=np.int64)
-    for i in np.flatnonzero(A.any(axis=1)):
-        for j in rows_b:
-            acc[i + j] += np.convolve(A[i], B[j])
+    # Kronecker substitution; slots and their width as in the module docstring
+    s, n = 2 * k - 1, len(a) + len(b) - 1
+    bound = k * min(len(a), len(b)) * (p - 1) ** 2
+    dt = np.dtype(next(f"<u{w}" for w in (1, 2, 4, 8) if bound < 1 << 8 * w))
+    def pack(v):
+        S = np.zeros((len(v), s), dtype=dt)
+        S[:, :k] = spec.to_coords(v)
+        return int.from_bytes(S.tobytes(), "little")
+    x = pack(a)
+    prod = x * (x if b is a else pack(b))
+    acc = np.frombuffer(prod.to_bytes(n * s * dt.itemsize, "little"),
+                        dtype=dt).reshape(n, s).astype(np.int64)
     # fold y^k .. y^(2k-2) back into the basis
-    C = (acc[:k] + spec._red.T @ (acc[k:] % p)) % p
-    return spec.from_coords(C.T)
+    C = (acc[:, :k] + (acc[:, k:] % p) @ spec._red) % p
+    return spec.from_coords(C)
 
 
 class _Divisor:

@@ -1,6 +1,9 @@
 """The table-driven field arithmetic and the numpy polynomial kernels against
 the coordinate-tuple references in reference.py, plus the storage format,
-integer inputs, the int64 headroom guard and the canonical modulus scan."""
+integer inputs, the int64 headroom guard and the canonical modulus scan.  The
+packed extension-field product is also checked against the k^2-convolution
+loop it replaced and by evaluation, at sizes the pure-Python reference cannot
+reach."""
 
 import itertools
 import subprocess
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import random_poly, subprocess_env
+from conftest import random_element, random_poly, subprocess_env
 from qtk import errors, field_make, poly
 from qtk.poly import Polynomial, enumerate_monic, is_irreducible
 
@@ -19,8 +22,24 @@ UP_TO_16 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
             (13, 1), (2, 4)]
 
 
+#: (p, k, len a, len b, slot width in bytes) for the packed product
+PACKED_CASES = [(2, 4, 730, 730, 2), (7, 2, 730, 730, 2), (31, 4, 400, 400, 4),
+                (1021, 2, 2100, 2100, 8), (2, 2, 730, 3, 1), (2, 4, 730, 1, 1),
+                (3, 5, 1, 1, 1)]
+
+
 def coords(f):
     return [c.coords for c in f.coeffs]
+
+
+def loop_kmul(spec, a, b):
+    """The product as k^2 convolutions of coordinate rows, folded by y^k."""
+    p, k = spec.p, spec.k
+    A, B = spec.to_coords(a).T, spec.to_coords(b).T
+    acc = np.zeros((2 * k - 1, len(a) + len(b) - 1), dtype=np.int64)
+    for i, j in itertools.product(range(k), repeat=2):
+        acc[i + j] += np.convolve(A[i], B[j])
+    return spec.from_coords(((acc[:k] + spec._red.T @ (acc[k:] % p)) % p).T)
 
 
 @pytest.mark.parametrize("p,k", UP_TO_16)
@@ -61,6 +80,44 @@ def test_product_and_divmod_match_reference(p, k, rng):
         assert coords(a + b) == reference._trim(
             [reference.add(spec, u, v) for u, v in itertools.zip_longest(
                 coords(a), coords(b), fillvalue=(0,) * spec.k)])
+
+
+@pytest.mark.parametrize("p,k", UP_TO_16 + [(7, 2), (3, 5), (2, 10)])
+def test_packed_product_matches_reference(p, k, rng):
+    spec = field_make(p, k)
+    for _ in range(12):
+        a = random_poly(spec, rng.randrange(40), rng)
+        b = random_poly(spec, rng.randrange(40), rng)
+        assert coords(a * b) == reference.poly_mul(spec, coords(a), coords(b))
+        assert coords(a * a) == reference.poly_mul(spec, coords(a), coords(a))
+
+
+@pytest.mark.parametrize("p,k,la,lb,width", PACKED_CASES)
+def test_packed_product_matches_loop_and_evaluation(p, k, la, lb, width, rng):
+    # a product slot sums at most k * min(len) * (p-1)^2 terms
+    bound = k * min(la, lb) * (p - 1) ** 2
+    assert next(w for w in (1, 2, 4, 8) if bound < 1 << 8 * w) == width
+    spec = field_make(p, k)
+    a, b = random_poly(spec, la - 1, rng), random_poly(spec, lb - 1, rng)
+    ab = a * b
+    assert ab._a.tolist() == loop_kmul(spec, a._a, b._a).tolist()
+    assert (b * a) == ab
+    assert (a * a)._a.tolist() == loop_kmul(spec, a._a, a._a).tolist()
+    for _ in range(5):
+        x = random_element(spec, rng)
+        assert ab(x) == a(x) * b(x)
+
+
+def test_packed_cases_cover_every_slot_width():
+    assert {case[-1] for case in PACKED_CASES} == {1, 2, 4, 8}
+
+
+@pytest.mark.parametrize("p,k", UP_TO_16)
+def test_mul_vec_matches_raw_mul_including_zero(p, k):
+    spec = field_make(p, k)
+    a = np.arange(spec.q, dtype=np.int64)
+    for c in range(spec.q):
+        assert spec.mul_vec(a, c).tolist() == [spec.raw_mul(u, c) for u in range(spec.q)]
 
 
 def test_polynomial_holds_one_index_array():
