@@ -427,16 +427,13 @@ def least_nonsquare(spec: FieldSpec) -> FieldElement:
 @functools.lru_cache(maxsize=None)
 def _embedding_powers(source: FieldSpec, target: FieldSpec) -> tuple[FieldElement, ...]:
     # xi^i in `target` for i < source.k, where xi is the least root (canonical
-    # element order) of the source modulus in target.
-    consts = [target.element(c) for c in source.modulus]
-    for root in target.elements():
-        acc = target.zero
-        for c in reversed(consts):
-            acc = acc * root + c
-        if acc.is_zero():
-            break
-    else:
-        raise errors.IdentityViolated("source modulus has no root in target field")
+    # element order) of the source modulus in target, read off its linear factors
+    from . import poly  # deferred: poly imports this module
+
+    roots = [(-phi.coeff(0)).value for phi, _ in poly.factorize(
+        poly.Polynomial(target, source.modulus), source.k) if phi.degree == 1]
+    errors.require(roots, "source modulus has no root in target field")
+    root = FieldElement(target, min(roots))
     powers = [target.one]
     for _ in range(source.k - 1):
         powers.append(powers[-1] * root)

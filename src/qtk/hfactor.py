@@ -31,7 +31,7 @@ from .gf import FieldElement, FieldSpec, parse_int, square_class
 from .intmath import divisors
 from .moebius import (CanonicalKind, QuadRationalExpr, SigmaClass,
                       classify_sigma, reduce_canonical, sigma_form)
-from .poly import Polynomial, gcd, monic_irreducibles, pow_mod
+from .poly import Polynomial, ddf, gcd, monic_irreducibles, pow_mod
 from .transform import (_validate_triple, is_invariant_generalized,
                         is_sigma_self_reciprocal, linear_input_images,
                         reconstruct, transform, transport_back,
@@ -40,7 +40,7 @@ from .transform import (_validate_triple, is_invariant_generalized,
 #: Default cap on q^n + 1 (the degree of H) for the verify operations.
 DEFAULT_SIZE_BOUND = 4096
 
-#: Run the per-layer gcd degree decomposition only below this degree.
+#: Run the distinct-degree factorization check only below this degree.
 _DDF_DEGREE_LIMIT = 320
 
 
@@ -294,27 +294,6 @@ def _enumerate_image_factors(r: QuadRationalExpr, n: int) -> list[FactorMatch]:
     return out
 
 
-def _ddf_layers(h_core: Polynomial, n: int) -> dict[int, Polynomial]:
-    """Product of the irreducible factors of exactly each divisor degree of 2n,
-    obtained from Frobenius gcds (independent of the transform route)."""
-    fs = h_core.owner
-    x = Polynomial.x(fs)
-    exact: dict[int, Polynomial] = {}
-    z = x % h_core
-    cur = 0
-    for d in divisors(2 * n):
-        for _ in range(d - cur):
-            z = pow_mod(z, fs.q, h_core)
-        cur = d
-        layer = gcd(h_core, z - x) if not (z - x).is_zero() else h_core
-        for d2 in divisors(d)[:-1]:
-            q2, r2 = divmod(layer, exact[d2])
-            errors.require(r2.is_zero(), "Frobenius layers do not nest")
-            layer = q2
-        exact[d] = layer
-    return exact
-
-
 def _verify_engine(r: QuadRationalExpr, n: int, size_bound: int | None,
                    sigma: FieldElement | None) -> HVerifyReport:
     fs = r.owner
@@ -388,16 +367,10 @@ def _verify_engine(r: QuadRationalExpr, n: int, size_bound: int | None,
     checks.append(CheckOutcome("frobenius-closure", closure_ok, ""))
 
     if 1 <= h_core_monic.degree <= _DDF_DEGREE_LIMIT:
-        layers = _ddf_layers(h_core_monic, n)
-        layer_ok = True
-        for d, part in layers.items():
-            expected = Polynomial.one(fs)
-            for m in matches:
-                if m.degree == d:
-                    expected = expected * m.factor
-            if part != expected:
-                layer_ok = False
-        checks.append(CheckOutcome("ddf-layers", layer_ok, ""))
+        layers: dict[int, Polynomial] = {}
+        for m in matches:
+            layers[m.degree] = layers.get(m.degree, Polynomial.one(fs)) * m.factor
+        checks.append(CheckOutcome("ddf-layers", ddf(h_core_monic) == layers, ""))
 
     # re-derive each large factor from the factor alone via the reduction trail
     matches = _attach_reconstructions(r, matches, checks)

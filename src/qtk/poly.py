@@ -19,6 +19,10 @@ before every product.  Long division adds one reduced multiple of the divisor
 per quotient coefficient and reduces at the end, so a coordinate reaches at
 most (divisor length) * (p-1).
 
+:func:`factorize` splits the distinct-degree layers of :func:`ddf` by
+Cantor-Zassenhaus (von zur Gathen & Gerhard, *Modern Computer Algebra*,
+ch. 14); Rabin's test and the irreducible sieve stand apart from it.
+
 Two text formats are accepted everywhere:
   (a) ascending coefficient list: "1,0,2" or "[1 0],[0 1]" for extensions;
   (b) human form: "x^2+2*x+1".
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 import re
 
 import numpy as np
@@ -542,47 +547,77 @@ class Factorization:
         return f"Factorization({self.unit.to_text()}; {inner})"
 
 
-def factorize(f: Polynomial, bound: int) -> Factorization:
-    """Complete monic factorization by trial division.
+def ddf(f: Polynomial) -> dict[int, Polynomial]:
+    """{d: product of the distinct irreducible factors of degree d} for a
+    monic f with any multiplicities.  With z = x^(q^d) mod the cofactor w,
+    layer d is gcd(w, z - x), divided out of w with its multiplicities; once
+    deg w < 2(d+1), what is left is irreducible."""
+    errors.require(f.is_monic(), "ddf needs a monic polynomial")
+    spec = f.owner
+    x = Polynomial.x(spec)
+    out: dict[int, Polynomial] = {}
+    w, z, d = f, x, 0
+    while w.degree >= 2 * (d + 1):
+        d += 1
+        z = pow_mod(z, spec.q, w)
+        layer = gcd(w, z - x)
+        if layer.degree > 0:
+            out[d] = layer
+            while (g := gcd(w, layer)).degree > 0:
+                w = w // g
+    if w.degree > 0:
+        out[int(w.degree)] = w
+    return out
 
-    Divides by monic irreducibles in enumeration order, degree by degree up
-    to `bound`.  Once the cofactor's degree drops below twice the current
-    trial degree it must itself be irreducible and is recorded directly.
-    Raises BoundTooSmall if a cofactor of degree > bound would remain, i.e.
+
+def _edf(f: Polynomial, d: int, rng) -> list[Polynomial]:
+    """The factors of f, a product of distinct monic irreducibles of degree d:
+    f splits at gcd(f, a^((q^d-1)/2) - 1) for odd q, and at the gcd with the
+    trace a + a^2 + ... + a^(2^(kd-1)) for q = 2^k (a random, deg a < deg f)."""
+    n = int(f.degree)
+    if n == d:
+        return [f]
+    spec = f.owner
+    while True:
+        a = Polynomial._wrap(spec, _trim(np.array(
+            [rng.randrange(spec.q) for _ in range(n)], dtype=np.int64)))
+        if spec.p == 2:
+            t = s = a
+            for _ in range(spec.k * d - 1):
+                t = t * t % f
+                s = s + t
+        else:
+            s = pow_mod(a, (spec.q ** d - 1) // 2, f) - Polynomial.one(spec)
+        g = gcd(f, s)
+        if 0 < g.degree < n:
+            return _edf(g, d, rng) + _edf(f // g, d, rng)
+
+
+def factorize(f: Polynomial, bound: int) -> Factorization:
+    """Complete monic factorization: :func:`ddf`, :func:`_edf` on each layer
+    (seeded, so the run repeats; the output is sorted anyway), then the
+    multiplicities by exact division.
+
+    Raises BoundTooSmall if an irreducible factor has degree > bound, i.e.
     the precondition that all factors have degree <= bound was violated.
     """
     if f.is_zero():
         raise errors.ZeroPolynomial("cannot factor the zero polynomial")
-    spec = f.owner
-    unit = f.leading
     work = f.monic()
+    layers = ddf(work)
+    top = max(layers, default=0)
+    if top > bound:
+        raise errors.BoundTooSmall(
+            f"irreducible factor of degree {top} exceeds bound {bound}")
+    rng = random.Random(0)
     out: list[tuple[Polynomial, int]] = []
-    d = 1
-    while work.degree > 0:
-        if work.degree < 2 * d:
-            # all remaining factors exceed d-1, so the cofactor is irreducible
-            if work.degree > bound:
-                raise errors.BoundTooSmall(
-                    f"irreducible cofactor of degree {work.degree} exceeds bound {bound}")
-            out.append((work, 1))
-            break
-        if d > bound:
-            raise errors.BoundTooSmall(
-                f"cofactor of degree {work.degree} remains after trial division to {bound}")
-        for phi in monic_irreducibles(spec, d):
+    for d, layer in layers.items():
+        for phi in _edf(layer, d, rng):
             mult = 0
-            while True:
-                q, r = divmod(work, phi)
-                if not r.is_zero():
-                    break
-                work = q
-                mult += 1
-            if mult:
-                out.append((phi, mult))
-            if work.degree < 2 * d:
-                break
-        d += 1
-    return Factorization(unit, out)
+            while (work % phi).is_zero():
+                work, mult = work // phi, mult + 1
+            out.append((phi, mult))
+    return Factorization(f.leading, out)
 
 
 def compose_fraction(f: Polynomial, num: Polynomial, den: Polynomial) -> Polynomial:

@@ -12,7 +12,9 @@ quadratic R, invariant polynomials have three equivalent descriptions:
   (ax-b)^(2n) * F((bx-c)/(ax-b)) = (b^2-ac)^n * F(x)
   (:func:`is_invariant_generalized`);
 * closure of the root multiset under the involution
-  xi -> (b*xi-c)/(a*xi-b) in a splitting field (:func:`roots_orbit_check`).
+  xi -> (b*xi-c)/(a*xi-b) in a splitting field (:func:`roots_orbit_check`),
+  whose roots are the linear factors found by :func:`qtk.poly.factorize`
+  there.
 
 :func:`solve_kernel` inverts every transformation of the form
 F = weight^n * f(core/weight), in every characteristic, by one triangular
@@ -30,8 +32,8 @@ from math import comb, lcm
 from . import errors
 from .gf import FieldElement, FieldSpec, embed, field_make
 from .moebius import POST, PRE, MoebiusMap, QuadRationalExpr, ReductionTrail, Step
-from .poly import (Polynomial, compose_fraction, factorize, gcd, is_irreducible,
-                   monic_irreducibles)
+from .poly import (Polynomial, compose_fraction, ddf, factorize, gcd,
+                   is_irreducible, monic_irreducibles)
 
 
 @dataclass(frozen=True)
@@ -107,12 +109,13 @@ def is_invariant_generalized(F: Polynomial, a: FieldElement, b: FieldElement,
 
 
 def roots_orbit_check(F: Polynomial, a: FieldElement, b: FieldElement,
-                      c: FieldElement, size_bound: int | None = None) -> bool:
+                      c: FieldElement) -> bool:
     """Root-multiset closure under xi -> (b*xi-c)/(a*xi-b) in a splitting field.
 
     Requires F coprime with the fixed-point quadratic ax^2 - 2bx + c.  The
-    splitting field GF(q^m) is built explicitly (m = lcm of the factor
-    degrees), so the size bound applies.
+    splitting field GF(q^m) is built explicitly, m the lcm of the layer
+    degrees of :func:`ddf`, so the field size bound applies; the roots and
+    their multiplicities are the linear factors of F there.
     """
     spec = F.owner
     _validate_triple(spec, a, b, c)
@@ -123,30 +126,11 @@ def roots_orbit_check(F: Polynomial, a: FieldElement, b: FieldElement,
     fixed = Polynomial(spec, [c, -(b + b), a])
     if not fixed.is_zero() and fixed.degree >= 1 and gcd(F, fixed).degree > 0:
         raise errors.NotCoprime("F shares a factor with the fixed-point quadratic")
-    m = lcm(*factorize(F, int(F.degree)).degrees())
-    if size_bound is None:
-        size_bound = 2 ** 20
-    if spec.q ** m > size_bound:
-        raise errors.SizeBoundExceeded(
-            f"splitting field {spec.q}^{m} exceeds the bound")
-    big = field_make(spec.p, spec.k * m)
+    big = field_make(spec.p, spec.k * lcm(*ddf(F.monic())))
     FF = Polynomial(big, [embed(co, big) for co in F.coeffs])
     aa, bb, cc = embed(a, big), embed(b, big), embed(c, big)
-    x_b = Polynomial.x(big)
-    roots: dict[FieldElement, int] = {}
-    for t in big.elements():
-        if not FF(t).is_zero():
-            continue
-        mult = 0
-        rem = FF
-        lin = x_b - Polynomial(big, [t])
-        while True:
-            q2, r2 = divmod(rem, lin)
-            if not r2.is_zero():
-                break
-            rem = q2
-            mult += 1
-        roots[t] = mult
+    roots = {-phi.coeff(0): mult
+             for phi, mult in factorize(FF, int(F.degree)) if phi.degree == 1}
     errors.require(sum(roots.values()) == int(F.degree), "not split in the chosen field")
     for xi, mult in roots.items():
         den = aa * xi - bb

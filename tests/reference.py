@@ -178,3 +178,58 @@ def transport_back_stepwise(f, trail):
         if step.side == "post":
             out = _step_transport(spec, out, step)
     return out
+
+
+# -- factor finding by exhaustion ------------------------------------------------
+#
+# Independent of the distinct-degree route: the factorizer divides by the
+# sieve's monic irreducible lists, and the embedding root comes from
+# evaluating the source modulus at every element of the target.
+
+
+def factorize_trial(f, bound):
+    """The Factorization of f by trial division by the monic irreducibles of
+    degree 1, 2, ... up to `bound`, each as often as it divides.  Once the
+    cofactor's degree is below twice the trial degree, it is irreducible."""
+    from qtk import errors
+    from qtk.poly import Factorization, monic_irreducibles
+
+    work = f.monic()
+    out = []
+    d = 1
+    while work.degree > 0:
+        if work.degree < 2 * d:
+            if work.degree > bound:
+                raise errors.BoundTooSmall(f"cofactor of degree {work.degree}")
+            out.append((work, 1))
+            break
+        if d > bound:
+            raise errors.BoundTooSmall(f"cofactor of degree {work.degree}")
+        for phi in monic_irreducibles(f.owner, d):
+            mult = 0
+            while (work % phi).is_zero():
+                work, mult = work // phi, mult + 1
+            if mult:
+                out.append((phi, mult))
+            if work.degree < 2 * d:
+                break
+        d += 1
+    return Factorization(f.leading, out)
+
+
+def least_root_powers(source, target):
+    """Coordinates of xi^i for i < source.k, xi the least element (by index)
+    of `target` at which the source modulus vanishes."""
+    for u in range(target.q):
+        xi = target.coords(u)
+        acc = (0,) * target.k
+        for c in reversed(source.modulus):
+            acc = add(target, mul(target, acc, xi), const(target, c))
+        if not any(acc):
+            break
+    else:
+        raise ValueError("source modulus has no root in target")
+    powers = [const(target, 1)]
+    for _ in range(source.k - 1):
+        powers.append(mul(target, powers[-1], xi))
+    return powers

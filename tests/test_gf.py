@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
+import reference
 from qtk import errors, field_make
-from qtk.gf import (element_from_text, embed, field_from_name, is_square,
-                    least_nonsquare)
+from qtk.gf import (_embedding_powers, element_from_text, embed,
+                    field_from_name, is_square, least_nonsquare)
 
 SMALL = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 4), (7, 2)]
 
@@ -113,9 +114,11 @@ def test_embed_examples():
         embed(F9.one, field_make(3, 3))
 
 
-@pytest.mark.parametrize("src,dst", [((2, 1), (2, 2)), ((2, 2), (2, 4)),
-                                     ((3, 1), (3, 2)), ((3, 2), (3, 4)),
-                                     ((5, 1), (5, 2))])
+EMBED_PAIRS = [((2, 1), (2, 2)), ((2, 2), (2, 4)), ((3, 1), (3, 2)),
+               ((3, 2), (3, 4)), ((5, 1), (5, 2))]
+
+
+@pytest.mark.parametrize("src,dst", EMBED_PAIRS)
 def test_embed_is_homomorphism(src, dst):
     s, t = field_make(*src), field_make(*dst)
     els = list(s.elements())
@@ -123,6 +126,13 @@ def test_embed_is_homomorphism(src, dst):
         assert embed(x + y, t) == embed(x, t) + embed(y, t)
         assert embed(x * y, t) == embed(x, t) * embed(y, t)
     assert embed(s.one, t).is_one()
+
+
+@pytest.mark.parametrize("src,dst", EMBED_PAIRS + [((2, 2), (2, 6)), ((3, 2), (3, 6))])
+def test_embedding_sends_the_generator_to_the_least_root(src, dst):
+    s, t = field_make(*src), field_make(*dst)
+    assert [e.coords for e in _embedding_powers(s, t)] \
+        == reference.least_root_powers(s, t)
 
 
 def test_field_mismatch_and_zero_division():

@@ -1,5 +1,6 @@
 import pytest
 
+import reference
 from conftest import random_expr
 from qtk import errors, field_make
 from qtk.counting import count_sigma
@@ -10,8 +11,7 @@ from qtk.hfactor import (HSpec, _image_irreducible, build_h, build_h_meyn,
                          permitted_source_degrees, product_degree_summary,
                          verify_meyn_generalized, verify_meyn_product)
 from qtk.moebius import expr_parse, sigma_form
-from qtk.poly import Polynomial, enumerate_monic, factorize, is_irreducible, \
-    parse_poly
+from qtk.poly import Polynomial, enumerate_monic, is_irreducible, parse_poly
 
 
 def test_cross_product_examples():
@@ -161,12 +161,13 @@ def test_verify_factor_counts_match_formula(fields):
 
 
 def test_verify_against_trial_division(fields):
-    # full agreement with the trial-division factorizer at small sizes
+    # full agreement with the reference trial-division factorizer, which does
+    # not run the distinct-degree factorization behind the ddf-layers check
     for q, n, sigma_val in ((2, 2, 1), (3, 1, 1), (3, 1, 2), (3, 2, 1), (2, 3, 1)):
         spec = fields[q]
         sigma = spec.element(sigma_val)
         rep = verify_meyn_product(sigma, n)
-        fac = factorize(rep.h_core, 2 * n)
+        fac = reference.factorize_trial(rep.h_core, 2 * n)
         assert sorted(f.sort_key() for f, mult in fac for _ in range(mult)) \
             == sorted(m.factor.sort_key() for m in rep.factors)
 

@@ -8,7 +8,7 @@ from conftest import random_poly, subprocess_env
 from qtk import errors, field_make, poly
 from qtk.counting import moebius_mu
 from qtk.intmath import divisors
-from qtk.poly import (NEG_INF, Polynomial, compose_fraction,
+from qtk.poly import (NEG_INF, Polynomial, compose_fraction, ddf,
                       enumerate_monic_irreducible, factorize, gcd,
                       is_irreducible, monic_irreducibles, parse_poly, pow_mod)
 
@@ -233,6 +233,68 @@ def test_factorize_product_roundtrip(fields, rng):
             assert fac.unit == f.leading
             for phi, _ in fac:
                 assert phi.is_monic() and is_irreducible(phi)
+
+
+def _random_irreducible(spec, degree, rng):
+    while True:
+        g = random_poly(spec, degree, rng, monic=True)
+        if is_irreducible(g):
+            return g
+
+
+def _pairs(fac):
+    return [(g.sort_key(), m) for g, m in fac]
+
+
+def test_factorize_square_beyond_the_sieve(rng):
+    # 8^7 > 2^20 candidates of degree 7: no irreducible list exists for g
+    F8 = field_make(2, 3)
+    g = _random_irreducible(F8, 7, rng)
+    assert ddf(g * g) == {7: g}
+    assert _pairs(factorize(g * g, 7)) == [(g.sort_key(), 2)]
+
+
+def test_factorize_two_quadratics_over_gf65536(rng):
+    F = field_make(2, 16)
+    g1 = _random_irreducible(F, 2, rng)
+    g2 = _random_irreducible(F, 2, rng)
+    while g2 == g1:
+        g2 = _random_irreducible(F, 2, rng)
+    fac = factorize((g1 * g2).scale(F.gen()), 2)
+    assert fac.unit == F.gen()
+    assert _pairs(fac) == sorted([(g1.sort_key(), 1), (g2.sort_key(), 1)])
+
+
+def test_factorize_the_last_two_linears_over_gf65536():
+    F = field_make(2, 16)
+    lin = [Polynomial(F, [-F.element(F.coords(u)), F.one])
+           for u in (F.q - 1, F.q - 2)]
+    fac = factorize(lin[0] * lin[1], 1)
+    assert _pairs(fac) == sorted((g.sort_key(), 1) for g in lin)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2)])
+def test_factorize_and_ddf_match_trial_division(p, k, rng):
+    # extension fields, with squares and cubes: both the trace split (q even)
+    # and the power split (q odd) run
+    spec = field_make(p, k)
+    quads = set()
+    while len(quads) < 3:
+        quads.add(_random_irreducible(spec, 2, rng))
+    g1, g2, g3 = sorted(quads, key=Polynomial.sort_key)
+    cases = [g1 * g2 ** 2 * g3 ** 3]  # one degree-2 layer of three factors
+    for _ in range(8):
+        cases.append(random_poly(spec, rng.randrange(1, 6), rng)
+                     * random_poly(spec, rng.randrange(1, 3), rng, monic=True) ** 2
+                     * random_poly(spec, 1, rng, monic=True) ** 3)
+    for f in cases:
+        ref = reference.factorize_trial(f, int(f.degree))
+        fac = factorize(f, int(f.degree))
+        assert fac.unit == ref.unit and _pairs(fac) == _pairs(ref)
+        layers = {}
+        for g, _ in ref:
+            layers[int(g.degree)] = layers.get(int(g.degree), Polynomial.one(spec)) * g
+        assert ddf(f.monic()) == layers
 
 
 def test_fermat_for_extensions(fields):

@@ -7,10 +7,10 @@ from conftest import random_expr, random_moebius, random_poly
 from qtk import errors, field_make
 from qtk.gf import embed
 from qtk.higher import ORDER3, ORDER4, TRANSLATION, HigherKernel, is_invariant, kernel
-from qtk.moebius import MoebiusMap, apply_post, apply_pre, expr_parse, \
-    reduce_canonical, sigma_form
+from qtk.moebius import MoebiusMap, QuadRationalExpr, apply_post, apply_pre, \
+    expr_parse, reduce_canonical, sigma_form
 from qtk.poly import (Polynomial, enumerate_monic, enumerate_monic_irreducible,
-                      is_irreducible, parse_poly)
+                      is_irreducible, monic_irreducibles, parse_poly)
 from qtk.transform import (DicksonParams,
                            count_preserving_bijections_check, dickson,
                            is_invariant_generalized, is_sigma_self_reciprocal,
@@ -238,11 +238,15 @@ def test_roots_orbit_agrees_with_identity(fields, rng):
             from qtk.poly import gcd as pgcd
             if fixed.degree >= 1 and pgcd(F, fixed).degree > 0:
                 continue
-            try:
-                orbit = roots_orbit_check(F, a, b, c, size_bound=3 ** 8)
-            except errors.SizeBoundExceeded:
-                continue
-            assert orbit == is_invariant_generalized(F, a, b, c)
+            assert roots_orbit_check(F, a, b, c) == is_invariant_generalized(F, a, b, c)
+    # the degree-10 image of an irreducible quintic over GF(4) under
+    # (x^2+1)/x, irreducible itself: its splitting field is GF(2^20)
+    F4 = fields[4]
+    r = QuadRationalExpr(P(F4, "x^2+1"), Polynomial.x(F4))
+    F = next(t.result for t in (transform(f, r) for f in monic_irreducibles(F4, 5))
+             if is_irreducible(t.result))
+    assert F.degree == 10
+    assert roots_orbit_check(F, *r.abc) and is_invariant_generalized(F, *r.abc)
 
 
 def test_dickson_examples():
