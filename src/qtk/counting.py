@@ -28,6 +28,7 @@ the oracle the test suite pins every formula against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import errors
@@ -48,26 +49,6 @@ def moebius_mu(d: int) -> int:
             return 0
         mu = -mu
     return mu
-
-
-def moebius_invert_odd(f_values: dict[int, int]) -> dict[int, int]:
-    """Invert f(n) = sum over odd d | n of g(n/d).
-
-    Returns g(n) = sum over odd d | n of mu(d) * f(n/d) for every key n of
-    the input; all divisor values f(n/d) must be present.
-    """
-    out = {}
-    for n in f_values:
-        total = 0
-        for d in divisors(n):
-            if d % 2 == 0:
-                continue
-            if n // d not in f_values:
-                raise errors.MissingDivisorValue(
-                    f"need f({n // d}) to invert at n={n}")
-            total += moebius_mu(d) * f_values[n // d]
-        out[n] = total
-    return out
 
 
 @dataclass(frozen=True)
@@ -94,15 +75,28 @@ class CountResult:
     formula_branch: str
 
 
+#: Counts are printed in decimal, and Python refuses to convert an int of more
+#: decimal digits than this to text (sys.get_int_max_str_digits).
+_MAX_DIGITS = 4300
+
+
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
-    errors.require(r == 0, f"count formula produced non-integer {num}/{den}")
+    if r:
+        raise errors.IdentityViolated(f"count formula produced non-integer {num}/{den}")
     return q
 
 
 def _count(q: int, n: int, eps: int) -> tuple[int, int]:
     """(value, delta): value = (sum over odd d | n of mu(d) q^(n/d) - delta) / (2n),
-    with delta = eps^n when q is odd and n a power of two, else 0."""
+    with delta = eps^n when q is odd and n a power of two, else 0.
+
+    A q^n of more than _MAX_DIGITS decimal digits is refused; n * log10(q)
+    decides that up to one digit, and q^n is computed only for that last digit.
+    """
+    if n * math.log10(q) >= _MAX_DIGITS + 1 or q ** n >= 10 ** _MAX_DIGITS:
+        raise errors.SizeBoundExceeded(
+            f"q^n with q = {q}, n = {n} has more than {_MAX_DIGITS} decimal digits")
     delta = eps ** n if q % 2 and is_power_of_two(n) else 0
     total = sum(moebius_mu(d) * q ** (n // d) for d in divisors(n) if d % 2)
     return _exact_div(total - delta, 2 * n), delta

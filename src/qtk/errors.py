@@ -104,10 +104,6 @@ class ZeroSigma(Error):
     """sigma must be a nonzero field element."""
 
 
-class MissingDivisorValue(Error):
-    """Divisor-sum inversion queried a value that was not supplied."""
-
-
 # --- H-polynomial verification ---
 
 class IdentityViolated(Error):

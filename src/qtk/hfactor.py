@@ -32,10 +32,10 @@ from .intmath import divisors
 from .moebius import (CanonicalKind, QuadRationalExpr, SigmaClass,
                       classify_sigma, reduce_canonical, sigma_form)
 from .poly import Polynomial, ddf, gcd, monic_irreducibles, pow_mod
-from .transform import (_validate_triple, is_invariant_generalized,
-                        is_sigma_self_reciprocal, linear_input_images,
-                        reconstruct, transform, transport_back,
-                        transport_forward)
+from .transform import (_validate_triple, fixed_point_quadratic,
+                        is_invariant_generalized, is_sigma_self_reciprocal,
+                        linear_input_images, reconstruct, transform,
+                        transport_back, transport_forward)
 
 #: Default cap on q^n + 1 (the degree of H) for the verify operations.
 DEFAULT_SIZE_BOUND = 4096
@@ -81,12 +81,23 @@ def hspec_from_expr(r: QuadRationalExpr, n: int) -> HSpec:
     return HSpec(n, *r.abc)
 
 
+def _bounded_qn(q: int, n: int, size_bound: int | None = None) -> int:
+    """q^n, refusing a degree q^n + 1 of H beyond the size bound.
+
+    Since q >= 2, n >= the bit length of the bound already refuses, so q^n is
+    computed only for n below that bit length.
+    """
+    bound = resolve_size_bound(size_bound)
+    if n >= bound.bit_length() or q ** n + 1 > bound:
+        raise errors.SizeBoundExceeded(
+            f"q^n + 1 with q = {q}, n = {n} exceeds the size bound {bound}")
+    return q ** n
+
+
 def build_h(spec: HSpec, size_bound: int | None = None) -> Polynomial:
     """The dense polynomial a*x^(q^n+1) - b*(x^(q^n) + x) + c."""
     fs = spec.owner
-    qn = fs.q ** spec.n
-    if qn + 1 > resolve_size_bound(size_bound):
-        raise errors.SizeBoundExceeded(f"degree {qn + 1} exceeds the size bound")
+    qn = _bounded_qn(fs.q, spec.n, size_bound)
     zero = fs.zero
     coeffs = [zero] * (qn + 2)
     coeffs[0] = spec.c
@@ -96,20 +107,11 @@ def build_h(spec: HSpec, size_bound: int | None = None) -> Polynomial:
     return Polynomial(fs, coeffs)
 
 
-def fixed_point_quadratic(spec: HSpec) -> Polynomial:
-    """a*x^2 - 2bx + c, whose roots are the fixed points of the involution.
-
-    In characteristic 2 the middle term vanishes and this is a*x^2 + c.
-    """
-    fs = spec.owner
-    return Polynomial(fs, [spec.c, -(spec.b + spec.b), spec.a])
-
-
 def _fixed_part(spec: HSpec) -> Polynomial:
     """gcd(a*x^2 - 2bx + c, x^(q^n) - x): the part of H carried by fixed points
     and base-field roots."""
     fs = spec.owner
-    fixq = fixed_point_quadratic(spec)
+    fixq = fixed_point_quadratic(spec.a, spec.b, spec.c)
     if fixq.degree < 1:
         return Polynomial.one(fs)
     z = pow_mod(Polynomial.x(fs), fs.q ** spec.n, fixq)
@@ -124,47 +126,9 @@ def _split_h(spec: HSpec, size_bound: int | None):
     return h, fixed, core, rem.is_zero()
 
 
-def build_h_meyn(sigma: FieldElement, n: int, size_bound: int | None = None) -> Polynomial:
-    """(x^(q^n+1) - sigma) / gcd(x^2 - sigma, x^(q^n-1) - 1), the normalized H
-    for the special form (x^2 + sigma)/x."""
-    _, _, core, exact = _split_h(hspec_from_expr(sigma_form(sigma), n), size_bound)
-    errors.require(exact, "fixed-point part does not divide H")
-    return core
-
-
-def h_squarefree_witness(spec: HSpec, size_bound: int | None = None) -> FieldElement:
-    """Compute (ax - b)*H' - a*H and check it is the constant b^2 - ac.
-
-    A nonzero constant here means H has only simple roots and hence distinct
-    irreducible factors.
-    """
-    combo = _squarefree_combo(spec, build_h(spec, size_bound))
-    if combo != Polynomial(spec.owner, [spec.discriminant()]):
-        raise errors.IdentityViolated(
-            f"(ax-b)H' - aH = {combo.to_human()} != b^2-ac")
-    return spec.discriminant()
-
-
 def _squarefree_combo(spec: HSpec, h: Polynomial) -> Polynomial:
     """(ax - b)*H' - a*H, the constant b^2 - ac when H is built correctly."""
     return Polynomial(spec.owner, [-spec.b, spec.a]) * h.derivative() - h.scale(spec.a)
-
-
-def product_degree_summary(r: QuadRationalExpr, n: int,
-                           size_bound: int | None = None) -> tuple[int, int]:
-    """Degree of H divided by its fixed-point part, computed directly and as
-    q^n - epsilon^n; returns (degree, epsilon) or raises on disagreement."""
-    spec = hspec_from_expr(r, n)
-    fs = spec.owner
-    _, _, core, exact = _split_h(spec, size_bound)
-    if not exact:
-        raise errors.MismatchFound("fixed-point part does not divide H")
-    eps = square_class(spec.discriminant())
-    degree = int(core.degree)
-    if degree != fs.q ** n - eps ** n:
-        raise errors.MismatchFound(
-            f"deg H/(fixed part) = {degree} != q^n - eps^n = {fs.q ** n - eps ** n}")
-    return degree, eps
 
 
 # -- verification ---------------------------------------------------------------
@@ -297,10 +261,7 @@ def _enumerate_image_factors(r: QuadRationalExpr, n: int) -> list[FactorMatch]:
 def _verify_engine(r: QuadRationalExpr, n: int, size_bound: int | None,
                    sigma: FieldElement | None) -> HVerifyReport:
     fs = r.owner
-    bound = resolve_size_bound(size_bound)
-    if fs.q ** n + 1 > bound:
-        raise errors.SizeBoundExceeded(
-            f"q^n + 1 = {fs.q ** n + 1} exceeds the size bound {bound}")
+    qn = _bounded_qn(fs.q, n, size_bound)
     if classify_sigma(r) is SigmaClass.X_SQUARED:
         raise errors.Char2Degenerate(
             "characteristic 2 with g and h both even: no irreducible images")
@@ -308,7 +269,7 @@ def _verify_engine(r: QuadRationalExpr, n: int, size_bound: int | None,
     a, b, c = hspec.a, hspec.b, hspec.c
     checks: list[CheckOutcome] = []
 
-    h_full, fixed, h_core, exact = _split_h(hspec, bound)
+    h_full, fixed, h_core, exact = _split_h(hspec, size_bound)
     combo = _squarefree_combo(hspec, h_full)
     checks.append(CheckOutcome(
         "squarefree-witness", combo == Polynomial(fs, [hspec.discriminant()]),
@@ -320,7 +281,7 @@ def _verify_engine(r: QuadRationalExpr, n: int, size_bound: int | None,
     scalar = h_core.leading
 
     eps = square_class(hspec.discriminant())
-    expected_deg = fs.q ** n - eps ** n
+    expected_deg = qn - eps ** n
     checks.append(CheckOutcome(
         "degree-identity", int(h_core.degree) == expected_deg,
         f"deg = {int(h_core.degree)}, q^n - eps^n = {expected_deg}, eps = {eps}"))

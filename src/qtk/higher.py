@@ -27,7 +27,7 @@ from . import errors
 from .gf import FieldElement, FieldSpec
 from .moebius import MoebiusMap
 from .poly import Polynomial
-from .transform import TransformResult, solve_kernel, transform
+from .transform import solve_kernel
 
 ORDER3 = 3
 ORDER4 = 4
@@ -75,40 +75,10 @@ def kernel(spec: FieldSpec, order) -> HigherKernel:
     raise errors.Error(f"unknown kernel order {order!r}")
 
 
-def transform_order3(f: Polynomial) -> TransformResult:
-    """x^n (x-1)^n * f(core), n = deg f."""
-    return transform(f, kernel(f.owner, ORDER3))
-
-
-def transform_order4(f: Polynomial) -> TransformResult:
-    """x^n (x-1)^n (x-1/2)^n * f(core), n = deg f; characteristic != 2."""
-    return transform(f, kernel(f.owner, ORDER4))
-
-
-def transform_translation(f: Polynomial) -> TransformResult:
-    """f(x^p - x)."""
-    return transform(f, kernel(f.owner, TRANSLATION))
-
-
 def is_invariant(F: Polynomial, ker: HigherKernel) -> bool:
     """Whether den^(deg F) * F(A(x)) = scalar^(deg F / block) * F(x) for the
     kernel's map A = num/den; deg F must be a multiple of the block."""
     return ker.map.fixes(F, ker.scalar, ker.block)
-
-
-def is_invariant_order3(F: Polynomial) -> bool:
-    """Whether (x-1)^(3n) * F(1/(1-x)) = F(x), deg F = 3n."""
-    return is_invariant(F, kernel(F.owner, ORDER3))
-
-
-def is_invariant_order4(F: Polynomial) -> bool:
-    """Whether (-1/4)^n * (2-2x)^(4n) * F(1/(2-2x)) = F(x), deg F = 4n."""
-    return is_invariant(F, kernel(F.owner, ORDER4))
-
-
-def is_invariant_translation(F: Polynomial) -> bool:
-    """Whether F(x+1) = F(x)."""
-    return is_invariant(F, kernel(F.owner, TRANSLATION))
 
 
 def reconstruct_higher(F: Polynomial, order) -> Polynomial:

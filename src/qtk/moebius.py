@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import errors
-from .gf import FieldElement, FieldSpec, least_nonsquare, square_class
+from .gf import FieldElement, FieldSpec, square_class
 from .poly import Polynomial, compose_fraction, gcd, parse_poly
 
 
@@ -113,26 +113,6 @@ class MoebiusMap:
 
     def __repr__(self):
         return f"MoebiusMap({self.owner!r}, {self.to_text()})"
-
-
-def moebius_parse(spec: FieldSpec, text: str) -> MoebiusMap:
-    """Parse "[a b; c d]" (entries may be bracketed coordinate tuples)."""
-    import re
-
-    from .gf import element_from_text
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise errors.Error(f"cannot parse Moebius map {text!r}")
-    rows = body[1:-1].split(";")
-    if len(rows) != 2:
-        raise errors.Error(f"cannot parse Moebius map {text!r}")
-    entries = []
-    for row in rows:
-        toks = re.findall(r"\[[^\]]*\]|\S+", row)
-        if len(toks) != 2:
-            raise errors.Error(f"cannot parse Moebius map {text!r}")
-        entries.extend(element_from_text(spec, t) for t in toks)
-    return MoebiusMap(*entries)
 
 
 def moebius_compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
@@ -404,20 +384,3 @@ def classify_sigma(r: QuadRationalExpr) -> SigmaClass:
     disc = r.discriminant()
     errors.require(not disc.is_zero(), "b^2 - ac vanishes for a valid expression")
     return SigmaClass.NONSQUARE if square_class(disc) < 0 else SigmaClass.SQUARE
-
-
-def normalized_sigma(r_or_class, spec: FieldSpec | None = None) -> FieldElement:
-    """Deterministic class representative: 1 for the square class, the least
-    nonsquare for the nonsquare class."""
-    if isinstance(r_or_class, QuadRationalExpr):
-        spec = r_or_class.owner
-        cls = classify_sigma(r_or_class)
-    else:
-        cls = r_or_class
-        if spec is None:
-            raise errors.Error("field required when passing a class label")
-    if cls is SigmaClass.X_SQUARED:
-        raise errors.Error("the x^2 class has no sigma representative")
-    if cls is SigmaClass.SQUARE:
-        return spec.one
-    return least_nonsquare(spec)

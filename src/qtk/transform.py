@@ -31,7 +31,7 @@ from math import comb, lcm
 
 from . import errors
 from .gf import FieldElement, FieldSpec, embed, field_make
-from .moebius import POST, PRE, MoebiusMap, QuadRationalExpr, ReductionTrail, Step
+from .moebius import POST, PRE, MoebiusMap, QuadRationalExpr, ReductionTrail
 from .poly import (Polynomial, compose_fraction, ddf, factorize, gcd,
                    is_irreducible, monic_irreducibles)
 
@@ -92,6 +92,15 @@ def _validate_triple(spec: FieldSpec, a, b, c):
         raise errors.Char2Degenerate("a and c both zero in characteristic 2")
 
 
+def fixed_point_quadratic(a: FieldElement, b: FieldElement,
+                          c: FieldElement) -> Polynomial:
+    """a*x^2 - 2bx + c, whose roots are the fixed points of the involution.
+
+    In characteristic 2 the middle term vanishes and this is a*x^2 + c.
+    """
+    return Polynomial(a.owner, [c, -(b + b), a])
+
+
 def is_invariant_generalized(F: Polynomial, a: FieldElement, b: FieldElement,
                              c: FieldElement) -> bool:
     """Whether (ax-b)^(2n) * F((bx-c)/(ax-b)) = (b^2-ac)^n * F(x).
@@ -123,7 +132,7 @@ def roots_orbit_check(F: Polynomial, a: FieldElement, b: FieldElement,
         raise errors.ZeroPolynomial("need a nonconstant polynomial")
     if int(F.degree) % 2:
         raise errors.OddDegree(f"degree {F.degree} is odd")
-    fixed = Polynomial(spec, [c, -(b + b), a])
+    fixed = fixed_point_quadratic(a, b, c)
     if not fixed.is_zero() and fixed.degree >= 1 and gcd(F, fixed).degree > 0:
         raise errors.NotCoprime("F shares a factor with the fixed-point quadratic")
     big = field_make(spec.p, spec.k * lcm(*ddf(F.monic())))
@@ -306,16 +315,3 @@ def linear_input_images(r: QuadRationalExpr):
             yield alpha, cand.monic()
     if r.h.degree == 2:
         yield None, r.h.monic()
-
-
-def count_preserving_bijections_check(r: QuadRationalExpr, r2: QuadRationalExpr,
-                                      m, side: str, n: int) -> bool:
-    """Whether composing r with m on the given side preserves the number of
-    irreducible degree-n inputs with irreducible image (it always must)."""
-    if n <= 1:
-        raise errors.RequiresNGreaterThan1("count comparison needs n > 1")
-    if side not in (PRE, POST):
-        raise errors.InvalidArgument("side must be 'pre' or 'post'")
-    if r2 != Step(side, m).apply(r):
-        raise errors.Error("r2 is not the stated composition of r and m")
-    return irreducible_image_count(r, n) == irreducible_image_count(r2, n)

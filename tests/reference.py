@@ -233,3 +233,32 @@ def least_root_powers(source, target):
     for _ in range(source.k - 1):
         powers.append(mul(target, powers[-1], xi))
     return powers
+
+
+# -- divisor-sum inversion -------------------------------------------------------
+
+
+class MissingDivisorValue(Exception):
+    """Divisor-sum inversion queried a value that was not supplied."""
+
+
+def moebius_invert_odd(f_values):
+    """Invert f(n) = sum over odd d | n of g(n/d).
+
+    Returns g(n) = sum over odd d | n of mu(d) * f(n/d) for every key n of
+    the input; all divisor values f(n/d) must be present.
+    """
+    from qtk.counting import moebius_mu
+    from qtk.intmath import divisors
+
+    out = {}
+    for n in f_values:
+        total = 0
+        for d in divisors(n):
+            if d % 2 == 0:
+                continue
+            if n // d not in f_values:
+                raise MissingDivisorValue(f"need f({n // d}) to invert at n={n}")
+            total += moebius_mu(d) * f_values[n // d]
+        out[n] = total
+    return out

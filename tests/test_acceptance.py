@@ -13,11 +13,8 @@ from qtk import errors, field_make
 from qtk.counting import (CountQuery, brute_count, count_ahmadi,
                           count_carlitz, count_linear_inputs, count_sigma)
 from qtk.gf import is_square, least_nonsquare
-from qtk.hfactor import (h_squarefree_witness, hspec_from_expr,
-                         verify_meyn_generalized, verify_meyn_product)
-from qtk.higher import (ORDER3, ORDER4, is_invariant_order3,
-                        is_invariant_order4, kernel, reconstruct_higher,
-                        transform_order3, transform_order4)
+from qtk.hfactor import verify_meyn_generalized, verify_meyn_product
+from qtk.higher import ORDER3, ORDER4, is_invariant, kernel, reconstruct_higher
 from qtk.intmath import divisors
 from qtk.moebius import (CanonicalKind, SigmaClass, classify_sigma,
                          expr_parse, reduce_canonical, sigma_form)
@@ -140,8 +137,10 @@ def test_c5_h_factorization(grid):
                 assert report.ok
                 for m in report.factors:
                     assert (2 * n) % m.degree == 0 and n % m.degree != 0
-                hs = hspec_from_expr(r, n)
-                assert h_squarefree_witness(hs, 1025) == hs.discriminant()
+                witness = next(c for c in report.checks
+                               if c.name == "squarefree-witness")
+                assert witness.detail \
+                    == Polynomial(spec, [r.discriminant()]).to_text()
                 done += 1
                 verified += 1
             n += 1
@@ -197,19 +196,21 @@ def test_c8_higher_order(grid):
     checked = 0
     for spec in grid.values():
         reps = 200 // len(grid) + 1
+        k3 = kernel(spec, ORDER3)
+        k4 = kernel(spec, ORDER4) if spec.p != 2 else None
         for _ in range(reps):
             f = random_poly(spec, rng.randrange(1, 5), rng, monic=True)
-            image = transform_order3(f).result
-            assert is_invariant_order3(image)
+            image = transform(f, k3).result
+            assert is_invariant(image, k3)
             assert reconstruct_higher(image, ORDER3) == f
             checked += 1
-            if spec.p != 2:
-                image = transform_order4(f).result
-                assert is_invariant_order4(image)
+            if k4 is not None:
+                image = transform(f, k4).result
+                assert is_invariant(image, k4)
                 assert reconstruct_higher(image, ORDER4) == f
                 checked += 1
         # kernel identity: the cubic core is itself invariant
-        assert is_invariant_order3(kernel(spec, ORDER3).g)
+        assert is_invariant(k3.g, k3)
         if spec.p != 2:
             # core equals the sum of the iterates of 1/(2-2x)
             x, one = Polynomial.x(spec), Polynomial.one(spec)

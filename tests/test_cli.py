@@ -193,6 +193,21 @@ def test_bad_input_exits_with_one_stderr_line(monkeypatch, capsys, env, argv):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hverify", "--field", "3", "--n", "9100", "--sigma", "1"],
+    ["hverify", "--field", "3", "--n", "99999999999", "--sigma", "1"],
+    ["hverify", "--field", "3", "--n", "2", "--sigma", "1", "--size-bound", "9"],
+    # refused for size before the characteristic-2 degenerate case is seen
+    ["hverify", "--field", "2", "--n", "13", "--expr", "1,0,1 / 0,0,1"],
+    ["count", "--field", "2", "--n", "15000", "--variant", "carlitz"],
+    ["count", "--field", "3", "--n", "1000000000", "--variant", "carlitz"],
+])
+def test_oversized_input_exits_2_with_one_stderr_line(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_SIZE_BOUND
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 _FUZZ_VALUES = {
     "--field": st.sampled_from(["2", "3", "4", "5", "7", "8", "9", "3^2", "6", "0", "x"]),
     "--n": st.integers(-1, 3).map(str),

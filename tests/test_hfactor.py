@@ -5,13 +5,17 @@ from conftest import random_expr
 from qtk import errors, field_make
 from qtk.counting import count_sigma
 from qtk.gf import least_nonsquare
-from qtk.hfactor import (HSpec, _image_irreducible, build_h, build_h_meyn,
-                         fixed_point_quadratic,
-                         h_squarefree_witness, hspec_from_expr,
-                         permitted_source_degrees, product_degree_summary,
-                         verify_meyn_generalized, verify_meyn_product)
+from qtk.hfactor import (HSpec, _image_irreducible, _split_h,
+                         _squarefree_combo, build_h, hspec_from_expr,
+                         permitted_source_degrees, verify_meyn_generalized,
+                         verify_meyn_product)
 from qtk.moebius import expr_parse, sigma_form
 from qtk.poly import Polynomial, enumerate_monic, is_irreducible, parse_poly
+from qtk.transform import fixed_point_quadratic
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
 
 
 def test_cross_product_examples():
@@ -36,12 +40,18 @@ def test_hspec_validation():
 
 
 def test_build_h_meyn_examples():
+    # (x^(q^n+1) - sigma) / gcd(x^2 - sigma, x^(q^n-1) - 1) for (x^2 + sigma)/x
+    def core(sigma, n):
+        _, _, h_core, exact = _split_h(hspec_from_expr(sigma_form(sigma), n), None)
+        assert exact
+        return h_core
+
     F3, F2 = field_make(3), field_make(2)
-    assert build_h_meyn(F3.one, 1) == parse_poly(F3, "x^2+1")
+    assert core(F3.one, 1) == parse_poly(F3, "x^2+1")
     # nonsquare sigma with n odd: nothing divides out
-    assert build_h_meyn(F3.element(2), 1) == parse_poly(F3, "x^4+1")
-    assert build_h_meyn(F2.one, 1) == parse_poly(F2, "x^2+x+1")
-    assert build_h_meyn(F3.one, 2) == parse_poly(F3, "1,0,1,0,1,0,1,0,1")
+    assert core(F3.element(2), 1) == parse_poly(F3, "x^4+1")
+    assert core(F2.one, 1) == parse_poly(F2, "x^2+x+1")
+    assert core(F3.one, 2) == parse_poly(F3, "1,0,1,0,1,0,1,0,1")
 
 
 def test_build_h_dense_form():
@@ -56,9 +66,9 @@ def test_build_h_dense_form():
 def test_squarefree_witness():
     F3 = field_make(3)
     hs = hspec_from_expr(expr_parse(F3, "1,0,1 / 0,1"), 1)
-    assert h_squarefree_witness(hs) == F3.one
+    assert _squarefree_combo(hs, build_h(hs)) == Polynomial.one(F3)
     hs = hspec_from_expr(expr_parse(F3, "0,0,1 / 1"), 1)
-    assert h_squarefree_witness(hs) == F3.one  # b^2 - ac = 1
+    assert _squarefree_combo(hs, build_h(hs)) == Polynomial.one(F3)  # b^2 - ac = 1
 
 
 def test_squarefree_witness_randomized(fields, rng):
@@ -72,12 +82,13 @@ def test_squarefree_witness_randomized(fields, rng):
                         and r.h.coeff(1).is_zero():
                     continue
                 hs = hspec_from_expr(r, n)
-                assert h_squarefree_witness(hs) == hs.discriminant()
+                assert _squarefree_combo(hs, build_h(hs)) \
+                    == Polynomial(spec, [hs.discriminant()])
 
 
 def test_corrupted_h_fails_the_squarefree_witness_check(monkeypatch):
     # H + x^2 breaks (ax-b)H' - aH = b^2 - ac: the report records the failed
-    # check, and the public witness still raises
+    # check, with the nonconstant combination as its detail
     import qtk.hfactor as hfactor
     real = hfactor.build_h
     monkeypatch.setattr(hfactor, "build_h", lambda spec, bound=None:
@@ -85,25 +96,32 @@ def test_corrupted_h_fails_the_squarefree_witness_check(monkeypatch):
     F3 = field_make(3)
     with pytest.raises(errors.MismatchFound) as exc:
         verify_meyn_product(F3.element(2), 2)
-    assert {c.name: c.ok for c in exc.value.report.checks}["squarefree-witness"] is False
-    with pytest.raises(errors.IdentityViolated):
-        h_squarefree_witness(hspec_from_expr(sigma_form(F3.element(2)), 2))
+    witness = _check(exc.value.report, "squarefree-witness")
+    assert witness.ok is False
+    combo = _squarefree_combo(hspec_from_expr(sigma_form(F3.element(2)), 2),
+                              exc.value.report.h)
+    assert combo.degree > 0 and witness.detail == combo.to_text()
 
 
 def test_fixed_point_quadratic_char2():
     F4 = field_make(2, 2)
     gen = F4.gen()
-    hs = HSpec(1, F4.one, F4.one, gen)
     # -2b vanishes: a x^2 + c
-    assert fixed_point_quadratic(hs) == Polynomial(F4, [gen, F4.zero, F4.one])
+    assert fixed_point_quadratic(F4.one, F4.one, gen) \
+        == Polynomial(F4, [gen, F4.zero, F4.one])
 
 
 def test_product_degree_summary():
+    # deg H / (fixed part) = q^n - eps^n, as the degree-identity check reports
     F3, F2 = field_make(3), field_make(2)
-    assert product_degree_summary(expr_parse(F3, "1,0,1 / 0,1"), 1) == (2, 1)
-    assert product_degree_summary(expr_parse(F3, "1,0,2 / 0,1"), 1) == (4, -1)
-    assert product_degree_summary(expr_parse(F2, "1,1,1 / 0,1"), 1) == (2, 0)
-    assert product_degree_summary(expr_parse(F3, "0,0,1 / 1"), 2) == (8, 1)
+    for spec, text, n, degree, eps in ((F3, "1,0,1 / 0,1", 1, 2, 1),
+                                       (F3, "1,0,2 / 0,1", 1, 4, -1),
+                                       (F2, "1,1,1 / 0,1", 1, 2, 0),
+                                       (F3, "0,0,1 / 1", 2, 8, 1)):
+        check = _check(verify_meyn_generalized(expr_parse(spec, text), n),
+                       "degree-identity")
+        assert check.ok
+        assert check.detail == f"deg = {degree}, q^n - eps^n = {degree}, eps = {eps}"
 
 
 def test_permitted_source_degrees():
@@ -246,6 +264,6 @@ def test_report_json_shape():
 def test_zero_sigma_is_refused():
     F3 = field_make(3)
     with pytest.raises(errors.ZeroSigma):
-        build_h_meyn(F3.zero, 2)
+        sigma_form(F3.zero)
     with pytest.raises(errors.ZeroSigma):
         verify_meyn_product(F3.zero, 2)

@@ -3,17 +3,23 @@ import pytest
 import reference
 from conftest import random_poly
 from qtk import errors, field_make
-from qtk.higher import (ORDER3, ORDER4, TRANSLATION, is_invariant,
-                        is_invariant_order3, is_invariant_order4,
-                        is_invariant_translation, kernel, reconstruct_higher,
-                        transform_order3, transform_order4,
-                        transform_translation)
+from qtk.higher import (ORDER3, ORDER4, TRANSLATION, is_invariant, kernel,
+                        reconstruct_higher)
 from qtk.moebius import MoebiusMap
 from qtk.poly import Polynomial, parse_poly
+from qtk.transform import transform
 
 
 def P(spec, text):
     return parse_poly(spec, text)
+
+
+def image(f, order):
+    return transform(f, kernel(f.owner, order)).result
+
+
+def invariant(F, order):
+    return is_invariant(F, kernel(F.owner, order))
 
 
 def test_kernel_shapes():
@@ -34,18 +40,18 @@ def test_kernel_shapes():
 def test_order3_kernel_identity():
     # the core numerator itself satisfies (x-1)^3 F(1/(1-x)) = F
     for spec in (field_make(7), field_make(5), field_make(2), field_make(3, 2)):
-        assert is_invariant_order3(kernel(spec, ORDER3).g)
+        assert invariant(kernel(spec, ORDER3).g, ORDER3)
     F7 = field_make(7)
-    assert not is_invariant_order3(P(F7, "0,0,0,1"))  # x^3
+    assert not invariant(P(F7, "0,0,0,1"), ORDER3)  # x^3
     with pytest.raises(errors.DegreeNotMultiple):
-        is_invariant_order3(P(F7, "x^2+1"))
+        invariant(P(F7, "x^2+1"), ORDER3)
 
 
-#: each kernel's Moebius map [a b; c d], scalar, degree block and transform
+#: each kernel's Moebius map [a b; c d], scalar and degree block
 KERNEL_IDENTITIES = {
-    ORDER3: ((0, 1, -1, 1), -1, 3, transform_order3),
-    ORDER4: ((0, 1, -2, 2), -4, 4, transform_order4),
-    TRANSLATION: ((1, 1, 0, 1), 1, 1, transform_translation),
+    ORDER3: ((0, 1, -1, 1), -1, 3),
+    ORDER4: ((0, 1, -2, 2), -4, 4),
+    TRANSLATION: ((1, 1, 0, 1), 1, 1),
 }
 
 
@@ -71,7 +77,7 @@ def _paper_identity(spec, F, order):
 def test_is_invariant_matches_the_paper_identity(fields, rng):
     # images (invariant) and random monic F of the right degree (mostly not)
     for spec in fields.values():
-        for order, (abcd, scalar, block, transform_kernel) in KERNEL_IDENTITIES.items():
+        for order, (abcd, scalar, block) in KERNEL_IDENTITIES.items():
             if order == ORDER4 and spec.p == 2:
                 continue
             ker = kernel(spec, order)
@@ -81,7 +87,7 @@ def test_is_invariant_matches_the_paper_identity(fields, rng):
             seen = set()
             for _ in range(6):
                 f = random_poly(spec, rng.randrange(1, 4), rng, monic=True)
-                F = transform_kernel(f).result
+                F = transform(f, ker).result
                 assert is_invariant(F, ker) and _paper_identity(spec, F, order)
                 F = random_poly(spec, step * rng.randrange(1, 4), rng, monic=True)
                 got = is_invariant(F, ker)
@@ -92,22 +98,22 @@ def test_is_invariant_matches_the_paper_identity(fields, rng):
 
 def test_transform_order3_examples():
     F5 = field_make(5)
-    assert transform_order3(Polynomial.x(F5)).result == P(F5, "1,2,0,1")
-    assert transform_order3(P(F5, "1,1")).result == P(F5, "x^3+x^2+x+1")
-    t = transform_order3(P(F5, "3"))
+    assert image(Polynomial.x(F5), ORDER3) == P(F5, "1,2,0,1")
+    assert image(P(F5, "1,1"), ORDER3) == P(F5, "x^3+x^2+x+1")
+    t = transform(P(F5, "3"), kernel(F5, ORDER3))
     assert t.result == P(F5, "3") and not t.degree_dropped
 
 
 def test_transform_order4_example():
     F5 = field_make(5)
-    assert transform_order4(Polynomial.x(F5)).result == P(F5, "1,2,2,0,1")
+    assert image(Polynomial.x(F5), ORDER4) == P(F5, "1,2,2,0,1")
 
 
 def test_translation_examples():
     F2, F3 = field_make(2), field_make(3)
-    assert is_invariant_translation(P(F2, "0,1,1"))  # x^2 + x
-    assert not is_invariant_translation(Polynomial.x(F3))
-    assert transform_translation(Polynomial.x(F3)).result == P(F3, "0,2,0,1")
+    assert invariant(P(F2, "0,1,1"), TRANSLATION)  # x^2 + x
+    assert not invariant(Polynomial.x(F3), TRANSLATION)
+    assert image(Polynomial.x(F3), TRANSLATION) == P(F3, "0,2,0,1")
     assert reconstruct_higher(P(F2, "0,1,1"), TRANSLATION) == Polynomial.x(F2)
 
 
@@ -115,10 +121,10 @@ def test_forward_invariance_randomized(fields, rng):
     for spec in fields.values():
         for _ in range(20):
             f = random_poly(spec, rng.randrange(1, 5), rng, monic=True)
-            assert is_invariant_order3(transform_order3(f).result)
-            assert is_invariant_translation(transform_translation(f).result)
+            assert invariant(image(f, ORDER3), ORDER3)
+            assert invariant(image(f, TRANSLATION), TRANSLATION)
             if spec.p != 2:
-                assert is_invariant_order4(transform_order4(f).result)
+                assert invariant(image(f, ORDER4), ORDER4)
 
 
 def test_reconstruct_roundtrips(fields, rng):
@@ -126,26 +132,24 @@ def test_reconstruct_roundtrips(fields, rng):
         spec = fields[q]
         for _ in range(25):
             f = random_poly(spec, rng.randrange(1, 5), rng, monic=True)
-            assert reconstruct_higher(transform_order3(f).result, ORDER3) == f
-            assert reconstruct_higher(transform_order4(f).result, ORDER4) == f
-            assert reconstruct_higher(
-                transform_translation(f).result, TRANSLATION) == f
+            assert reconstruct_higher(image(f, ORDER3), ORDER3) == f
+            assert reconstruct_higher(image(f, ORDER4), ORDER4) == f
+            assert reconstruct_higher(image(f, TRANSLATION), TRANSLATION) == f
     for q in (2, 4):
         spec = fields[q]
         for _ in range(15):
             f = random_poly(spec, rng.randrange(1, 5), rng, monic=True)
-            assert reconstruct_higher(transform_order3(f).result, ORDER3) == f
-            assert reconstruct_higher(
-                transform_translation(f).result, TRANSLATION) == f
+            assert reconstruct_higher(image(f, ORDER3), ORDER3) == f
+            assert reconstruct_higher(image(f, TRANSLATION), TRANSLATION) == f
 
 
 def test_reconstruct_examples():
     F7 = field_make(7)
     assert reconstruct_higher(P(F7, "1,4,0,1"), ORDER3) == Polynomial.x(F7)
-    got = reconstruct_higher(transform_order3(P(F7, "x^2+1")).result, ORDER3)
+    got = reconstruct_higher(image(P(F7, "x^2+1"), ORDER3), ORDER3)
     assert got == P(F7, "x^2+1")
     F5 = field_make(5)
-    got = reconstruct_higher(transform_order4(P(F5, "x+2")).result, ORDER4)
+    got = reconstruct_higher(image(P(F5, "x+2"), ORDER4), ORDER4)
     assert got == P(F5, "x+2")
     with pytest.raises(errors.NotInvariant):
         reconstruct_higher(P(F7, "0,0,0,1"), ORDER3)

@@ -5,8 +5,8 @@ from qtk import errors, field_make
 from qtk.gf import is_square
 from qtk.moebius import (CanonicalKind, MoebiusMap, QuadRationalExpr,
                          SigmaClass, apply_post, apply_pre, classify_sigma,
-                         expr_parse, moebius_compose, moebius_parse,
-                         normalized_sigma, reduce_canonical, sigma_form)
+                         expr_parse, moebius_compose, reduce_canonical,
+                         sigma_form)
 from qtk.poly import Polynomial, parse_poly
 
 
@@ -165,21 +165,6 @@ def test_class_invariant_under_composition(fields, rng):
             cls = classify_sigma(r)
             assert classify_sigma(apply_pre(r, m)) is cls
             assert classify_sigma(apply_post(r, m)) is cls
-
-
-def test_normalized_sigma():
-    F3 = field_make(3)
-    assert normalized_sigma(expr_parse(F3, "1,0,1 / 0,1")) == F3.one
-    assert normalized_sigma(expr_parse(F3, "1,0,2 / 0,1")) == F3.element(2)
-    assert normalized_sigma(SigmaClass.SQUARE, F3) == F3.one
-
-
-def test_moebius_text_roundtrip():
-    F9 = field_make(3, 2)
-    m = MoebiusMap(F9.element((1, 2)), F9.one, F9.zero, F9.element((0, 1)))
-    assert moebius_parse(F9, m.to_text()) == m
-    F5 = field_make(5)
-    assert moebius_parse(F5, "[0 1; 1 0]") == MoebiusMap.inversion(F5)
 
 
 def test_order3_iterates_compose_to_identity(fields):
