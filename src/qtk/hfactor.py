@@ -8,13 +8,16 @@ two independent directions:
 
 * the transform side enumerates every candidate image (including, for the
   degree-2 layer, the whole pencil of quadratics spanned by g and h) and
-  multiplies them together;
+  keeps the irreducible ones, tested with one Frobenius power per input
+  degree modulo the product of that degree's images (never H);
 * the factor side pins down H independently: the derivative identity
   (ax-b)H' - aH = b^2 - ac shows H is squarefree, the Frobenius closure
   x^(q^(2n)) = x (mod H) confines factor degrees to divisors of 2n, and
   the product comparison then certifies the enumerated images are the
   complete factorization; for small H a gcd-based degree decomposition is
-  cross-checked layer by layer as well.
+  cross-checked layer by layer as well.  The product and the divisibility
+  of the core by each image come from one product tree of the images and
+  the remainder tree of the core down it.
 
 Each factor of degree >= 4 is also re-derived from the factor alone, by
 transporting it along the canonical-reduction trail, inverting the special
@@ -31,7 +34,8 @@ from .gf import FieldElement, FieldSpec, parse_int, square_class
 from .intmath import divisors
 from .moebius import (CanonicalKind, QuadRationalExpr, SigmaClass,
                       classify_sigma, reduce_canonical, sigma_form)
-from .poly import Polynomial, ddf, gcd, monic_irreducibles, pow_mod
+from .poly import (Polynomial, _product_tree, _remainder_tree, ddf, gcd,
+                   monic_irreducibles, pow_mod)
 from .transform import (_validate_triple, fixed_point_quadratic,
                         is_invariant_generalized, is_sigma_self_reciprocal,
                         linear_input_images, reconstruct, transform,
@@ -211,23 +215,32 @@ class HVerifyReport:
         }
 
 
-def _image_irreducible(F: Polynomial, m: int) -> bool:
-    """Irreducibility of a degree-2m image of an irreducible degree-m input.
+def _image_irreducible(images: list[Polynomial], m: int) -> list[bool]:
+    """Irreducibility of each degree-2m image of an irreducible degree-m input.
 
     Any root xi of such an image generates an extension containing the
     degree-m field of the corresponding root of f, so every irreducible
-    factor has degree m or 2m.  The image is therefore irreducible exactly
+    factor has degree m or 2m.  An image F is therefore irreducible exactly
     when it is squarefree (not the square of a degree-m factor) and
-    x^(q^m) is not congruent to x modulo F.  (Checked against the generic
-    criterion in the test suite.)
+    x^(q^m) is not congruent to x modulo F.  One Frobenius power
+    z = x^(q^m) mod P, P the product of all the images (not H), serves every
+    image: z mod F comes down the remainder tree of P.  (Checked against
+    the generic criterion in the test suite.)
     """
-    errors.require(F.degree == 2 * m, f"image of degree {F.degree}, not {2 * m}")
-    fs = F.owner
-    deriv = F.derivative()
-    if deriv.is_zero() or gcd(F, deriv).degree > 0:
-        return False
+    for F in images:
+        errors.require(F.degree == 2 * m, f"image of degree {F.degree}, not {2 * m}")
+    if not images:
+        return []
+    fs = images[0].owner
     x = Polynomial.x(fs)
-    return pow_mod(x, fs.q ** m, F) != x
+    tree = _product_tree(images)
+    z = pow_mod(x, fs.q ** m, tree[-1][0])
+    out = []
+    for F, zF in zip(images, _remainder_tree(z, tree)):
+        deriv = F.derivative()
+        squarefree = not deriv.is_zero() and gcd(F, deriv).degree == 0
+        out.append(squarefree and zF != x % F)
+    return out
 
 
 def permitted_source_degrees(n: int) -> list[int]:
@@ -240,8 +253,10 @@ def _enumerate_image_factors(r: QuadRationalExpr, n: int) -> list[FactorMatch]:
     out: list[FactorMatch] = []
     for m in permitted_source_degrees(n):
         if m == 1:
-            for alpha, cand in linear_input_images(r):
-                if not _image_irreducible(cand, 1):
+            pencil = list(linear_input_images(r))
+            flags = _image_irreducible([cand for _, cand in pencil], 1)
+            for (alpha, cand), irreducible in zip(pencil, flags):
+                if not irreducible:
                     continue
                 if alpha is None:
                     out.append(FactorMatch(cand, 2, "pencil-endpoint"))
@@ -249,11 +264,16 @@ def _enumerate_image_factors(r: QuadRationalExpr, n: int) -> list[FactorMatch]:
                     f = Polynomial(fs, [-alpha, fs.one])
                     out.append(FactorMatch(cand, 2, "pencil", f=f, alpha=alpha))
         else:
-            for f in monic_irreducibles(fs, m):
+            inputs = monic_irreducibles(fs, m)
+            images = []
+            for f in inputs:
                 t = transform(f, r, monic=True)
                 errors.require(not t.degree_dropped, "image lost degree")
-                if _image_irreducible(t.result, m):
-                    out.append(FactorMatch(t.result, 2 * m, "transform", f=f))
+                images.append(t.result)
+            for f, F, irreducible in zip(inputs, images,
+                                         _image_irreducible(images, m)):
+                if irreducible:
+                    out.append(FactorMatch(F, 2 * m, "transform", f=f))
     out.sort(key=lambda mt: (mt.degree, mt.factor.sort_key()))
     return out
 
@@ -303,12 +323,13 @@ def _verify_engine(r: QuadRationalExpr, n: int, size_bound: int | None,
         is_invariant_generalized(m.factor, a, b, c) for m in matches)
     checks.append(CheckOutcome("factors-invariant", invariant_ok, ""))
 
-    divide_ok = all((h_core_monic % m.factor).is_zero() for m in matches)
+    # one subproduct tree of the matches: its leaves' remainders of the core
+    # and its root, the product of all matches
+    tree = _product_tree(m.factor for m in matches)
+    divide_ok = all(rem.is_zero() for rem in _remainder_tree(h_core_monic, tree))
     checks.append(CheckOutcome("factors-divide-core", divide_ok, ""))
 
-    product = Polynomial.one(fs)
-    for m in matches:
-        product = product * m.factor
+    product = tree[-1][0] if matches else Polynomial.one(fs)
     checks.append(CheckOutcome(
         "product-identity", product == h_core_monic,
         f"scalar = {scalar.to_text()}"))

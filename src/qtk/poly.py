@@ -415,6 +415,32 @@ def pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     return Polynomial._wrap(spec, r)
 
 
+def _product_tree(leaves) -> list[list[Polynomial]]:
+    """The subproduct tree of a list of polynomials, as levels: level 0 is the
+    leaves, each next level the products of adjacent pairs (an odd last node
+    carried up unchanged), and the last level the product of all leaves
+    (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 10).  No
+    leaves give the single empty level [[]]."""
+    tree = [list(leaves)]
+    while len(tree[-1]) > 1:
+        level = tree[-1]
+        up = [level[i] * level[i + 1] for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            up.append(level[-1])
+        tree.append(up)
+    return tree
+
+
+def _remainder_tree(f: Polynomial, tree) -> list[Polynomial]:
+    """[f % leaf for each leaf of a :func:`_product_tree`]: f is reduced
+    modulo the root, then each node's remainder modulo the nodes below it,
+    so below the root no dividend outgrows its parent node."""
+    rems = [f % node for node in tree[-1]]
+    for level in reversed(tree[:-1]):
+        rems = [rems[i // 2] % node for i, node in enumerate(level)]
+    return rems
+
+
 def _frobenius_step(z: Polynomial, steps: int, mod: Polynomial) -> Polynomial:
     """z^(q^steps) mod `mod`."""
     q = z.owner.q

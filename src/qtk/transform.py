@@ -27,7 +27,7 @@ is the independent cross-check through Dickson polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm
+from math import lcm
 
 from . import errors
 from .gf import FieldElement, FieldSpec, embed, field_make
@@ -163,10 +163,11 @@ class DicksonParams:
 def dickson(params: DicksonParams) -> Polynomial:
     """Dickson polynomial of the first kind D_n(y, a).
 
-    Satisfies D_n(t + a/t, a) = t^n + (a/t)^n.  The binomial products are
-    integers computed exactly and only then reduced mod p (the textbook
-    quotient n/(n-i) can hit zero divisors if evaluated modularly):
-    n/(n-i) * C(n-i, i) = C(n-i, i) + C(n-i-1, i-1).
+    Satisfies D_n(t + a/t, a) = t^n + (a/t)^n.  The coefficient of
+    y^(n-2i) is (-a)^i * n/(n-i) * C(n-i, i), and the textbook quotient
+    n/(n-i) can hit zero divisors mod p, so it is taken as the integer
+    identity n/(n-i) * C(n-i, i) = C(n-i, i) + C(n-i-1, i-1).  Each
+    binomial is reduced mod p by Lucas' theorem, never formed exactly.
     """
     n, a = params.n, params.a
     if n < 0:
@@ -174,15 +175,37 @@ def dickson(params: DicksonParams) -> Polynomial:
     spec = a.owner
     if n == 0:
         return Polynomial(spec, [spec.element(2)])
+    binom = _binomial_mod(spec.p, n)
     coeffs = [spec.zero] * (n + 1)
     apow = spec.one
     for i in range(n // 2 + 1):
-        t = comb(n - i, i) + (comb(n - i - 1, i - 1) if i >= 1 else 0)
+        t = binom(n - i, i) + (binom(n - i - 1, i - 1) if i >= 1 else 0)
         if i % 2:
             t = -t
         coeffs[n - 2 * i] = spec.element(t) * apow
         apow = apow * a
     return Polynomial(spec, coeffs)
+
+
+def _binomial_mod(p: int, top: int):
+    """(u, v) -> C(u, v) mod the prime p for 0 <= v, u <= top, by Lucas'
+    theorem: the product of C(u_j, v_j) over the base-p digits, each from
+    factorials mod p of the digits up to min(top, p - 1)."""
+    fact = [1]
+    for j in range(1, min(top, p - 1) + 1):
+        fact.append(fact[-1] * j % p)
+    inv_fact = [pow(f, -1, p) for f in fact]
+
+    def binom(u: int, v: int) -> int:
+        out = 1
+        while v:
+            u, uj = divmod(u, p)
+            v, vj = divmod(v, p)
+            if vj > uj:
+                return 0
+            out = out * fact[uj] * inv_fact[vj] * inv_fact[uj - vj] % p
+        return out
+    return binom
 
 
 # -- reconstruction -----------------------------------------------------------------

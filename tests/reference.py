@@ -138,6 +138,27 @@ def reconstruct_closed_form(spec, F, sigma):
     return _trim(out)
 
 
+def dickson_exact(params):
+    """D_n(y, a) with each n/(n-i) * C(n-i, i) = C(n-i, i) + C(n-i-1, i-1)
+    formed as an exact integer and only then reduced mod p: the loop the
+    Lucas-theorem binomials in qtk.transform.dickson replaced."""
+    from qtk.poly import Polynomial
+
+    n, a = params.n, params.a
+    spec = a.owner
+    if n == 0:
+        return Polynomial(spec, [spec.element(2)])
+    coeffs = [spec.zero] * (n + 1)
+    apow = spec.one
+    for i in range(n // 2 + 1):
+        t = comb(n - i, i) + (comb(n - i - 1, i - 1) if i >= 1 else 0)
+        if i % 2:
+            t = -t
+        coeffs[n - 2 * i] = spec.element(t) * apow
+        apow = apow * a
+    return Polynomial(spec, coeffs)
+
+
 # -- step-by-step trail transport ------------------------------------------------
 #
 # The transports as they ran before a trail folded into two composite maps:

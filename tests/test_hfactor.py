@@ -103,6 +103,49 @@ def test_corrupted_h_fails_the_squarefree_witness_check(monkeypatch):
     assert combo.degree > 0 and witness.detail == combo.to_text()
 
 
+def _verify_with_matches(monkeypatch, edit):
+    # GF(5), sigma = 2, n = 2: the core is the product of six quartics;
+    # `edit` rewrites the enumerated match list before the checks see it
+    import qtk.hfactor as hfactor
+    real = hfactor._enumerate_image_factors
+    monkeypatch.setattr(hfactor, "_enumerate_image_factors",
+                        lambda r, n: edit(real(r, n)))
+    with pytest.raises(errors.MismatchFound) as exc:
+        verify_meyn_product(field_make(5).element(2), 2)
+    report = exc.value.report
+    assert [c.name for c in report.checks] == [
+        "squarefree-witness", "fixed-part-divides", "degree-identity",
+        "factor-degrees", "factors-distinct", "sigma-self-reciprocal",
+        "factors-invariant", "factors-divide-core", "product-identity",
+        "degree-bookkeeping", "frobenius-closure", "ddf-layers",
+        "reconstruction-roundtrip"]
+    return {c.name for c in report.failures()}
+
+
+def test_missing_factor_fails_the_product_but_not_the_divisibility(monkeypatch):
+    # five of the six factors: every one divides the core, their product
+    # (over an odd leaf count) is not the core
+    failed = _verify_with_matches(monkeypatch, lambda ms: ms[:2] + ms[3:])
+    assert failed == {"product-identity", "degree-bookkeeping", "ddf-layers"}
+
+
+def test_foreign_factor_fails_the_divisibility(monkeypatch):
+    # one factor swapped for an irreducible quartic that does not divide the core
+    from qtk.hfactor import FactorMatch
+    from qtk.poly import monic_irreducibles
+
+    def swap(ms):
+        own = {m.factor for m in ms}
+        alien = next(phi for phi in monic_irreducibles(field_make(5), 4)
+                     if phi not in own)
+        return ms[:1] + [FactorMatch(alien, 4, "transform", f=ms[1].f)] + ms[2:]
+
+    failed = _verify_with_matches(monkeypatch, swap)
+    assert failed == {"sigma-self-reciprocal", "factors-invariant",
+                      "factors-divide-core", "product-identity", "ddf-layers",
+                      "reconstruction-roundtrip"}
+
+
 def test_fixed_point_quadratic_char2():
     F4 = field_make(2, 2)
     gen = F4.gen()
@@ -133,21 +176,21 @@ def test_permitted_source_degrees():
 
 
 def test_image_irreducible_agrees_with_generic(fields):
-    # the fast image test must agree with the general criterion on every
-    # monic quadratic and every transform image at small sizes
-    for q in (2, 3, 5):
+    # the batched image test must agree with the general criterion on every
+    # monic quadratic (x^2 included) and every transform image at small sizes
+    from qtk.poly import enumerate_monic_irreducible
+    from qtk.transform import transform
+    for q in (2, 3, 4, 5, 9):
         spec = fields[q]
-        for F in enumerate_monic(spec, 2):
-            if F.coeff(0).is_zero() and F.coeff(1).is_zero():
-                continue  # x^2: covered by squarefree screen anyway
-            assert _image_irreducible(F, 1) == is_irreducible(F)
+        quads = list(enumerate_monic(spec, 2))
+        assert _image_irreducible(quads, 1) == [is_irreducible(F) for F in quads]
         r = sigma_form(spec.one)
-        from qtk.poly import enumerate_monic_irreducible
-        from qtk.transform import transform
         for m in (2, 3):
-            for f in enumerate_monic_irreducible(spec, m):
-                F = transform(f, r, monic=True).result
-                assert _image_irreducible(F, m) == is_irreducible(F)
+            images = [transform(f, r, monic=True).result
+                      for f in enumerate_monic_irreducible(spec, m)]
+            assert _image_irreducible(images, m) \
+                == [is_irreducible(F) for F in images]
+    assert _image_irreducible([], 2) == []
 
 
 def test_verify_meyn_product_examples():

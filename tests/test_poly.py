@@ -64,6 +64,26 @@ def test_division_by_a_monomial_matches_long_division(rng):
                     assert a % b == r
 
 
+def test_product_and_remainder_trees_match_sequential(fields, rng):
+    # odd counts carry a node up a level; f ranges below and above the root
+    for q in (3, 4, 9):
+        spec = fields[q]
+        for count in (1, 2, 3, 5, 8):
+            leaves = [random_poly(spec, rng.randrange(1, 5), rng, monic=True)
+                      for _ in range(count)]
+            tree = poly._product_tree(leaves)
+            product = Polynomial.one(spec)
+            for d in leaves:
+                product = product * d
+            assert tree[0] == leaves and tree[-1] == [product]
+            for degree in (0, 3, int(product.degree) + 4):
+                f = random_poly(spec, degree, rng)
+                assert poly._remainder_tree(f, tree) == [f % d for d in leaves]
+            assert all(r.is_zero() for r in poly._remainder_tree(product, tree))
+    assert poly._product_tree([]) == [[]]
+    assert poly._remainder_tree(Polynomial.x(fields[3]), [[]]) == []
+
+
 def test_gcd_examples():
     F2, F3 = field_make(2), field_make(3)
     assert gcd(P(F3, "x^2+2"), P(F3, "x^2+2")) == P(F3, "x^2+2")

@@ -276,6 +276,17 @@ def test_dickson_functional_equation(fields):
                     assert D(t + a_big / t) == t ** n + (a_big / t) ** n
 
 
+def test_dickson_lucas_binomials_match_exact_integers(fields):
+    # the binomials reduced mod p by Lucas' theorem against the exact-integer
+    # loop, past p^2 and p^3 so that multi-digit base-p expansions occur
+    for q in (2, 3, 4, 5, 7, 9):
+        spec = fields[q]
+        for a in {spec.one, list(spec.elements())[-1]}:
+            for n in range(120):
+                assert dickson(DicksonParams(n, a)) \
+                    == reference.dickson_exact(DicksonParams(n, a))
+
+
 def test_reconstruct_examples():
     F3 = field_make(3)
     assert reconstruct(P(F3, "x^4+1"), F3.one) == P(F3, "x^2+1")
