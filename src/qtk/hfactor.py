@@ -239,7 +239,7 @@ def _image_irreducible(images: list[Polynomial], m: int) -> list[bool]:
     for F, zF in zip(images, _remainder_tree(z, tree)):
         deriv = F.derivative()
         squarefree = not deriv.is_zero() and gcd(F, deriv).degree == 0
-        out.append(squarefree and zF != x % F)
+        out.append(squarefree and zF != x)
     return out
 
 
