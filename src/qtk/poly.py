@@ -19,6 +19,12 @@ before every product.  Long division adds one reduced multiple of the divisor
 per quotient coefficient and reduces at the end, so a coordinate reaches at
 most (divisor length) * (p-1).
 
+:func:`compose_fraction` cuts f into digits of B = max(1, 32 // k)
+coefficients, maps each by one int64 matmul ((r+1)*k <= 32 terms of at most
+(p-1)^2, guarded like a product) with a read-only GF(p) matrix of
+:func:`_substitution`, and joins them by Horner in x^B: memory O(deg f).  Its
+LRU cache keeps 256 matrices, each at most 32 x 32*max(deg num, deg den, 1).
+
 :func:`factorize` splits the distinct-degree layers of :func:`ddf` by
 Cantor-Zassenhaus (von zur Gathen & Gerhard, *Modern Computer Algebra*,
 ch. 14); Rabin's test and the irreducible sieve stand apart from it.
@@ -497,6 +503,9 @@ SIZE_BOUND_ENUM = 2 ** 20
 #: Cofactors per sieve block (at most 2^14 x 20 int64: q^d <= 2^20 gives d*k <= 20).
 _SIEVE_ROWS = 2 ** 14
 
+#: Coordinates per digit of :func:`compose_fraction` (at least one coefficient).
+_DIGIT_COORDS = 32
+
 
 def enumerate_monic_irreducible(spec: FieldSpec, d: int):
     """Monic irreducibles of degree d in the same order, one Rabin test each."""
@@ -646,29 +655,49 @@ def factorize(f: Polynomial, bound: int) -> Factorization:
     return Factorization(f.leading, out)
 
 
-def compose_fraction(f: Polynomial, num: Polynomial, den: Polynomial) -> Polynomial:
-    """den^deg(f) * f(num/den) by Horner: the one change of variable in qtk.
+@functools.lru_cache(maxsize=256)
+def _substitution(spec: FieldSpec, num: Polynomial, den: Polynomial, r: int):
+    """The matrix S with coords(den^r * g(num/den)) = coords(g) @ S mod p for
+    every g of degree <= r (coords: the coefficient coordinates, flattened).
+    Row block i holds num^i * den^(r-i) times y^0..y^(k-1)."""
+    k, one = spec.k, Polynomial.one(spec)
+    _check_headroom(spec, r + 1)
+    S = np.zeros((r + 1, k, r * max(0, num.degree, den.degree) + 1, k), dtype=np.int64)
+    nums, dens = ([one, *itertools.accumulate([g] * r, Polynomial.__mul__)]
+                  for g in (num, den))
+    for i in range(r + 1):
+        a = (nums[i] * dens[r - i])._a
+        S[i, 0, :len(a)] = spec.to_coords(a)
+    for j in range(1, k):
+        S[:, j] = S[:, j - 1] @ spec._ymat % spec.p
+    S.flags.writeable = False
+    return S.reshape((r + 1) * k, -1)
 
-    Moebius maps, the quadratic transformation and the higher-order kernels
-    all substitute through it (den = 1 for a polynomial substitution).  A
-    constant den = d0 folds into the coefficients as c_i * d0^(n-i), which
-    leaves plain Horner in num.
-    """
+
+def compose_fraction(f: Polynomial, num: Polynomial, den: Polynomial) -> Polynomial:
+    """den^deg(f) * f(num/den), digit by digit (module docstring): the one
+    change of variable in qtk, behind Moebius maps, the quadratic
+    transformation and the higher-order kernels (den = 1 for a polynomial)."""
     f._check_owner(num)
     f._check_owner(den)
     if f.is_zero():
         return f
     spec = f.owner
-    cs = f.coeffs
-    if den.degree == 0:
-        cs = [c * den.leading ** (len(cs) - 1 - i) for i, c in enumerate(cs)]
-        den = None
-    acc = Polynomial(spec, [cs[-1]])
-    dpow = Polynomial.one(spec)
-    for c in reversed(cs[:-1]):
-        if den is not None:
-            dpow = dpow * den
-        acc = acc * num + dpow.scale(c)
+    B = max(1, _DIGIT_COORDS // spec.k)
+    C = spec.to_coords(f._a)
+
+    def image(start, r):  # den^r * (the digit of degree <= r at start)(num/den)
+        v = C[start:start + r + 1].ravel() @ _substitution(spec, num, den, r) % spec.p
+        return Polynomial._wrap(spec, _trim(spec.from_coords(v.reshape(-1, spec.k))))
+
+    top = (len(C) - 1) // B * B
+    acc = image(top, len(C) - 1 - top)
+    if top:
+        num_b, den_b, dpow = num ** B, den ** B, den ** (len(C) - top)
+        for start in range(top - B, -1, -B):
+            acc = acc * num_b + dpow * image(start, B - 1)
+            if start:
+                dpow = dpow * den_b
     return acc
 
 

@@ -8,9 +8,11 @@ per-coefficient long division.  Slow and plain on purpose: the differential
 tests hold the table-driven field arithmetic and the numpy kernels to it.
 """
 
+import functools
 from math import comb
 
 
+@functools.lru_cache(maxsize=None)
 def _reduction_rows(spec):
     # rows[m - k] = coordinates of y^m for m in [k, 2k-2]
     p, k = spec.p, spec.k
@@ -21,7 +23,7 @@ def _reduction_rows(spec):
         top = cur[k - 1]
         cur = [0] + cur[:k - 1]
         cur = [(cur[i] + top * rows[0][i]) % p for i in range(k)]
-    return rows
+    return tuple(rows)
 
 
 def mul(spec, u, v):
@@ -64,6 +66,12 @@ def _trim(coeffs):
 
 
 def poly_mul(spec, a, b):
+    if spec.k == 1:  # residues: one schoolbook convolution, reduced at the end
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, (u,) in enumerate(a):
+            for j, (v,) in enumerate(b):
+                out[i + j] += u * v
+        return _trim([(c % spec.p,) for c in out])
     zero = (0,) * spec.k
     out = [zero] * max(len(a) + len(b) - 1, 0)
     for i, u in enumerate(a):

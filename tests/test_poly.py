@@ -1,12 +1,15 @@
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import reference
 from conftest import random_poly, subprocess_env
 from qtk import errors, field_make, poly
 from qtk.counting import moebius_mu
+from qtk.gf import FieldElement, embed
 from qtk.intmath import divisors
 from qtk.poly import (NEG_INF, Polynomial, compose_fraction, ddf,
                       enumerate_monic_irreducible, factorize, gcd,
@@ -207,7 +210,7 @@ def test_sieve_memory_and_time_at_the_bound():
 
 
 def test_compose_fraction_with_constant_denominator(fields, rng):
-    # the folded coefficients against the running-power Horner of the
+    # den = 1 and other constants against the running-power Horner of the
     # reference arithmetic, over the field grid plus GF(16)
     for spec in [*fields.values(), field_make(2, 4)]:
         for trial in range(12):
@@ -218,6 +221,62 @@ def test_compose_fraction_with_constant_denominator(fields, rng):
                 spec, *([c.coords for c in g.coeffs] for g in (f, num, den)))
             got = compose_fraction(f, num, den)
             assert [c.coords for c in got.coeffs] == expected, (spec, f, num, den)
+
+
+def test_compose_fraction_across_digits(fields, rng):
+    # every degree up to three digits and two coefficients past them, with
+    # num and den of degree 0..2 or zero, against the running-power Horner
+    # of the reference arithmetic; GF(2^10) has 3-coefficient digits and
+    # GF(1048573) the largest products the digit matmul sums
+    shapes = [(a, b) for a in (None, 0, 1, 2) for b in (None, 0, 1, 2)]
+    extra = [field_make(2, 4), field_make(2, 10), field_make(1048573)]
+    for spec in [*fields.values(), *extra]:
+        B = max(1, poly._DIGIT_COORDS // spec.k)
+        for d in range(3 * B + 3):
+            f = random_poly(spec, d, rng)
+            num, den = (Polynomial.zero(spec) if e is None else random_poly(spec, e, rng)
+                        for e in shapes[(d + spec.q) % len(shapes)])
+            expected = reference.poly_compose_fraction(
+                spec, *([c.coords for c in g.coeffs] for g in (f, num, den)))
+            got = compose_fraction(f, num, den)
+            assert [c.coords for c in got.coeffs] == expected, (spec, f, num, den)
+    info = poly._substitution.cache_info()
+    assert info.maxsize == 256 and info.currsize <= 256
+    S = poly._substitution(spec, num, den, B - 1)
+    assert not S.flags.writeable
+    with pytest.raises(ValueError):
+        S[0, 0] = 1
+
+
+@pytest.mark.parametrize("p, k, n, points", [(2, 8, 1000, (2, 16)),
+                                             (3, 1, 2000, (3, 12))])
+def test_large_transform_memory_and_time(p, k, n, points):
+    # many digits in one direct call; the result is checked at 32 points of
+    # an extension field against h(xi)^n * f(g(xi)/h(xi))
+    spec = field_make(p, k)
+    rng = random.Random(n)
+    f = Polynomial._wrap(spec, np.array([rng.randrange(spec.q) for _ in range(n)]
+                                        + [spec.unit], dtype=np.int64))
+    code = ("import resource, sys, time\nfrom qtk import field_make\n"
+            "from qtk.moebius import expr_parse\nfrom qtk.poly import parse_poly\n"
+            "from qtk.transform import transform\nF = field_make(*map(int, sys.argv[1:3]))\n"
+            "f = parse_poly(F, sys.argv[3])\nt = time.perf_counter()\n"
+            "out = transform(f, expr_parse(F, '1,0,1 / 0,1')).result\n"
+            "print(time.perf_counter() - t,"
+            " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, out.to_text())\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(p), str(k), f.to_text()],
+                          env=subprocess_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seconds, maxrss_kb, text = proc.stdout.split(" ", 2)
+    assert float(seconds) < 20
+    assert int(maxrss_kb) < 200 * 1024
+    out = parse_poly(spec, text)
+    assert out.degree == 2 * n
+    E = field_make(*points)
+    f, out = (Polynomial(E, [embed(c, E) for c in g.coeffs]) for g in (f, out))
+    for xi in (FieldElement(E, rng.randrange(1, E.q)) for _ in range(32)):
+        assert out(xi) == xi ** n * f((xi * xi + E.one) / xi)
 
 
 def test_enumeration_order_and_examples():
