@@ -209,8 +209,7 @@ def brute_count(query: CountQuery) -> int:
     v = query.variant
     field = query.field
     if v == "linear":
-        return sum(1 for _, cand in linear_input_images(query.expr)
-                   if is_irreducible(cand))
+        return sum(is_irreducible([cand for _, cand in linear_input_images(query.expr)]))
     if v == "carlitz":
         expr = sigma_form(field.one)
     elif v in ("sigma", "corollary"):

@@ -133,15 +133,15 @@ class FieldSpec:
         return sum(c % p * w for c, w in zip(coords, self._pwl))
 
     def to_coords(self, a):
-        """(n x k) coordinate matrix of an index vector."""
+        """Coordinates of an index array, on a new last axis of length k."""
         if self.k == 1:
-            return a[:, np.newaxis]
-        return a[:, np.newaxis] // self._pw % self.p
+            return a[..., np.newaxis]
+        return a[..., np.newaxis] // self._pw % self.p
 
     def from_coords(self, m):
-        """Index vector of an (n x k) coordinate matrix with entries in [0, p)."""
+        """Indices of a coordinate array (last axis of length k, entries in [0, p))."""
         if self.k == 1:
-            return m[:, 0]
+            return m[..., 0]
         return m @ self._pw
 
     # -- element arithmetic on indices -------------------------------------------
@@ -181,13 +181,14 @@ class FieldSpec:
         exp, log = (self._tables or self._build_tables())[2:]
         return exp[log[u] * e % (self.q - 1)]
 
-    def mul_vec(self, a, c: int):
-        """The index vector a times the element c, entrywise."""
-        if self.k == 1 or not c:
+    def mul_vec(self, a, c):
+        """The index array a times c, entrywise: c is one element index or an
+        index array that broadcasts against a (one multiplier per row)."""
+        if self.k == 1:
             return a * c % self.p
         exp, log = (self._tables or self._build_tables())[:2]
-        out = exp[(log[a] + int(log[c])) % (self.q - 1)].astype(np.int64)
-        out[a == 0] = 0
+        out = exp[(log[a] + log[c]) % (self.q - 1)].astype(np.int64)
+        out[(a == 0) | (c == 0)] = 0
         return out
 
     def _matrix(self, coords):

@@ -29,6 +29,18 @@ LRU cache keeps 256 matrices, each at most 32 x 32*max(deg num, deg den, 1).
 Cantor-Zassenhaus (von zur Gathen & Gerhard, *Modern Computer Algebra*,
 ch. 14); Rabin's test and the irreducible sieve stand apart from it.
 
+A *stack* is a sequence of polynomials over one field.  :func:`pow_mod` and
+:func:`gcd` take stacks as rowwise operations modulo a stack of one degree
+D >= 1, and :func:`is_irreducible` takes a stack of one degree: all run the
+row kernel, one (N, L, k) int64 coordinate array (:class:`_Stack`) with the
+moduli scaled monic once.  A product and a reduction modulo the N monic rows
+each loop over the D positions, one step vectorized over the rows; a gcd is
+a fixed 2D - 1 divsteps with no branch per row.  Each step adds products
+already reduced below p, so a coordinate sums at most 2D terms below p;
+``_check_headroom(spec, 2D)`` checks the stronger k*(2D+1)*(p-1)^2 < 2^63.
+A single polynomial never enters the kernel: at N = 1 it is several times
+slower than the scalar code.
+
 Two text formats are accepted everywhere:
   (a) ascending coefficient list: "1,0,2" or "[1 0],[0 1]" for extensions;
   (b) human form: "x^2+2*x+1".
@@ -45,7 +57,7 @@ import re
 import numpy as np
 
 from . import errors, intmath
-from .gf import FieldElement, FieldSpec, element_from_text
+from .gf import FieldElement, FieldSpec, _embedding_powers, element_from_text
 
 #: Degree of the zero polynomial.
 NEG_INF = float("-inf")
@@ -223,20 +235,29 @@ class Polynomial:
         """x^deg * f(1/x): the coefficient sequence reversed."""
         return Polynomial._wrap(self.owner, _trim(self._a[::-1].copy()))
 
+    def embed(self, target: FieldSpec) -> "Polynomial":
+        """The same polynomial over an extension field: :func:`qtk.gf.embed`
+        on every coefficient at once, as one GF(p) matrix product whose rows
+        are the target coordinates of the embedded powers of the generator."""
+        source = self.owner
+        if target is source:
+            return self
+        if source.p != target.p or target.k % source.k:
+            raise errors.NoEmbedding(f"no embedding of {source!r} into {target!r}")
+        M = np.array([target.coords(w.value) for w in _embedding_powers(source, target)],
+                     dtype=np.int64)
+        return Polynomial._wrap(target, target.from_coords(
+            source.to_coords(self._a) @ M % target.p))
+
     def __call__(self, a: FieldElement) -> FieldElement:
         """Evaluate at a point of the base field or an extension of it."""
-        from .gf import embed
         if not isinstance(a, FieldElement):
             raise TypeError("evaluation point must be a field element")
-        if a.owner is self.owner:
-            coeffs = self.coeffs
-        elif a.owner.p == self.owner.p and a.owner.k % self.owner.k == 0:
-            coeffs = tuple(embed(c, a.owner) for c in self.coeffs)
-        else:
+        if a.owner.p != self.owner.p or a.owner.k % self.owner.k:
             raise errors.FieldMismatch(
                 "evaluation point is not in the coefficient field or an extension")
         acc = a.owner.zero
-        for c in reversed(coeffs):
+        for c in reversed(self.embed(a.owner).coeffs):
             acc = acc * a + c
         return acc
 
@@ -386,8 +407,15 @@ class _Divisor:
 # -- ring-level functions --------------------------------------------------------
 
 
-def gcd(p1: Polynomial, p2: Polynomial) -> Polynomial:
-    """Monic greatest common divisor."""
+def gcd(p1, p2):
+    """Monic greatest common divisor.
+
+    Also rowwise on stacks (module docstring): p2 a sequence of polynomials
+    of one degree D >= 1, p1 a sequence of as many polynomials; the result
+    is the sequence of the monic gcds."""
+    if not isinstance(p1, Polynomial):
+        F, _, A = _operands(p1, p2, errors.DegreeZero)
+        return _Stack(F.owner, _rows_gcd(F.owner, A, F.C))
     p1._check_owner(p2)
     if p1.is_zero() and p2.is_zero():
         raise errors.BothZero("gcd(0, 0) is undefined")
@@ -398,8 +426,13 @@ def gcd(p1: Polynomial, p2: Polynomial) -> Polynomial:
     return Polynomial._wrap(spec, a).monic()
 
 
-def pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
-    """base^e mod `mod` by square-and-multiply; e is an arbitrary-size integer."""
+def pow_mod(base, e: int, mod):
+    """base^e mod `mod` by square-and-multiply; e is an arbitrary-size integer.
+
+    Also rowwise on stacks (module docstring): mod a sequence of polynomials
+    of one degree D >= 1, base a sequence of as many polynomials."""
+    if not isinstance(base, Polynomial):
+        return _pow_mod_rows(base, e, mod)
     base._check_owner(mod)
     if mod.is_zero() or mod.degree < 1:
         raise errors.ZeroModulus("modulus must have degree >= 1")
@@ -407,18 +440,173 @@ def pow_mod(base: Polynomial, e: int, mod: Polynomial) -> Polynomial:
         raise ValueError("negative exponent")
     spec = base.owner
     div = _Divisor(spec, mod._a)
-    r = Polynomial.one(spec)._a
+    r = None  # the first set bit takes b as it is
     b = div.divmod(base._a, want_quotient=False)[1]
     while e:
         if e & 1:
-            if len(r) and len(b):
+            if r is None:
+                r = b
+            elif len(r) and len(b):
                 r = div.divmod(_kmul(spec, r, b), want_quotient=False)[1]
             else:
                 r = _EMPTY
         e >>= 1
         if e and len(b):
             b = div.divmod(_kmul(spec, b, b), want_quotient=False)[1]
-    return Polynomial._wrap(spec, r)
+    return Polynomial.one(spec) if r is None else Polynomial._wrap(spec, r)
+
+
+# -- the row kernel: one operation on a stack of polynomials ----------------------
+
+
+class _Stack:
+    """N polynomials over one field as one (N, L, k) int64 array: [i, j] holds
+    the coordinates, in [0, p), of the coefficient of x^j in row i.  To a
+    caller it is the sequence of those polynomials."""
+
+    __slots__ = ("owner", "C")
+
+    def __init__(self, owner: FieldSpec, C):
+        self.owner = owner
+        self.C = C
+
+    def __len__(self):
+        return len(self.C)
+
+    def __getitem__(self, i: int) -> Polynomial:
+        return Polynomial._wrap(self.owner, _trim(self.owner.from_coords(self.C[i])))
+
+    def take(self, rows) -> "_Stack":
+        return _Stack(self.owner, self.C[rows])
+
+
+def _stack(rows) -> _Stack:
+    """A nonempty sequence of polynomials over one field as a _Stack."""
+    if isinstance(rows, _Stack):
+        return rows
+    rows = list(rows)
+    if not rows:
+        raise errors.InvalidArgument("empty stack of polynomials")
+    first = rows[0]
+    if not isinstance(first, Polynomial):
+        raise TypeError(f"expected Polynomial, got {type(first).__name__}")
+    for f in rows:
+        first._check_owner(f)
+    spec = first.owner
+    C = np.zeros((len(rows), max(1, *(len(f._a) for f in rows)), spec.k), dtype=np.int64)
+    for row, f in zip(C, rows):
+        row[:len(f._a)] = spec.to_coords(f._a)
+    return _Stack(spec, C)
+
+
+def _monic_rows(rows, error) -> _Stack:
+    """The rows scaled monic, as (N, D+1, k): they must share one degree
+    D >= 1 (else `error`, or InvalidArgument when the degrees differ)."""
+    S = _stack(rows)
+    spec, C = S.owner, S.C
+    nonzero = C.any(axis=2)
+    if not nonzero[:, 1:].any(axis=1).all():
+        raise error("every row needs degree >= 1")
+    if not nonzero[:, -1].all():
+        raise errors.InvalidArgument("the rows of a stack differ in degree")
+    lead = spec.from_coords(C[:, -1:])
+    if (lead == spec.unit).all():
+        return S
+    return _Stack(spec, spec.to_coords(spec.mul_vec(spec.from_coords(C), _rows_inv(spec, lead))))
+
+
+def _rows_inv(spec: FieldSpec, u):
+    """The inverses of an array of nonzero element indices: u^(q-2)."""
+    inv = u
+    for bit in bin(spec.q - 2)[3:]:
+        inv = spec.mul_vec(inv, inv)
+        if bit == "1":
+            inv = spec.mul_vec(inv, u)
+    return inv
+
+
+def _operands(a, mod, error):
+    """(F, neg, A) for a rowwise operation: F the rows of `mod` by
+    :func:`_monic_rows`, neg the (N, D) indices of their negated bodies, and
+    A the rows of `a` reduced modulo them, as (N, D, k)."""
+    F = _monic_rows(mod, error)
+    A = _stack(a)
+    if A.owner is not F.owner:
+        raise errors.FieldMismatch("stacks over different fields")
+    if len(A) != len(F):
+        raise errors.InvalidArgument("stacks of different lengths")
+    spec, D = F.owner, F.C.shape[1] - 1
+    _check_headroom(spec, 2 * D)
+    neg = spec.from_coords(-F.C[:, :-1] % spec.p)
+    return F, neg, _rows_reduce(spec, A.C, neg)
+
+
+def _rows_reduce(spec: FieldSpec, R, neg):
+    """The rows of R ((N, L, k), entries >= 0) modulo the monic rows with
+    negated bodies neg ((N, D) indices), as (N, D, k): one step per position
+    from the top, each adding c * neg at the D positions below it."""
+    N, L, k = R.shape
+    D = neg.shape[1]
+    R = np.concatenate([R, np.zeros((N, max(0, D - L), k), dtype=np.int64)], axis=1)
+    for i in range(L - 1, D - 1, -1):
+        c = spec.from_coords(R[:, i] % spec.p)
+        R[:, i - D:i] += spec.to_coords(spec.mul_vec(neg, c[:, np.newaxis]))
+    return R[:, :D] % spec.p
+
+
+def _rows_mulmod(spec: FieldSpec, A, B, neg):
+    """A * B modulo the monic rows with negated bodies neg, for residues A and
+    B ((N, D, k)): one step per position of A, each adding A_i * B."""
+    N, D, k = A.shape
+    a = spec.from_coords(A)
+    b = a if B is A else spec.from_coords(B)
+    P = np.zeros((N, 2 * D - 1, k), dtype=np.int64)
+    for i in range(D):
+        P[:, i:i + D] += spec.to_coords(spec.mul_vec(b, a[:, i:i + 1]))
+    return _rows_reduce(spec, P, neg)
+
+
+def _rows_gcd(spec: FieldSpec, A, F):
+    """The monic gcd of each residue row of A ((N, D, k)) with its monic row
+    of F ((N, D+1, k)), as (N, D+1, k): 2D - 1 divsteps on the reversed rows,
+    f = x^D F(1/x) and g = x^(D-1) A(1/x), with no per-row branch; then
+    deg gcd = delta / 2 and gcd = x^deg f(1/x) / f(0) (Bernstein & Yang, "Fast
+    constant-time gcd computation and modular inversion", 2019, Theorem 6.2)."""
+    N, D = len(F), F.shape[1] - 1
+    f = spec.from_coords(F[:, ::-1])
+    g = np.zeros_like(f)
+    g[:, :D] = spec.from_coords(A[:, ::-1])
+    delta = np.ones(N, dtype=np.int64)
+    for _ in range(2 * D - 1):
+        swap = (delta > 0) & (g[:, 0] != 0)
+        h = (spec.to_coords(spec.mul_vec(g, f[:, :1]))
+             - spec.to_coords(spec.mul_vec(f, g[:, :1]))) % spec.p
+        f = np.where(swap[:, np.newaxis], g, f)
+        delta = np.where(swap, 1 - delta, 1 + delta)
+        g = np.zeros_like(g)
+        g[:, :D] = spec.from_coords(h[:, 1:])
+    top = delta[:, np.newaxis] // 2 - np.arange(D + 1)
+    G = np.where(top >= 0, np.take_along_axis(f, np.maximum(top, 0), axis=1), 0)
+    return spec.to_coords(spec.mul_vec(G, _rows_inv(spec, f[:, :1])))
+
+
+def _pow_mod_rows(base, e: int, mod) -> _Stack:
+    """pow_mod on stacks: square-and-multiply with every row at once."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    F, neg, b = _operands(base, mod, errors.ZeroModulus)
+    spec = F.owner
+    r = None
+    while e:
+        if e & 1:
+            r = b if r is None else _rows_mulmod(spec, r, b, neg)
+        e >>= 1
+        if e:
+            b = _rows_mulmod(spec, b, b, neg)
+    if r is None:
+        r = np.zeros_like(b)
+        r[:, 0, 0] = 1
+    return _Stack(spec, r)
 
 
 def _product_tree(leaves) -> list[list[Polynomial]]:
@@ -447,20 +635,32 @@ def _remainder_tree(f: Polynomial, tree) -> list[Polynomial]:
     return rems
 
 
-def _frobenius_step(z: Polynomial, steps: int, mod: Polynomial) -> Polynomial:
-    """z^(q^steps) mod `mod`."""
+def _frobenius_step(z, steps: int, mod):
+    """z^(q^steps) mod `mod`, for polynomials or stacks."""
     q = z.owner.q
     for _ in range(steps):
         z = pow_mod(z, q, mod)
     return z
 
 
-def is_irreducible(f: Polynomial) -> bool:
+def is_irreducible(f):
     """Rabin's irreducibility criterion.
 
     f of degree n is irreducible over GF(q) iff x^(q^n) = x (mod f) and,
     for each prime r dividing n, gcd(x^(q^(n/r)) - x, f) = 1.
+
+    f may also be a stack: a sequence of nonzero polynomials of one degree
+    over one field.  The result is then one bool per row, in order ([] for
+    no rows), from the same steps on all rows at once (module docstring),
+    in blocks of _SIEVE_ROWS rows.
     """
+    if not isinstance(f, Polynomial):
+        f = list(f)
+        if not f:
+            return []
+        F = _monic_rows(f, errors.DegreeZero)
+        return [v for start in range(0, len(F), _SIEVE_ROWS)
+                for v in _rabin_rows(F.take(slice(start, start + _SIEVE_ROWS)))]
     d = f.degree
     if f.is_zero() or d < 1:
         raise errors.DegreeZero("irreducibility needs degree >= 1")
@@ -477,6 +677,34 @@ def is_irreducible(f: Polynomial) -> bool:
             return False
     z = _frobenius_step(z, d - cur, f)
     return z == x % f
+
+
+def _rabin_rows(F: _Stack) -> list[bool]:
+    """Rabin's test on monic rows of one degree d: one pow_mod call per
+    Frobenius step and one gcd call per prime of d, for all rows at once;
+    a row leaves the stack once a gcd shows it reducible."""
+    spec, (N, L, k) = F.owner, F.C.shape
+    d = L - 1
+    if d == 1:
+        return [True] * N
+    x = np.zeros((N, d, k), dtype=np.int64)
+    x[:, 1, 0] = 1
+    out = np.ones(N, dtype=bool)
+    alive = np.arange(N)
+    z, cur = _Stack(spec, x), 0
+    for t in sorted({d // r for r in intmath.prime_factors(d)}):
+        z = _frobenius_step(z, t - cur, F)
+        cur = t
+        zx = z.C.copy()
+        zx[:, 1, 0] = (zx[:, 1, 0] - 1) % spec.p
+        keep = ~gcd(_Stack(spec, zx), F).C[:, 1:].any(axis=(1, 2))
+        out[alive[~keep]] = False
+        alive, z, F = alive[keep], z.take(keep), F.take(keep)
+        if not len(alive):
+            return out.tolist()
+    z = _frobenius_step(z, d - cur, F)
+    out[alive] = (z.C == x[:len(alive)]).all(axis=(1, 2))
+    return out.tolist()
 
 
 def _check_space(spec: FieldSpec, d: int, least: int):

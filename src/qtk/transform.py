@@ -136,7 +136,7 @@ def roots_orbit_check(F: Polynomial, a: FieldElement, b: FieldElement,
     if not fixed.is_zero() and fixed.degree >= 1 and gcd(F, fixed).degree > 0:
         raise errors.NotCoprime("F shares a factor with the fixed-point quadratic")
     big = field_make(spec.p, spec.k * lcm(*ddf(F.monic())))
-    FF = Polynomial(big, [embed(co, big) for co in F.coeffs])
+    FF = F.embed(big)
     aa, bb, cc = embed(a, big), embed(b, big), embed(c, big)
     roots = {-phi.coeff(0): mult
              for phi, mult in factorize(FF, int(F.degree)) if phi.degree == 1}
@@ -314,14 +314,11 @@ def transport_back(f: Polynomial, trail: ReductionTrail) -> Polynomial:
 
 
 def irreducible_image_count(r: QuadRationalExpr, n: int) -> int:
-    """Number of monic irreducible f of degree n whose image f_R is irreducible."""
-    spec = r.owner
-    count = 0
-    for f in monic_irreducibles(spec, n):
-        t = transform(f, r, monic=True)
-        if t.result.degree == 2 * n and is_irreducible(t.result):
-            count += 1
-    return count
+    """Number of monic irreducible f of degree n whose image f_R is irreducible:
+    one stacked Rabin test over the images of full degree 2n."""
+    images = [t.result for f in monic_irreducibles(r.owner, n)
+              if (t := transform(f, r, monic=True)).result.degree == 2 * n]
+    return sum(is_irreducible(images))
 
 
 def linear_input_images(r: QuadRationalExpr):

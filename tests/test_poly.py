@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from conftest import random_poly, subprocess_env
@@ -113,6 +115,18 @@ def test_eval():
     assert Polynomial.zero(F3)(F3.element(2)).is_zero()
 
 
+@pytest.mark.parametrize("src, dst", [((2, 8), (2, 16)), ((3, 1), (3, 4))])
+def test_polynomial_embed_matches_per_element_embed(src, dst):
+    # every source element once, as the coefficients of one polynomial
+    S, T = field_make(*src), field_make(*dst)
+    f = Polynomial(S, list(S.elements()))
+    assert f.embed(T).owner is T
+    assert f.embed(T).coeffs == tuple(embed(c, T) for c in f.coeffs)
+    assert f.embed(S) is f and Polynomial.zero(S).embed(T).is_zero()
+    with pytest.raises(errors.NoEmbedding):
+        f.embed(field_make(5))
+
+
 def test_pow_mod():
     F3 = field_make(3)
     m = P(F3, "x^2+1")
@@ -124,6 +138,20 @@ def test_pow_mod():
         pow_mod(x, 2, P(F3, "2"))
     # big-integer exponents must be exact
     assert pow_mod(x, 3 ** 40 + 1, m) == pow_mod(x, (3 ** 40 + 1) % 4, m)
+
+
+def test_pow_mod_starts_from_the_first_set_bit(monkeypatch):
+    # x^(2^j) takes j squarings and no product with the constant 1
+    F2 = field_make(2)
+    f, x = P(F2, "x^4+x+1"), Polynomial.x(F2)
+    expected = [x ** (2 ** j) % f for j in range(4)]
+    products = []
+    kmul = poly._kmul
+    monkeypatch.setattr(poly, "_kmul", lambda *a: products.append(a) or kmul(*a))
+    for j in range(4):
+        products.clear()
+        assert pow_mod(x, 2 ** j, f) == expected[j]
+        assert len(products) == j
 
 
 def test_irreducibility_examples():
@@ -140,21 +168,91 @@ def test_irreducibility_exhaustive_small(fields):
     # is_irreducible must agree with trial division by the sieved
     # irreducibles of degree <= deg/2, and the number of irreducibles of
     # each degree must match (1/d) sum mu(e) q^(d/e)
+    # each (q, d) is also one stacked call, which must give the same list
     from qtk.poly import enumerate_monic
     for q in (2, 3, 4, 5):
         spec = fields[q]
         for d in range(1, 7):
             small = [phi for dd in range(1, d // 2 + 1)
                      for phi in monic_irreducibles(spec, dd)]
-            found = 0
-            for f in enumerate_monic(spec, d):
+            candidates = list(enumerate_monic(spec, d))
+            verdicts = []
+            for f in candidates:
                 oracle = not any((f % phi).is_zero() for phi in small)
                 verdict = is_irreducible(f)
                 assert verdict == oracle, f.to_human()
-                found += verdict
+                verdicts.append(verdict)
+            assert is_irreducible(candidates) == verdicts, (q, d)
             expected = sum(moebius_mu(e) * q ** (d // e)
                            for e in divisors(d)) // d
-            assert found == expected, (q, d, found, expected)
+            assert sum(verdicts) == expected, (q, d, sum(verdicts), expected)
+
+
+def test_irreducibility_on_stack_edge_cases():
+    F3, F9 = field_make(3), field_make(3, 2)
+    assert is_irreducible([]) == []
+    assert is_irreducible([P(F3, "x^2+1")]) == [True]
+    assert is_irreducible((P(F3, "x"), P(F3, "2*x+1"))) == [True, True]
+    # 2x^2+2 = 2(x^2+1) and 2x^2+1 = 2(x+1)(x+2)
+    rows = [P(F3, "2*x^2+2"), P(F3, "2*x^2+1"), P(F3, "x^2+1")]
+    assert is_irreducible(rows) == [is_irreducible(f) for f in rows] == [True, False, True]
+    with pytest.raises(errors.DegreeZero):
+        is_irreducible([P(F3, "x^2+1"), P(F3, "2")])
+    with pytest.raises(errors.DegreeZero):
+        is_irreducible([Polynomial.zero(F3)])
+    with pytest.raises(errors.FieldMismatch):
+        is_irreducible([P(F3, "x^2+1"), P(F9, "x^2+1")])
+    with pytest.raises(errors.InvalidArgument):
+        is_irreducible([P(F3, "x^2+1"), P(F3, "x^3+2*x+1")])
+
+
+def test_irreducibility_on_a_stack_runs_in_blocks(monkeypatch):
+    spec = field_make(3)
+    candidates = list(poly.enumerate_monic(spec, 4))
+    verdicts = [is_irreducible(f) for f in candidates]
+    blocks = []
+    rabin_rows = poly._rabin_rows
+    monkeypatch.setattr(poly, "_SIEVE_ROWS", 7)
+    monkeypatch.setattr(poly, "_rabin_rows", lambda F: blocks.append(len(F)) or rabin_rows(F))
+    assert is_irreducible(candidates) == verdicts
+    assert blocks == [7] * 11 + [4]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (7, 2)]),
+       st.integers(1, 8), st.data())
+def test_stacked_rabin_matches_single_calls(field, d, data):
+    spec = field_make(*field)
+    coeff = st.integers(0, spec.q - 1)
+    rows = [Polynomial._wrap(spec, np.array(
+                data.draw(st.lists(coeff, min_size=d, max_size=d))
+                + [data.draw(st.integers(1, spec.q - 1))], dtype=np.int64))
+            for _ in range(data.draw(st.integers(1, 12)))]
+    assert is_irreducible(rows) == [is_irreducible(f) for f in rows]
+
+
+def test_pow_mod_and_gcd_on_stacks_match_single_calls(fields, rng):
+    for q in (2, 4, 5, 9):
+        spec = fields[q]
+        for D in (1, 2, 3, 5):
+            mods = [random_poly(spec, D, rng) for _ in range(12)]
+            bases = [random_poly(spec, rng.randrange(0, 2 * D + 2), rng)
+                     for _ in range(11)] + [Polynomial.zero(spec)]
+            for i in range(0, 12, 3) if D > 1 else ():  # rows with a common factor
+                g = random_poly(spec, rng.randrange(1, D), rng, monic=True)
+                mods[i] = g * random_poly(spec, D - int(g.degree), rng)
+                bases[i] = g * random_poly(spec, rng.randrange(0, 3), rng)
+            assert list(gcd(bases, mods)) == [gcd(a, m) for a, m in zip(bases, mods)]
+            for e in (0, 1, 2, q, q ** 3 + 7):
+                assert list(pow_mod(bases, e, mods)) \
+                    == [pow_mod(a, e, m) for a, m in zip(bases, mods)], (spec, D, e)
+    F3 = fields[3]
+    with pytest.raises(errors.ZeroModulus):
+        pow_mod([P(F3, "x")], 2, [P(F3, "2")])
+    with pytest.raises(errors.InvalidArgument):
+        pow_mod([P(F3, "x"), P(F3, "x")], 2, [P(F3, "x^2+1")])
+    with pytest.raises(errors.FieldMismatch):
+        gcd([P(fields[9], "x")], [P(F3, "x^2+1")])
 
 
 def necklace_count(q, d):
