@@ -19,6 +19,7 @@ arguments and formats results.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -78,7 +79,9 @@ def _parse_expr_arg(spec, text: str | None):
     return expr_parse(spec, text)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="qtk", description=__doc__.splitlines()[0])
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON object per line")

@@ -35,8 +35,7 @@ from . import errors
 from .gf import FieldElement, FieldSpec, square_class
 from .intmath import divisors, factorization, is_power_of_two
 from .moebius import QuadRationalExpr, SigmaClass, classify_sigma, sigma_form
-from .transform import irreducible_image_count, linear_input_images
-from .poly import is_irreducible
+from .transform import irreducible_image_count, irreducible_pencil
 
 
 def moebius_mu(d: int) -> int:
@@ -209,7 +208,7 @@ def brute_count(query: CountQuery) -> int:
     v = query.variant
     field = query.field
     if v == "linear":
-        return sum(is_irreducible([cand for _, cand in linear_input_images(query.expr)]))
+        return len(irreducible_pencil(query.expr))
     if v == "carlitz":
         expr = sigma_form(field.one)
     elif v in ("sigma", "corollary"):

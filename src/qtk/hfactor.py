@@ -8,8 +8,8 @@ two independent directions:
 
 * the transform side enumerates every candidate image (including, for the
   degree-2 layer, the whole pencil of quadratics spanned by g and h) and
-  keeps the irreducible ones, tested with one Frobenius power per input
-  degree modulo the product of that degree's images (never H);
+  keeps the irreducible ones of full degree by one stacked Rabin test per
+  input degree, the routines of the count oracle (never H);
 * the factor side pins down H independently: the derivative identity
   (ax-b)H' - aH = b^2 - ac shows H is squarefree, the Frobenius closure
   x^(q^(2n)) = x (mod H) confines factor degrees to divisors of 2n, and
@@ -34,12 +34,12 @@ from .gf import FieldElement, FieldSpec, parse_int, square_class
 from .intmath import divisors
 from .moebius import (CanonicalKind, QuadRationalExpr, SigmaClass,
                       classify_sigma, reduce_canonical, sigma_form)
-from .poly import (Polynomial, _product_tree, _remainder_tree, ddf, gcd,
-                   monic_irreducibles, pow_mod)
+from .poly import Polynomial, _product_tree, _remainder_tree, ddf, gcd, pow_mod
 from .transform import (_validate_triple, fixed_point_quadratic,
+                        irreducible_images, irreducible_pencil,
                         is_invariant_generalized, is_sigma_self_reciprocal,
-                        linear_input_images, reconstruct, transform,
-                        transport_back, transport_forward)
+                        reconstruct, transform, transport_back,
+                        transport_forward)
 
 #: Default cap on q^n + 1 (the degree of H) for the verify operations.
 DEFAULT_SIZE_BOUND = 4096
@@ -215,34 +215,6 @@ class HVerifyReport:
         }
 
 
-def _image_irreducible(images: list[Polynomial], m: int) -> list[bool]:
-    """Irreducibility of each degree-2m image of an irreducible degree-m input.
-
-    Any root xi of such an image generates an extension containing the
-    degree-m field of the corresponding root of f, so every irreducible
-    factor has degree m or 2m.  An image F is therefore irreducible exactly
-    when it is squarefree (not the square of a degree-m factor) and
-    x^(q^m) is not congruent to x modulo F.  One Frobenius power
-    z = x^(q^m) mod P, P the product of all the images (not H), serves every
-    image: z mod F comes down the remainder tree of P.  (Checked against
-    the generic criterion in the test suite.)
-    """
-    for F in images:
-        errors.require(F.degree == 2 * m, f"image of degree {F.degree}, not {2 * m}")
-    if not images:
-        return []
-    fs = images[0].owner
-    x = Polynomial.x(fs)
-    tree = _product_tree(images)
-    z = pow_mod(x, fs.q ** m, tree[-1][0])
-    out = []
-    for F, zF in zip(images, _remainder_tree(z, tree)):
-        deriv = F.derivative()
-        squarefree = not deriv.is_zero() and gcd(F, deriv).degree == 0
-        out.append(squarefree and zF != x)
-    return out
-
-
 def permitted_source_degrees(n: int) -> list[int]:
     """Degrees m of inputs whose images can divide H: m | n with n/m odd."""
     return [m for m in divisors(n) if (n // m) % 2 == 1]
@@ -252,28 +224,16 @@ def _enumerate_image_factors(r: QuadRationalExpr, n: int) -> list[FactorMatch]:
     fs = r.owner
     out: list[FactorMatch] = []
     for m in permitted_source_degrees(n):
-        if m == 1:
-            pencil = list(linear_input_images(r))
-            flags = _image_irreducible([cand for _, cand in pencil], 1)
-            for (alpha, cand), irreducible in zip(pencil, flags):
-                if not irreducible:
-                    continue
-                if alpha is None:
-                    out.append(FactorMatch(cand, 2, "pencil-endpoint"))
-                else:
-                    f = Polynomial(fs, [-alpha, fs.one])
-                    out.append(FactorMatch(cand, 2, "pencil", f=f, alpha=alpha))
-        else:
-            inputs = monic_irreducibles(fs, m)
-            images = []
-            for f in inputs:
-                t = transform(f, r, monic=True)
-                errors.require(not t.degree_dropped, "image lost degree")
-                images.append(t.result)
-            for f, F, irreducible in zip(inputs, images,
-                                         _image_irreducible(images, m)):
-                if irreducible:
-                    out.append(FactorMatch(F, 2 * m, "transform", f=f))
+        if m > 1:
+            out += [FactorMatch(F, 2 * m, "transform", f=f)
+                    for f, F in irreducible_images(r, m)]
+            continue
+        for alpha, cand in irreducible_pencil(r):
+            if alpha is None:
+                out.append(FactorMatch(cand, 2, "pencil-endpoint"))
+            else:
+                f = Polynomial(fs, [-alpha, fs.one])
+                out.append(FactorMatch(cand, 2, "pencil", f=f, alpha=alpha))
     out.sort(key=lambda mt: (mt.degree, mt.factor.sort_key()))
     return out
 

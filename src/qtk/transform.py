@@ -313,25 +313,39 @@ def transport_back(f: Polynomial, trail: ReductionTrail) -> Polynomial:
 # -- enumeration helpers ---------------------------------------------------------------
 
 
+def _irreducible_pairs(pairs: list) -> list:
+    """The (label, F) pairs whose F is irreducible, in order: one stacked
+    Rabin test over every F, all of one degree."""
+    return [pair for pair, ok in zip(pairs, is_irreducible([F for _, F in pairs]))
+            if ok]
+
+
+def irreducible_images(r: QuadRationalExpr,
+                       m: int) -> list[tuple[Polynomial, Polynomial]]:
+    """The (f, F) pairs, f the monic irreducibles of degree m in enumeration
+    order, whose monic image F = f_R has full degree 2m and is irreducible."""
+    return _irreducible_pairs([
+        (f, t.result) for f in monic_irreducibles(r.owner, m)
+        if (t := transform(f, r, monic=True)).result.degree == 2 * m])
+
+
 def irreducible_image_count(r: QuadRationalExpr, n: int) -> int:
-    """Number of monic irreducible f of degree n whose image f_R is irreducible:
-    one stacked Rabin test over the images of full degree 2n."""
-    images = [t.result for f in monic_irreducibles(r.owner, n)
-              if (t := transform(f, r, monic=True)).result.degree == 2 * n]
-    return sum(is_irreducible(images))
+    """Number of monic irreducible f of degree n whose image f_R is irreducible
+    of full degree 2n."""
+    return len(irreducible_images(r, n))
 
 
-def linear_input_images(r: QuadRationalExpr):
-    """The pencil of quadratics spanned by g and h, as (label, monic quadratic).
+def irreducible_pencil(
+        r: QuadRationalExpr) -> list[tuple[FieldElement | None, Polynomial]]:
+    """The irreducible quadratics of the pencil spanned by g and h, as
+    (label, monic quadratic).
 
     Labels: a field element alpha for g - alpha*h (the image of x - alpha),
     or None for the h endpoint of the pencil.  Every monic quadratic linear
-    combination of g and h appears exactly once.
+    combination of g and h is tested exactly once.
     """
-    spec = r.owner
-    for alpha in spec.elements():
-        cand = r.g - r.h.scale(alpha)
-        if cand.degree == 2:
-            yield alpha, cand.monic()
+    pencil = [(alpha, cand.monic()) for alpha in r.owner.elements()
+              if (cand := r.g - r.h.scale(alpha)).degree == 2]
     if r.h.degree == 2:
-        yield None, r.h.monic()
+        pencil.append((None, r.h.monic()))
+    return _irreducible_pairs(pencil)

@@ -31,6 +31,18 @@ def test_count_human_and_json():
     assert payload["value"] == 2 and payload["branch"] == "odd-q-power-of-2"
 
 
+def test_one_parser_serves_json_plain_and_usage_errors_in_turn():
+    # the parser is built once per process: no call may leave state behind
+    assert cli.build_parser() is cli.build_parser()
+    argv = ("count", "--field", "3", "--n", "2", "--variant", "carlitz")
+    code, out = run_cli("--json", *argv)
+    assert code == 0 and json.loads(out)["value"] == 2
+    code, out = run_cli(*argv)
+    assert code == 0 and out.startswith("cmd=count  ") and "value=2" in out
+    code, out = run_cli(*argv[:3])
+    assert code == cli.EXIT_USAGE and out == ""
+
+
 def test_count_oracle_match():
     code, out = run_cli("count", "--field", "3", "--n", "1", "--variant", "sigma",
                         "--sigma", "2", "--oracle")

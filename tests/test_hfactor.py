@@ -5,13 +5,13 @@ from conftest import random_expr
 from qtk import errors, field_make
 from qtk.counting import count_sigma
 from qtk.gf import least_nonsquare
-from qtk.hfactor import (HSpec, _image_irreducible, _split_h,
-                         _squarefree_combo, build_h, hspec_from_expr,
-                         permitted_source_degrees, verify_meyn_generalized,
-                         verify_meyn_product)
+from qtk.hfactor import (HSpec, _split_h, _squarefree_combo, build_h,
+                         hspec_from_expr, permitted_source_degrees,
+                         verify_meyn_generalized, verify_meyn_product)
 from qtk.moebius import expr_parse, sigma_form
-from qtk.poly import Polynomial, enumerate_monic, is_irreducible, parse_poly
-from qtk.transform import fixed_point_quadratic
+from qtk.poly import Polynomial, is_irreducible, monic_irreducibles, parse_poly
+from qtk.transform import (fixed_point_quadratic, irreducible_images,
+                           irreducible_pencil, transform)
 
 
 def _check(report, name):
@@ -175,22 +175,32 @@ def test_permitted_source_degrees():
     assert permitted_source_degrees(12) == [4, 12]
 
 
-def test_image_irreducible_agrees_with_generic(fields):
-    # the batched image test must agree with the general criterion on every
-    # monic quadratic (x^2 included) and every transform image at small sizes
-    from qtk.poly import enumerate_monic_irreducible
-    from qtk.transform import transform
+def test_irreducible_images_and_pencil_agree_with_scalar_filter(fields, rng):
+    # the shared stacked filter against one transform and one scalar Rabin
+    # test per input; an expression with deg h = 2 makes the image of
+    # x - g_2/h_2 drop degree, and that image must be left out
     for q in (2, 3, 4, 5, 9):
         spec = fields[q]
-        quads = list(enumerate_monic(spec, 2))
-        assert _image_irreducible(quads, 1) == [is_irreducible(F) for F in quads]
-        r = sigma_form(spec.one)
-        for m in (2, 3):
-            images = [transform(f, r, monic=True).result
-                      for f in enumerate_monic_irreducible(spec, m)]
-            assert _image_irreducible(images, m) \
-                == [is_irreducible(F) for F in images]
-    assert _image_irreducible([], 2) == []
+        r = random_expr(spec, rng)
+        while r.h.degree != 2:
+            r = random_expr(spec, rng)
+        assert any(transform(f, r, monic=True).degree_dropped
+                   for f in monic_irreducibles(spec, 1))
+        for expr in (sigma_form(spec.one), r):
+            for m in (1, 2, 3):
+                expected = [(f, F) for f in monic_irreducibles(spec, m)
+                            if (F := transform(f, expr, monic=True).result).degree
+                            == 2 * m and is_irreducible(F)]
+                assert irreducible_images(expr, m) == expected, (spec, expr, m)
+            pencil = [(alpha, cand.monic()) for alpha in spec.elements()
+                      if (cand := expr.g - expr.h.scale(alpha)).degree == 2]
+            pencil += [(None, expr.h.monic())] if expr.h.degree == 2 else []
+            assert irreducible_pencil(expr) \
+                == [(label, F) for label, F in pencil if is_irreducible(F)]
+    # g/h = x^2 in characteristic 2: every image and every pencil member is a square
+    squared = expr_parse(fields[2], "0,0,1 / 1")
+    assert irreducible_pencil(squared) == []
+    assert all(irreducible_images(squared, m) == [] for m in (1, 2, 3))
 
 
 def test_verify_meyn_product_examples():

@@ -255,6 +255,16 @@ def test_pow_mod_and_gcd_on_stacks_match_single_calls(fields, rng):
         gcd([P(fields[9], "x")], [P(F3, "x^2+1")])
 
 
+def test_argument_range_errors_derive_from_the_error_base():
+    # callers catch errors.Error, so a range check raises a subclass of it
+    F3 = field_make(3)
+    x, mod = P(F3, "x"), P(F3, "x^2+1")
+    for call in (lambda: x ** -1, lambda: pow_mod(x, -1, mod),
+                 lambda: pow_mod([x], -1, [mod])):
+        with pytest.raises(errors.Error):
+            call()
+
+
 def necklace_count(q, d):
     return sum(moebius_mu(e) * q ** (d // e) for e in divisors(d)) // d
 
