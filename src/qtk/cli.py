@@ -149,15 +149,16 @@ def cmd_count(args, json_mode: bool) -> int:
     out = {"cmd": "count", "field": spec.name, "n": args.n,
            "variant": args.variant, "value": res.value, "epsilon": res.epsilon,
            "delta": res.delta, "branch": res.formula_branch}
-    status = EXIT_OK
-    if args.oracle:
-        oracle = counting.brute_count(query)
-        out["oracle"] = oracle
-        out["verdict"] = "MATCH" if oracle == res.value else "MISMATCH"
-        if oracle != res.value:
-            status = EXIT_MISMATCH
+    status = _oracle_verdict(out, query, res.value) if args.oracle else EXIT_OK
     _emit(out, json_mode)
     return status
+
+
+def _oracle_verdict(out: dict, query: counting.CountQuery, value: int) -> int:
+    """Add the oracle count and its verdict to out; EXIT_MISMATCH if they differ."""
+    oracle = counting.brute_count(query)
+    out.update(oracle=oracle, verdict="MATCH" if oracle == value else "MISMATCH")
+    return EXIT_OK if oracle == value else EXIT_MISMATCH
 
 
 def cmd_reduce(args, json_mode: bool) -> int:
@@ -248,11 +249,7 @@ def cmd_table(args, json_mode: bool) -> int:
                 if query.sigma is not None:
                     out["sigma"] = query.sigma.to_text()
                 if args.oracle:
-                    oracle = counting.brute_count(query)
-                    out["oracle"] = oracle
-                    out["verdict"] = "MATCH" if oracle == res.value else "MISMATCH"
-                    if oracle != res.value:
-                        status = EXIT_MISMATCH
+                    status = _oracle_verdict(out, query, res.value) or status
                 _emit(out, json_mode)
     return status
 

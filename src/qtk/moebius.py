@@ -89,6 +89,14 @@ class MoebiusMap:
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
+    def powers(self) -> list["MoebiusMap"]:
+        """A^0, ..., A^(D-1) for the order D of this map A: D is p or divides
+        q - 1 or q + 1, so at most q + 1 compositions."""
+        out = [MoebiusMap.identity(self.owner)]
+        while (cur := self @ out[-1]) != out[0]:
+            out.append(cur)
+        return out
+
     def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
         return moebius_compose(self, other)
 

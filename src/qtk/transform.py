@@ -320,13 +320,13 @@ def _irreducible_pairs(pairs: list) -> list:
             if ok]
 
 
-def irreducible_images(r: QuadRationalExpr,
-                       m: int) -> list[tuple[Polynomial, Polynomial]]:
+def irreducible_images(r, m: int) -> list[tuple[Polynomial, Polynomial]]:
     """The (f, F) pairs, f the monic irreducibles of degree m in enumeration
-    order, whose monic image F = f_R has full degree 2m and is irreducible."""
+    order, whose monic image F = f_R under an expression or a kernel
+    r = g/h has full degree d*m, d = max(deg g, deg h), and is irreducible."""
     return _irreducible_pairs([
-        (f, t.result) for f in monic_irreducibles(r.owner, m)
-        if (t := transform(f, r, monic=True)).result.degree == 2 * m])
+        (f, t.result) for f in monic_irreducibles(r.g.owner, m)
+        if not (t := transform(f, r, monic=True)).degree_dropped])
 
 
 def irreducible_image_count(r: QuadRationalExpr, n: int) -> int:

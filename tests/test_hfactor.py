@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 import reference
@@ -8,6 +10,8 @@ from qtk.gf import least_nonsquare
 from qtk.hfactor import (HSpec, _split_h, _squarefree_combo, build_h,
                          hspec_from_expr, permitted_source_degrees,
                          verify_meyn_generalized, verify_meyn_product)
+from qtk.higher import ORDER3, ORDER4, TRANSLATION, kernel
+from qtk.intmath import divisors, factorization
 from qtk.moebius import expr_parse, sigma_form
 from qtk.poly import Polynomial, is_irreducible, monic_irreducibles, parse_poly
 from qtk.transform import (fixed_point_quadratic, irreducible_images,
@@ -186,12 +190,16 @@ def test_irreducible_images_and_pencil_agree_with_scalar_filter(fields, rng):
             r = random_expr(spec, rng)
         assert any(transform(f, r, monic=True).degree_dropped
                    for f in monic_irreducibles(spec, 1))
-        for expr in (sigma_form(spec.one), r):
+        kernels = [kernel(spec, order) for order in (ORDER3, ORDER4, TRANSLATION)
+                   if not (order == ORDER4 and spec.p == 2)]
+        for expr in (sigma_form(spec.one), r, *kernels):
+            d = max(int(expr.g.degree), int(expr.h.degree))
             for m in (1, 2, 3):
                 expected = [(f, F) for f in monic_irreducibles(spec, m)
                             if (F := transform(f, expr, monic=True).result).degree
-                            == 2 * m and is_irreducible(F)]
+                            == d * m and is_irreducible(F)]
                 assert irreducible_images(expr, m) == expected, (spec, expr, m)
+        for expr in (sigma_form(spec.one), r):
             pencil = [(alpha, cand.monic()) for alpha in spec.elements()
                       if (cand := expr.g - expr.h.scale(alpha)).degree == 2]
             pencil += [(None, expr.h.monic())] if expr.h.degree == 2 else []
@@ -201,6 +209,41 @@ def test_irreducible_images_and_pencil_agree_with_scalar_filter(fields, rng):
     squared = expr_parse(fields[2], "0,0,1 / 1")
     assert irreducible_pencil(squared) == []
     assert all(irreducible_images(squared, m) == [] for m in (1, 2, 3))
+
+
+def _mobius(d):
+    exponents = factorization(d).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+
+
+def _orbit_count(spec, a, n):
+    """N_A(n) = phi(D)/(D n) * sum over d | n with gcd(d, D) = 1 of
+    mu(d) * (q^(n/d) - eps^(n/d)), for A of order D with 1 + eps fixed points
+    on the projective line over GF(q)."""
+    D = len(a.powers())
+    fixed = [x for x in spec.elements()
+             if not (a.c * x + a.d).is_zero() and a(x) == x]
+    eps = len(fixed) + a.c.is_zero() - 1  # infinity is fixed when c = 0
+    total = sum(_mobius(d) * (spec.q ** (n // d) - eps ** (n // d))
+                for d in divisors(n) if gcd(d, D) == 1)
+    phi = sum(1 for k in range(1, D + 1) if gcd(k, D) == 1)
+    assert phi * total % (D * n) == 0
+    return phi * total // (D * n)
+
+
+def test_named_kernel_image_counts_match_the_orbit_count(fields):
+    # the irreducible full-degree images of degree-m irreducibles, counted
+    # against the closed form N_A(m) for the kernel's map A
+    for spec in fields.values():
+        for order in (ORDER3, ORDER4, TRANSLATION):
+            if order == ORDER4 and spec.p == 2:
+                continue
+            ker = kernel(spec, order)
+            for m in range(1, 10):
+                if spec.q ** m > 1000:
+                    break
+                assert len(irreducible_images(ker, m)) \
+                    == _orbit_count(spec, ker.map, m), (spec, order, m)
 
 
 def test_verify_meyn_product_examples():

@@ -1,13 +1,13 @@
 import pytest
 
 import reference
-from conftest import random_poly
+from conftest import random_moebius, random_poly
 from qtk import errors, field_make
 from qtk.higher import (ORDER3, ORDER4, TRANSLATION, is_invariant, kernel,
-                        reconstruct_higher)
+                        orbit_kernel, reconstruct_higher)
 from qtk.moebius import MoebiusMap
 from qtk.poly import Polynomial, parse_poly
-from qtk.transform import transform
+from qtk.transform import solve_kernel, transform
 
 
 def P(spec, text):
@@ -33,8 +33,6 @@ def test_kernel_shapes():
     assert kt.g == P(F5, "0,4,0,0,0,1")  # x^5 - x
     with pytest.raises(errors.Char2Unsupported):
         kernel(field_make(2), ORDER4)
-    assert kernel(field_make(3), ORDER3).translation_conjugate
-    assert not kernel(F5, ORDER3).translation_conjugate
 
 
 def test_order3_kernel_identity():
@@ -94,6 +92,34 @@ def test_is_invariant_matches_the_paper_identity(fields, rng):
                 assert got == _paper_identity(spec, F, order)
                 seen.add(got)
             assert False in seen
+
+
+def test_orbit_kernel_of_random_maps(fields, rng):
+    # any A != identity: its order, and a kernel whose images are A-invariant
+    # and solve back, while random polynomials of the image degrees are not
+    for spec in fields.values():
+        identity = MoebiusMap.identity(spec)
+        for _ in range(8):
+            a = random_moebius(spec, rng)
+            if a == identity:
+                continue
+            powers = a.powers()
+            D = len(powers)
+            assert D == spec.p or (spec.q - 1) % D == 0 or (spec.q + 1) % D == 0
+            assert a @ powers[-1] == identity
+            ker = orbit_kernel(a)
+            assert ker.map == a
+            assert ker.g.is_monic() and ker.g.degree == D
+            assert ker.h.is_monic() and ker.h.degree < D
+            seen = set()
+            for _ in range(4):
+                f = random_poly(spec, rng.randrange(1, 4), rng, monic=True)
+                F = transform(f, ker).result
+                assert a.fixes(F, ker.scalar, ker.block)
+                assert solve_kernel(F, ker.g, ker.h) == f
+                F = random_poly(spec, D * rng.randrange(1, 3), rng, monic=True)
+                seen.add(a.fixes(F, ker.scalar, ker.block))
+            assert False in seen, (spec, a)
 
 
 def test_transform_order3_examples():
