@@ -22,12 +22,15 @@ two independent directions:
 Each factor of degree >= 4 is also re-derived from the factor alone, by
 transporting it along the canonical-reduction trail, inverting the special
 form there, and transporting back; the result must reproduce the factor.
+The invariance checks and this roundtrip take the factors of one degree as
+one stack, so each runs once per factor degree.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import errors
 from .gf import FieldElement, FieldSpec, parse_int, square_class
@@ -276,11 +279,12 @@ def _verify_engine(r: QuadRationalExpr, n: int, size_bound: int | None,
     distinct = len({m.factor for m in matches}) == len(matches)
     checks.append(CheckOutcome("factors-distinct", distinct, f"{len(matches)} factors"))
 
+    # one stacked check per factor degree (the matches come sorted by degree)
+    stacks = [[m.factor for m in run] for _, run in itertools.groupby(matches, lambda m: m.degree)]
     if sigma is not None:
-        srim_ok = all(is_sigma_self_reciprocal(m.factor, sigma) for m in matches)
+        srim_ok = all(all(is_sigma_self_reciprocal(F, sigma)) for F in stacks)
         checks.append(CheckOutcome("sigma-self-reciprocal", srim_ok, ""))
-    invariant_ok = all(
-        is_invariant_generalized(m.factor, a, b, c) for m in matches)
+    invariant_ok = all(all(is_invariant_generalized(F, a, b, c)) for F in stacks)
     checks.append(CheckOutcome("factors-invariant", invariant_ok, ""))
 
     # one subproduct tree of the matches: its leaves' remainders of the core
@@ -331,35 +335,34 @@ def _attach_reconstructions(r: QuadRationalExpr, matches: list[FactorMatch],
                             checks: list[CheckOutcome]) -> list[FactorMatch]:
     form, trail = reduce_canonical(r)
     errors.require(form.kind is CanonicalKind.X_PLUS_SIGMA_OVER_X, "reduced to x^2")
-    sigma_star = form.sigma
     out: list[FactorMatch] = []
-    ok = True
-    detail = ""
-    for m in matches:
-        if m.degree == 2:
+    failures: list[str] = []
+    for degree, run in itertools.groupby(matches, lambda m: m.degree):
+        run = list(run)
+        if degree == 2:
             # degree-2 factors live in the pencil; the pencil label is the
             # recovery (the canonical-trail route is reserved for n >= 2,
             # where the reciprocal bookkeeping is degree-preserving)
-            out.append(FactorMatch(m.factor, m.degree, m.source_kind,
-                                   f=m.f, alpha=m.alpha, reconstructed_f=m.f))
+            out += [replace(m, reconstructed_f=m.f) for m in run]
             continue
-        try:
-            f_star = reconstruct(transport_forward(m.factor, trail), sigma_star)
-        except (errors.NotInvariant, errors.NoSolution):
-            ok = False
-            detail = f"transported factor {m.factor.to_human()} not invariant"
-            out.append(m)
-            continue
-        f_back = transport_back(f_star, trail).monic()
-        image = transform(f_back, r, monic=True).result
-        if image != m.factor or f_back != m.f:
-            ok = False
-            detail = f"recovered input for {m.factor.to_human()} does not reproduce it"
-            out.append(m)
-            continue
-        out.append(FactorMatch(m.factor, m.degree, m.source_kind,
-                               f=m.f, alpha=m.alpha, reconstructed_f=f_back))
-    checks.append(CheckOutcome("reconstruction-roundtrip", ok, detail))
+        # one stacked transport, solve, transport back and transform per degree
+        f_stars = reconstruct(transport_forward([m.factor for m in run], trail), form.sigma)
+        solved = [f for f in f_stars if f is not None]
+        backs = transport_back(solved, trail).monic() if solved else []
+        recovered = iter(zip(backs, transform(backs, r, monic=True)))
+        for m, f_star in zip(run, f_stars):
+            if f_star is None:
+                failures.append(f"transported factor {m.factor.to_human()} not invariant")
+                out.append(m)
+                continue
+            f_back, image = next(recovered)
+            if image.result != m.factor or f_back != m.f:
+                failures.append(f"recovered input for {m.factor.to_human()} does not reproduce it")
+                out.append(m)
+                continue
+            out.append(replace(m, reconstructed_f=f_back))
+    checks.append(CheckOutcome("reconstruction-roundtrip", not failures,
+                               failures[-1] if failures else ""))
     return out
 
 

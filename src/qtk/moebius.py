@@ -20,7 +20,7 @@ from functools import cached_property
 
 from . import errors
 from .gf import FieldElement, FieldSpec, square_class
-from .poly import Polynomial, compose_fraction, gcd, parse_poly
+from .poly import Polynomial, _as_rows, compose_fraction, gcd, parse_poly
 
 
 class MoebiusMap:
@@ -75,16 +75,21 @@ class MoebiusMap:
     def det(self) -> FieldElement:
         return self.a * self.d - self.b * self.c
 
-    def fixes(self, F: Polynomial, scalar: FieldElement, block: int) -> bool:
+    def fixes(self, F, scalar: FieldElement, block: int):
         """Whether den^(deg F) * F(num/den) = scalar^(deg F / block) * F(x) for
         this map num/den: the invariance identity of every kernel.  deg F
-        must be a multiple of the block."""
-        if F.is_zero():
-            raise errors.ZeroPolynomial("zero polynomial")
-        d = int(F.degree)
+        must be a multiple of the block.  F may also be a stack of one
+        degree: the result is then one bool per row, from one substitution."""
+        S, single = _as_rows(F)
+        if S is None:
+            return []
+        spec, d = S.owner, S.C.shape[1] - 1
         if d % block:
             raise errors.DegreeNotMultiple(f"degree {d} is not a multiple of {block}")
-        return compose_fraction(F, *self.fraction()) == F.scale(scalar ** (d // block))
+        image = compose_fraction(S, *self.fraction()).C  # width d + 1: num, den are linear
+        scaled = spec.mul_vec(spec.from_coords(S.C), (scalar ** (d // block)).value)
+        ok = (image == spec.to_coords(scaled)).all(axis=(1, 2))
+        return bool(ok[0]) if single else ok.tolist()
 
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)

@@ -24,6 +24,9 @@ coefficients, maps each by one int64 matmul ((r+1)*k <= 32 terms of at most
 (p-1)^2, guarded like a product) with a read-only GF(p) matrix of
 :func:`_substitution`, and joins them by Horner in x^B: memory O(deg f).  Its
 LRU cache keeps 256 matrices, each at most 32 x 32*max(deg num, deg den, 1).
+It also takes a stack of one degree: each digit is then one (N, (r+1)*k) @ S
+product for all rows, and each Horner product one product of the rows laid
+end to end; a single polynomial is the one-row stack of the same loop.
 
 :func:`factorize` splits the distinct-degree layers of :func:`ddf` by
 Cantor-Zassenhaus (von zur Gathen & Gerhard, *Modern Computer Algebra*,
@@ -39,10 +42,10 @@ a fixed 2D - 1 divsteps with no branch per row.  Each step adds products
 already reduced below p, so a coordinate sums at most 2D terms below p;
 ``_check_headroom(spec, 2D)`` checks the stronger k*(2D+1)*(p-1)^2 < 2^63.
 A single polynomial never enters the kernel: at N = 1 it is several times
-slower than the scalar code.  The stacked test has one caller, the filter
-behind :func:`qtk.transform.irreducible_images` and
-:func:`qtk.transform.irreducible_pencil`, which serves both the count oracle
-and the transform side of the H verifier.
+slower than the scalar code.  The stacked Rabin test serves the filter behind
+:func:`qtk.transform.irreducible_images` and
+:func:`qtk.transform.irreducible_pencil`, for both the count oracle and the
+transform side of the H verifier.
 
 Two text formats are accepted everywhere:
   (a) ascending coefficient list: "1,0,2" or "[1 0],[0 1]" for extensions;
@@ -479,8 +482,33 @@ class _Stack:
     def __getitem__(self, i: int) -> Polynomial:
         return Polynomial._wrap(self.owner, _trim(self.owner.from_coords(self.C[i])))
 
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.C)))
+
+    _check_owner = Polynomial._check_owner  # reads only .owner
+
     def take(self, rows) -> "_Stack":
         return _Stack(self.owner, self.C[rows])
+
+    def monic(self) -> "_Stack":
+        """Each row scaled by the inverse of its leading coefficient."""
+        spec, a = self.owner, self.owner.from_coords(self.C)
+        top = a.shape[1] - 1 - np.argmax(a[:, ::-1] != 0, axis=1)
+        lead = a[np.arange(len(a)), top, np.newaxis]
+        return _Stack(spec, spec.to_coords(spec.mul_vec(a, _rows_inv(spec, lead))))
+
+
+def _as_rows(f):
+    """(S, single): a nonzero polynomial (single) or a sequence of polynomials
+    of one degree over one field as a _Stack S, None for no rows."""
+    if isinstance(f, Polynomial):
+        if f.is_zero():
+            raise errors.ZeroPolynomial("zero polynomial")
+        return _Stack(f.owner, f.owner.to_coords(f._a)[np.newaxis]), True
+    S = _stack(f) if len(f) else None
+    if S is not None and not S.owner.from_coords(S.C[:, -1]).all():
+        raise errors.InvalidArgument("the rows of a stack need one degree and no zero row")
+    return S, False
 
 
 def _stack(rows) -> _Stack:
@@ -506,16 +534,10 @@ def _monic_rows(rows, error) -> _Stack:
     """The rows scaled monic, as (N, D+1, k): they must share one degree
     D >= 1 (else `error`, or InvalidArgument when the degrees differ)."""
     S = _stack(rows)
-    spec, C = S.owner, S.C
-    nonzero = C.any(axis=2)
-    if not nonzero[:, 1:].any(axis=1).all():
+    if not S.C[:, 1:].any(axis=(1, 2)).all():
         raise error("every row needs degree >= 1")
-    if not nonzero[:, -1].all():
-        raise errors.InvalidArgument("the rows of a stack differ in degree")
-    lead = spec.from_coords(C[:, -1:])
-    if (lead == spec.unit).all():
-        return S
-    return _Stack(spec, spec.to_coords(spec.mul_vec(spec.from_coords(C), _rows_inv(spec, lead))))
+    S = _as_rows(S)[0]
+    return S if (S.owner.from_coords(S.C[:, -1]) == S.owner.unit).all() else S.monic()
 
 
 def _rows_inv(spec: FieldSpec, u):
@@ -802,12 +824,6 @@ class Factorization:
             out = out * f ** m
         return out
 
-    def degrees(self) -> list[int]:
-        out = []
-        for f, m in self.factors:
-            out.extend([int(f.degree)] * m)
-        return sorted(out)
-
     def __repr__(self):
         inner = ", ".join(f"({f.to_human()})^{m}" for f, m in self.factors)
         return f"Factorization({self.unit.to_text()}; {inner})"
@@ -905,31 +921,51 @@ def _substitution(spec: FieldSpec, num: Polynomial, den: Polynomial, r: int):
     return S.reshape((r + 1) * k, -1)
 
 
-def compose_fraction(f: Polynomial, num: Polynomial, den: Polynomial) -> Polynomial:
+def compose_fraction(f, num: Polynomial, den: Polynomial):
     """den^deg(f) * f(num/den), digit by digit (module docstring): the one
     change of variable in qtk, behind Moebius maps, the quadratic
-    transformation and the higher-order kernels (den = 1 for a polynomial)."""
-    f._check_owner(num)
-    f._check_owner(den)
-    if f.is_zero():
+    transformation and the higher-order kernels (den = 1 for a polynomial).
+
+    f may also be a stack of one degree n: the result is then the stack of
+    the rows' images, each of width n * max(deg num, deg den, 0) + 1."""
+    if isinstance(f, Polynomial) and f.is_zero():
+        f._check_owner(num)
+        f._check_owner(den)
         return f
-    spec = f.owner
-    B = max(1, _DIGIT_COORDS // spec.k)
-    C = spec.to_coords(f._a)
+    S, single = _as_rows(f)
+    if S is None:
+        return []
+    S._check_owner(num)
+    S._check_owner(den)
+    spec, (N, L, k) = S.owner, S.C.shape
+    B = max(1, _DIGIT_COORDS // k)
 
-    def image(start, r):  # den^r * (the digit of degree <= r at start)(num/den)
-        v = C[start:start + r + 1].ravel() @ _substitution(spec, num, den, r) % spec.p
-        return Polynomial._wrap(spec, _trim(spec.from_coords(v.reshape(-1, spec.k))))
+    def image(start, r):  # den^r * (each row's digit of degree <= r at start)(num/den)
+        v = S.C[:, start:start + r + 1].reshape(N, -1) @ _substitution(spec, num, den, r)
+        return spec.from_coords(v.reshape(N, -1, k) % spec.p)
 
-    top = (len(C) - 1) // B * B
-    acc = image(top, len(C) - 1 - top)
+    top = (L - 1) // B * B
+    acc = image(top, L - 1 - top)
     if top:
-        num_b, den_b, dpow = num ** B, den ** B, den ** (len(C) - top)
+        num_b, den_b, dpow = num ** B, den ** B, den ** (L - top)
         for start in range(top - B, -1, -B):
-            acc = acc * num_b + dpow * image(start, B - 1)
+            low = image(start, B - 1)
+            width = max(acc.shape[1] + len(num_b._a), low.shape[1] + len(dpow._a)) - 1
+            acc = spec.from_coords((_rows_times(spec, acc, num_b._a, width)
+                                    + _rows_times(spec, low, dpow._a, width)) % spec.p)
             if start:
                 dpow = dpow * den_b
-    return acc
+    return Polynomial._wrap(spec, _trim(acc[0])) if single else _Stack(spec, spec.to_coords(acc))
+
+
+def _rows_times(spec: FieldSpec, A, b, width: int):
+    """Each row of the index array A times the index vector b, as (N, width, k)
+    coordinates: one product of the rows laid end to end, width (>= each product) apart."""
+    P = np.zeros((len(A), width), dtype=np.int64)
+    if len(b):
+        P[:, :A.shape[1]] = A
+        P = _kmul(spec, P.ravel(), b)[:P.size].reshape(P.shape)
+    return spec.to_coords(P)
 
 
 # -- parsing ---------------------------------------------------------------------

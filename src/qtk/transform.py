@@ -22,18 +22,28 @@ solve from the top coefficient down; :func:`reconstruct` is that solve for
 the sigma form (core x^2 + sigma over weight x), and the higher-order
 kernels in :mod:`qtk.higher` use it too.  :func:`reconstruct_dickson_sum`
 is the independent cross-check through Dickson polynomials.
+
+The substitutions (:func:`transform`, the two invariance tests,
+:func:`solve_kernel`, :func:`reconstruct` and the trail transports) also take
+a stack, a sequence of polynomials of one degree over one field, and give one
+result per row from one pass of numpy steps over all rows; a single
+polynomial is the one-row stack.  A row on which the single call raises
+NotInvariant or NoSolution comes back as None.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import lcm
+
+import numpy as np
 
 from . import errors
 from .gf import FieldElement, FieldSpec, embed, field_make
 from .moebius import POST, PRE, MoebiusMap, QuadRationalExpr, ReductionTrail
-from .poly import (Polynomial, compose_fraction, ddf, factorize, gcd,
-                   is_irreducible, monic_irreducibles)
+from .poly import (Polynomial, _Stack, _as_rows, compose_fraction, ddf,
+                   factorize, gcd, is_irreducible, monic_irreducibles)
 
 
 @dataclass(frozen=True)
@@ -43,46 +53,58 @@ class TransformResult:
     normalized_monic: bool
 
 
-def transform(f: Polynomial, r, monic: bool = False) -> TransformResult:
+def transform(f, r, monic: bool = False):
     """f_R = h^(deg f) * f(g/h), expanded, for an expression or a kernel r = g/h.
 
     With d = max(deg g, deg h), the degree drops below d*deg f exactly when
     deg h = d and f vanishes at g_d/h_d (the value of R at infinity); the
-    flag records that.  With monic=True the result is scaled monic.
+    flag records that.  With monic=True the result is scaled monic.  f may
+    also be a stack of one degree: the result is then one TransformResult
+    per row, from one substitution of all rows.
     """
-    if f.is_zero():
+    if isinstance(f, Polynomial) and f.is_zero():
         raise errors.ZeroPolynomial("transform of the zero polynomial")
-    f._check_owner(r.g)
-    out = compose_fraction(f, r.g, r.h)
+    S, single = _as_rows(f)
+    if S is None:
+        return []
+    spec, n = S.owner, S.C.shape[1] - 1
+    out = compose_fraction(S, r.g, r.h)
     d = max(int(r.g.degree), int(r.h.degree))
-    dropped = out.degree < d * int(f.degree)
-    expected_drop = r.h.degree == d and f(r.g.coeff(d) / r.h.coeff(d)).is_zero()
-    errors.require(dropped == expected_drop, "degree-drop criterion out of sync")
-    if monic:
-        out = out.monic()
-    return TransformResult(out, dropped, monic)
+    dropped = ~out.C[:, d * n:].any(axis=(1, 2))
+    expected_drop = False
+    if r.h.degree == d:  # each row at alpha = g_d/h_d: sum of f_j * alpha^j
+        alpha = (r.g.coeff(d) / r.h.coeff(d)).value
+        powers = np.array([spec.raw_pow(alpha, j) for j in range(n + 1)], dtype=np.int64)
+        terms = spec.mul_vec(spec.from_coords(S.C), powers)
+        expected_drop = ~(spec.to_coords(terms).sum(axis=1) % spec.p).any(axis=1)
+    errors.require((dropped == expected_drop).all(), "degree-drop criterion out of sync")
+    out = out.monic() if monic else out
+    results = [TransformResult(F, flag, monic) for F, flag in zip(out, dropped.tolist())]
+    return results[0] if single else results
 
 
-def is_sigma_self_reciprocal(F: Polynomial, sigma: FieldElement) -> bool:
+def is_sigma_self_reciprocal(F, sigma: FieldElement):
     """Whether x^(2n) * F(sigma/x) = sigma^n * F(x), deg F = 2n.
 
     Equivalent to the coefficient conditions b_(n-k) = b_(n+k) * sigma^k
-    for 0 < k <= n, which is what gets checked.
+    for 0 < k <= n, which is what gets checked.  F may also be a stack of
+    one degree: the result is then one bool per row.
     """
     if sigma.is_zero():
         raise errors.ZeroSigma("sigma must be nonzero")
-    if F.is_zero():
-        raise errors.ZeroPolynomial("zero polynomial")
-    d = int(F.degree)
+    S, single = _as_rows(F)
+    if S is None:
+        return []
+    spec, d = S.owner, S.C.shape[1] - 1
+    if sigma.owner is not spec:
+        raise errors.FieldMismatch("sigma from a different field")
     if d % 2:
         raise errors.OddDegree(f"degree {d} is odd")
     n = d // 2
-    spow = sigma.owner.one
-    for k in range(1, n + 1):
-        spow = spow * sigma
-        if F.coeff(n - k) != F.coeff(n + k) * spow:
-            return False
-    return True
+    b = spec.from_coords(S.C)
+    spow = np.fromiter(itertools.accumulate([sigma.value] * n, spec.raw_mul), np.int64, n)
+    ok = (b[:, :n][:, ::-1] == spec.mul_vec(b[:, n + 1:], spow)).all(axis=1)
+    return bool(ok[0]) if single else ok.tolist()
 
 
 def _validate_triple(spec: FieldSpec, a, b, c):
@@ -101,20 +123,21 @@ def fixed_point_quadratic(a: FieldElement, b: FieldElement,
     return Polynomial(a.owner, [c, -(b + b), a])
 
 
-def is_invariant_generalized(F: Polynomial, a: FieldElement, b: FieldElement,
-                             c: FieldElement) -> bool:
+def is_invariant_generalized(F, a: FieldElement, b: FieldElement, c: FieldElement):
     """Whether (ax-b)^(2n) * F((bx-c)/(ax-b)) = (b^2-ac)^n * F(x).
 
     That is the map x -> (bx-c)/(ax-b) fixing F with block 2 and scalar
     -det, which is (b^2-ac)/e^2 for the entry e the map is normalized by.
+    F may also be a stack of one degree: the result is then one bool per row.
     """
-    _validate_triple(F.owner, a, b, c)
-    if F.is_zero():
-        raise errors.ZeroPolynomial("zero polynomial")
-    if int(F.degree) % 2:
-        raise errors.OddDegree(f"degree {F.degree} is odd")
+    _validate_triple(a.owner, a, b, c)
+    S, single = _as_rows(F)
+    if S is None:
+        return []
+    if (S.C.shape[1] - 1) % 2:
+        raise errors.OddDegree(f"degree {S.C.shape[1] - 1} is odd")
     involution = MoebiusMap(b, -c, a, -b)
-    return involution.fixes(F, -involution.det(), 2)
+    return involution.fixes(F if single else S, -involution.det(), 2)
 
 
 def roots_orbit_check(F: Polynomial, a: FieldElement, b: FieldElement,
@@ -211,7 +234,7 @@ def _binomial_mod(p: int, top: int):
 # -- reconstruction -----------------------------------------------------------------
 
 
-def solve_kernel(F: Polynomial, core: Polynomial, weight: Polynomial) -> Polynomial:
+def solve_kernel(F, core: Polynomial, weight: Polynomial):
     """The f with weight^n * f(core/weight) = F, where n = deg F / deg core.
 
     core and weight are monic with deg weight < deg core.  With
@@ -221,48 +244,55 @@ def solve_kernel(F: Polynomial, core: Polynomial, weight: Polynomial) -> Polynom
     from the top down by exact division by weight.  A nonzero remainder or
     residual raises NoSolution, and the result is checked by substituting
     it again.
+
+    F may also be a stack of one degree: every row peels in the same numpy
+    steps, and the result is one f per row, None for a row outside the image.
     """
-    F._check_owner(core)
-    F._check_owner(weight)
-    if F.is_zero():
-        raise errors.ZeroPolynomial("zero polynomial")
+    S, single = _as_rows(F)
+    if S is None:
+        return []
+    S._check_owner(core)
+    S._check_owner(weight)
     errors.require(core.is_monic() and weight.is_monic() and weight.degree < core.degree,
                    "kernel needs monic core and weight, deg weight < deg core")
-    cdeg = int(core.degree)
-    d = int(F.degree)
+    spec, p = S.owner, S.owner.p
+    cdeg, e, d = int(core.degree), int(weight.degree), S.C.shape[1] - 1
     if d % cdeg:
         raise errors.DegreeNotMultiple(f"degree {d} is not a multiple of {cdeg}")
     n = d // cdeg
-    powers = [Polynomial.one(F.owner), core]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * core)
-    coeffs = []
-    residual = F
+    powers = list(itertools.accumulate([core] * n, Polynomial.__mul__,
+                                       initial=Polynomial.one(spec)))
+    body = spec.from_coords(-spec.to_coords(weight._a[:-1]) % p)  # -(weight - x^e)
+    R, coeffs, bad = S.C.copy(), np.zeros((len(S), n + 1), dtype=np.int64), np.zeros(len(S), bool)
     for j in range(n, -1, -1):
-        c = residual.coeff(cdeg * j)
-        coeffs.append(c)
-        if not c.is_zero():
-            residual = residual - powers[j].scale(c)
-        if j:
-            residual, rem = divmod(residual, weight)
-            if not rem.is_zero():
-                raise errors.NoSolution("F is not in the image of the kernel")
-    if not residual.is_zero():
+        coeffs[:, j] = c = spec.from_coords(R[:, cdeg * j])
+        P = powers[j]._a
+        R[:, :len(P)] = (R[:, :len(P)] - spec.to_coords(spec.mul_vec(P, c[:, np.newaxis]))) % p
+        if j:  # exact division by weight: quotient above x^e, remainder below
+            for i in range(R.shape[1] - 1, e - 1, -1) if body.any() else ():
+                c = spec.from_coords(R[:, i] % p)
+                R[:, i - e:i] += spec.to_coords(spec.mul_vec(body, c[:, np.newaxis]))
+            R %= p
+            bad |= R[:, :e].any(axis=(1, 2))
+            R = R[:, e:]
+    bad |= R.any(axis=(1, 2))
+    if single and bad[0]:
         raise errors.NoSolution("F is not in the image of the kernel")
-    f = Polynomial(F.owner, coeffs[::-1])
-    errors.require(compose_fraction(f, core, weight) == F,
-                   "recovered input does not reproduce F")
-    return f
+    f = _Stack(spec, spec.to_coords(coeffs))  # every row of degree n: f_n = lead F
+    same = (compose_fraction(f, core, weight).C == S.C).all(axis=(1, 2))
+    errors.require(same[~bad].all(), "recovered input does not reproduce F")
+    out = [None if miss else row for row, miss in zip(f, bad.tolist())]
+    return out[0] if single else out
 
 
-def reconstruct(F: Polynomial, sigma: FieldElement) -> Polynomial:
+def reconstruct(F, sigma: FieldElement):
     """The unique f with F = x^n * f(x + sigma/x), for invariant F of degree 2n:
-    the kernel solve with core x^2 + sigma over weight x."""
-    if not is_sigma_self_reciprocal(F, sigma):
+    the kernel solve with core x^2 + sigma over weight x.  F may also be a
+    stack of one degree: the result is then one f per row, None for a row
+    that is not sigma-self-reciprocal (exactly the rows outside the image)."""
+    if is_sigma_self_reciprocal(F, sigma) is False:  # a stack's such rows: None below
         raise errors.NotInvariant("F is not sigma-self-reciprocal")
-    spec = F.owner
-    return solve_kernel(F, Polynomial(spec, [sigma, spec.zero, spec.one]),
-                        Polynomial.x(spec))
+    return solve_kernel(F, Polynomial(sigma.owner, [sigma, 0, 1]), Polynomial.x(sigma.owner))
 
 
 def reconstruct_dickson_sum(F: Polynomial, sigma: FieldElement) -> Polynomial:
@@ -284,28 +314,31 @@ def reconstruct_dickson_sum(F: Polynomial, sigma: FieldElement) -> Polynomial:
 # -- trail transport -----------------------------------------------------------------
 
 
-def transport_forward(F: Polynomial, trail: ReductionTrail) -> Polynomial:
+def transport_forward(F, trail: ReductionTrail):
     """Carry a transformed image along a reduction trail.
 
     If F is (a scalar multiple of) f_R for the trail's start expression,
     the result is the monic image for the trail's end expression
     N o R o M: F with M substituted.  The post-composition map N does not
-    change the image.  F is returned unchanged when M is the identity.
+    change the image.  F is returned unchanged when M is the identity.  F
+    may also be a stack of one degree, carried by one substitution.
     """
     m = trail.composite(PRE)
-    if m == MoebiusMap.identity(F.owner):
+    if m == MoebiusMap.identity(trail.start.owner):
         return F
-    return compose_fraction(F, *m.fraction()).monic()
+    out = compose_fraction(F, *m.fraction())
+    return out if isinstance(out, list) else out.monic()
 
 
-def transport_back(f: Polynomial, trail: ReductionTrail) -> Polynomial:
+def transport_back(f, trail: ReductionTrail):
     """Carry a source polynomial back along a reduction trail.
 
     Inverse bookkeeping of :func:`transport_forward` on the f side: f with
     the post-composition map N substituted (f itself when N is the
     identity); M does not change f.  The result is correct up to a nonzero
     scalar.  Sound for irreducible f of degree >= 2, where the substitution
-    preserves the degree.
+    preserves the degree.  f may also be a stack of one degree, carried by
+    one substitution.
     """
     return compose_fraction(f, *trail.composite(POST).fraction())
 
@@ -324,9 +357,10 @@ def irreducible_images(r, m: int) -> list[tuple[Polynomial, Polynomial]]:
     """The (f, F) pairs, f the monic irreducibles of degree m in enumeration
     order, whose monic image F = f_R under an expression or a kernel
     r = g/h has full degree d*m, d = max(deg g, deg h), and is irreducible."""
-    return _irreducible_pairs([
-        (f, t.result) for f in monic_irreducibles(r.g.owner, m)
-        if not (t := transform(f, r, monic=True)).degree_dropped])
+    inputs = monic_irreducibles(r.g.owner, m)
+    images = transform(inputs, r, monic=True)
+    return _irreducible_pairs([(f, t.result) for f, t in zip(inputs, images)
+                               if not t.degree_dropped])
 
 
 def irreducible_image_count(r: QuadRationalExpr, n: int) -> int:

@@ -15,7 +15,7 @@ from qtk.intmath import divisors, factorization
 from qtk.moebius import expr_parse, sigma_form
 from qtk.poly import Polynomial, is_irreducible, monic_irreducibles, parse_poly
 from qtk.transform import (fixed_point_quadratic, irreducible_images,
-                           irreducible_pencil, transform)
+                           irreducible_pencil)
 
 
 def _check(report, name):
@@ -123,14 +123,18 @@ def _verify_with_matches(monkeypatch, edit):
         "factors-invariant", "factors-divide-core", "product-identity",
         "degree-bookkeeping", "frobenius-closure", "ddf-layers",
         "reconstruction-roundtrip"]
+    return report
+
+
+def _failed(report):
     return {c.name for c in report.failures()}
 
 
 def test_missing_factor_fails_the_product_but_not_the_divisibility(monkeypatch):
     # five of the six factors: every one divides the core, their product
     # (over an odd leaf count) is not the core
-    failed = _verify_with_matches(monkeypatch, lambda ms: ms[:2] + ms[3:])
-    assert failed == {"product-identity", "degree-bookkeeping", "ddf-layers"}
+    report = _verify_with_matches(monkeypatch, lambda ms: ms[:2] + ms[3:])
+    assert _failed(report) == {"product-identity", "degree-bookkeeping", "ddf-layers"}
 
 
 def test_foreign_factor_fails_the_divisibility(monkeypatch):
@@ -144,10 +148,39 @@ def test_foreign_factor_fails_the_divisibility(monkeypatch):
                      if phi not in own)
         return ms[:1] + [FactorMatch(alien, 4, "transform", f=ms[1].f)] + ms[2:]
 
-    failed = _verify_with_matches(monkeypatch, swap)
-    assert failed == {"sigma-self-reciprocal", "factors-invariant",
-                      "factors-divide-core", "product-identity", "ddf-layers",
-                      "reconstruction-roundtrip"}
+    report = _verify_with_matches(monkeypatch, swap)
+    assert _failed(report) == {"sigma-self-reciprocal", "factors-invariant",
+                               "factors-divide-core", "product-identity",
+                               "ddf-layers", "reconstruction-roundtrip"}
+    # the alien is not sigma-self-reciprocal, so only it lacks a recovered input
+    alien = report.factors[1].factor
+    assert _check(report, "reconstruction-roundtrip").detail \
+        == f"transported factor {alien.to_human()} not invariant"
+    assert [m.reconstructed_f for m in report.factors] \
+        == [None if i == 1 else m.f for i, m in enumerate(report.factors)]
+
+
+def test_wrong_input_fails_only_the_roundtrip(monkeypatch):
+    # one transform match keeps its factor but gets another irreducible
+    # quadratic as its input: the factor checks pass, and the input
+    # recovered from the factor differs from the recorded one
+    from dataclasses import replace
+
+    edited = []
+
+    def swap(ms):
+        other = next(phi for phi in monic_irreducibles(field_make(5), 2)
+                     if phi != ms[1].f)
+        edited[:] = ms[:1] + [replace(ms[1], f=other)] + ms[2:]
+        return edited
+
+    report = _verify_with_matches(monkeypatch, swap)
+    assert _failed(report) == {"reconstruction-roundtrip"}
+    assert _check(report, "reconstruction-roundtrip").detail \
+        == f"recovered input for {edited[1].factor.to_human()} does not reproduce it"
+    assert [m.f for m in report.factors] == [m.f for m in edited]
+    assert [m.reconstructed_f for m in report.factors] \
+        == [None if i == 1 else m.f for i, m in enumerate(edited)]
 
 
 def test_fixed_point_quadratic_char2():
@@ -179,24 +212,31 @@ def test_permitted_source_degrees():
     assert permitted_source_degrees(12) == [4, 12]
 
 
+def _reference_image(f, r):
+    """The monic image h^(deg f) * f(g/h) by the reference arithmetic."""
+    spec = f.owner
+    image = reference.poly_compose_fraction(
+        spec, *([c.coords for c in p.coeffs] for p in (f, r.g, r.h)))
+    return Polynomial(spec, reference.poly_monic(spec, image))
+
+
 def test_irreducible_images_and_pencil_agree_with_scalar_filter(fields, rng):
-    # the shared stacked filter against one transform and one scalar Rabin
-    # test per input; an expression with deg h = 2 makes the image of
-    # x - g_2/h_2 drop degree, and that image must be left out
+    # the shared stacked filter against one reference substitution and one
+    # scalar Rabin test per input; an expression with deg h = 2 makes the
+    # image of x - g_2/h_2 drop degree, and that image must be left out
     for q in (2, 3, 4, 5, 9):
         spec = fields[q]
         r = random_expr(spec, rng)
         while r.h.degree != 2:
             r = random_expr(spec, rng)
-        assert any(transform(f, r, monic=True).degree_dropped
-                   for f in monic_irreducibles(spec, 1))
+        assert any(_reference_image(f, r).degree < 2 for f in monic_irreducibles(spec, 1))
         kernels = [kernel(spec, order) for order in (ORDER3, ORDER4, TRANSLATION)
                    if not (order == ORDER4 and spec.p == 2)]
         for expr in (sigma_form(spec.one), r, *kernels):
             d = max(int(expr.g.degree), int(expr.h.degree))
             for m in (1, 2, 3):
                 expected = [(f, F) for f in monic_irreducibles(spec, m)
-                            if (F := transform(f, expr, monic=True).result).degree
+                            if (F := _reference_image(f, expr)).degree
                             == d * m and is_irreducible(F)]
                 assert irreducible_images(expr, m) == expected, (spec, expr, m)
         for expr in (sigma_form(spec.one), r):

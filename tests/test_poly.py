@@ -356,6 +356,23 @@ def test_compose_fraction_across_digits(fields, rng):
         S[0, 0] = 1
 
 
+def test_compose_fraction_on_stacks_across_digits(fields, rng):
+    # a stack of one degree is one result per row, each the single call's
+    # (which the test above pins to the reference), for every degree up to
+    # three digits and num, den of degree 0..2 or zero; GF(2^11) has
+    # 2-coefficient digits
+    shapes = [(a, b) for a in (None, 0, 1, 2) for b in (None, 0, 1, 2)]
+    for spec in [*fields.values(), field_make(2, 4), field_make(2, 11)]:
+        B = max(1, poly._DIGIT_COORDS // spec.k)
+        for d in range(0, 3 * B + 3, max(1, B // 4)):
+            rows = [random_poly(spec, d, rng) for _ in range(4)]
+            num, den = (Polynomial.zero(spec) if e is None else random_poly(spec, e, rng)
+                        for e in shapes[(d + spec.q) % len(shapes)])
+            stacked = compose_fraction(rows, num, den)
+            assert len(stacked) == len(rows)
+            assert list(stacked) == [compose_fraction(f, num, den) for f in rows], (spec, d)
+
+
 @pytest.mark.parametrize("p, k, n, points", [(2, 8, 1000, (2, 16)),
                                              (3, 1, 2000, (3, 12))])
 def test_large_transform_memory_and_time(p, k, n, points):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -9,8 +10,9 @@ from qtk.gf import embed
 from qtk.higher import ORDER3, ORDER4, TRANSLATION, HigherKernel, is_invariant, kernel
 from qtk.moebius import MoebiusMap, QuadRationalExpr, apply_post, apply_pre, \
     expr_parse, reduce_canonical, sigma_form
-from qtk.poly import (Polynomial, enumerate_monic, enumerate_monic_irreducible,
-                      is_irreducible, monic_irreducibles, parse_poly)
+from qtk.poly import (Polynomial, compose_fraction, enumerate_monic,
+                      enumerate_monic_irreducible, is_irreducible,
+                      monic_irreducibles, parse_poly)
 from qtk.transform import (DicksonParams, dickson, irreducible_image_count,
                            is_invariant_generalized, is_sigma_self_reciprocal,
                            reconstruct, reconstruct_dickson_sum,
@@ -82,7 +84,7 @@ def test_sigma_self_reciprocal_is_the_substitution_identity(fields, rng):
 def test_lemma_invariance_equivalence_exhaustive(fields):
     # the invariant monic F of degree 2n are exactly the images of the q^n
     # monic f of degree n, and reconstruct inverts each one; exhaustive for
-    # q <= 5 and 2n <= 8
+    # q <= 5 and 2n <= 8, the candidates tested in stacks of 4096
     from qtk.gf import least_nonsquare
     for q in (2, 3, 4, 5):
         spec = fields[q]
@@ -91,8 +93,10 @@ def test_lemma_invariance_equivalence_exhaustive(fields):
         for sigma in sigmas:
             r = sigma_form(sigma)
             for d in (2, 4, 6, 8):
-                invariant = {F for F in enumerate_monic(spec, d)
-                             if is_sigma_self_reciprocal(F, sigma)}
+                candidates, invariant = enumerate_monic(spec, d), set()
+                while stack := list(itertools.islice(candidates, 4096)):
+                    invariant |= {F for F, ok in zip(
+                        stack, is_sigma_self_reciprocal(stack, sigma)) if ok}
                 images = {transform(f, r).result
                           for f in enumerate_monic(spec, d // 2)}
                 assert invariant == images
@@ -412,3 +416,134 @@ def test_count_preserving_randomized(fields, rng):
             side = rng.choice(["pre", "post"])
             r2 = apply_pre(r, m) if side == "pre" else apply_post(r, m)
             assert irreducible_image_count(r, 2) == irreducible_image_count(r2, 2)
+
+
+# -- stacks ----------------------------------------------------------------------------
+
+#: GF(2, 3, 4, 5, 9, 16), and GF(2^11), whose digits hold two coefficients,
+#: so that there every row of degree >= 2 spans several digits
+STACK_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4), (2, 11)]
+
+
+def _agree(stacked, single, rows):
+    """Row i of the stacked call is the single call on row i."""
+    stacked = list(stacked)
+    assert stacked == [single(f) for f in rows]
+    return stacked
+
+
+@pytest.mark.parametrize("p, k", STACK_FIELDS)
+def test_substitution_stacks_match_single_calls_and_the_references(p, k):
+    spec = field_make(p, k)
+    rng = random.Random(100 * p + k)
+    one, zero = spec.one, spec.zero
+    nonzero = [e for e in itertools.islice(spec.elements(), 64) if not e.is_zero()]
+    # images under R = g/h with deg h = 2; row 2 vanishes at g_2/h_2, so
+    # its image drops degree
+    r = random_expr(spec, rng)
+    while r.h.degree != 2 or (p == 2 and r.g.coeff(1).is_zero() and r.h.coeff(1).is_zero()):
+        r = random_expr(spec, rng)
+    root = Polynomial(spec, [-(r.g.coeff(2) / r.h.coeff(2)), one])
+    for n in (1, 2, 3, 5):
+        rows = [random_poly(spec, n, rng) for _ in range(5)]
+        rows[2] = root * random_poly(spec, n - 1, rng)
+        images = _agree(compose_fraction(rows, r.g, r.h),
+                        lambda f: compose_fraction(f, r.g, r.h), rows)
+        for f, F in zip(rows, images):
+            assert _coords(F) == reference.poly_compose_fraction(
+                spec, _coords(f), _coords(r.g), _coords(r.h))
+        for monic in (False, True):
+            results = _agree(transform(rows, r, monic=monic),
+                             lambda f: transform(f, r, monic=monic), rows)
+            assert results[2].degree_dropped
+    # invariance: sigma-form images with a non-invariant row in the middle
+    sigma = rng.choice(nonzero)
+    for m in (1, 2, 3):
+        F = [t.result for t in transform(
+            [random_poly(spec, m, rng, monic=True) for _ in range(4)], sigma_form(sigma))]
+        F.insert(2, F[0] + Polynomial.one(spec))
+        want = [True, True, False, True, True]
+        assert _agree(is_sigma_self_reciprocal(F, sigma),
+                      lambda G: is_sigma_self_reciprocal(G, sigma), F) == want
+        assert _agree(is_invariant_generalized(F, one, zero, -sigma),
+                      lambda G: is_invariant_generalized(G, one, zero, -sigma), F) == want
+        involution = MoebiusMap(zero, sigma, one, zero)  # x -> sigma/x, normalized
+        scalar = -involution.det()
+        assert _agree(involution.fixes(F, scalar, 2),
+                      lambda G: involution.fixes(G, scalar, 2), F) == want
+        # the same row is outside the kernel image: reconstruct and the bare
+        # kernel solve mark it, the single calls raise
+        core = Polynomial(spec, [sigma, zero, one])
+        for solve, error in ((lambda G: reconstruct(G, sigma), errors.NotInvariant),
+                             (lambda G: solve_kernel(G, core, Polynomial.x(spec)),
+                              errors.NoSolution)):
+            with pytest.raises(error):
+                solve(F[2])
+            found = solve(F)
+            assert found[2] is None
+            assert found[:2] + found[3:] == [solve(G) for G in F[:2] + F[3:]]
+        if p % 2:
+            for G, f in zip(F, reconstruct(F, sigma)):
+                if f is not None:
+                    assert _coords(f) == reference.reconstruct_closed_form(
+                        spec, _coords(G), sigma.coords)
+    # a higher kernel, whose weight is not a monomial
+    ker = kernel(spec, ORDER3)
+    F = [t.result for t in transform([random_poly(spec, 2, rng) for _ in range(4)], ker)]
+    F.insert(1, F[0] + Polynomial.one(spec))
+    assert _agree(is_invariant(F, ker), lambda G: is_invariant(G, ker), F) \
+        == [True, False, True, True, True]
+    found = solve_kernel(F, ker.g, ker.h)
+    assert found[1] is None
+    assert found[:1] + found[2:] == [solve_kernel(G, ker.g, ker.h) for G in F[:1] + F[2:]]
+    # trail transports of irreducible images against the stepwise reference
+    form, trail = reduce_canonical(r)
+    transported = 0
+    for m in (2, 3):
+        fs = [random_poly(spec, m, rng, monic=True) for _ in range(30)]
+        fs = [f for f, ok in zip(fs, is_irreducible(fs)) if ok]
+        F = [t.result for t in transform(fs, r, monic=True) if not t.degree_dropped]
+        F = [G for G, ok in zip(F, is_irreducible(F)) if ok][:4]
+        if not F:
+            continue
+        F_star = _agree(transport_forward(F, trail),
+                        lambda G: transport_forward(G, trail), F)
+        for G, G_star in zip(F, F_star):
+            assert _coords(G_star) == reference.transport_forward_stepwise(G, trail)
+        f_star = _agree(reconstruct(F_star, form.sigma),
+                        lambda G: reconstruct(G, form.sigma), F_star)
+        back = _agree(transport_back(f_star, trail),
+                      lambda f: transport_back(f, trail), f_star)
+        for f, b in zip(f_star, back):  # the same up to a scalar
+            assert _coords(b.monic()) == reference.poly_monic(
+                spec, reference.transport_back_stepwise(f, trail))
+        transported += len(F)
+    assert transported
+
+
+def test_substitution_stacks_edge_cases():
+    F3, F9 = field_make(3), field_make(3, 2)
+    one, zero, sigma = F3.one, F3.zero, F3.element(2)
+    r = expr_parse(F3, "2,1,1 / 1,1")
+    form, trail = reduce_canonical(r)
+    assert trail.composite("pre") != MoebiusMap.identity(F3)
+    core, x = P(F3, "x^2+2"), Polynomial.x(F3)
+    calls = {
+        "compose_fraction": lambda F: compose_fraction(F, r.g, r.h),
+        "transform": lambda F: transform(F, r),
+        "fixes": lambda F: MoebiusMap(zero, sigma, one, zero).fixes(F, one, 2),
+        "is_invariant_generalized": lambda F: is_invariant_generalized(F, one, zero, -sigma),
+        "is_sigma_self_reciprocal": lambda F: is_sigma_self_reciprocal(F, sigma),
+        "solve_kernel": lambda F: solve_kernel(F, core, x),
+        "reconstruct": lambda F: reconstruct(F, sigma),
+        "transport_forward": lambda F: transport_forward(F, trail),
+        "transport_back": lambda F: transport_back(F, trail),
+    }
+    F = transform(P(F3, "x^2+1"), sigma_form(sigma)).result
+    for name, call in calls.items():
+        assert list(call([])) == [], name
+        assert list(call([F])) == [call(F)], name
+        with pytest.raises(errors.InvalidArgument):
+            call([F, F * F])
+        with pytest.raises(errors.FieldMismatch):
+            call([F, P(F9, "x^4+1")])
