@@ -62,10 +62,6 @@ def _plain(v):
     return v
 
 
-def _poly_out(p: Polynomial) -> dict:
-    return {"coeffs": p.to_text(), "human": p.to_human()}
-
-
 def _parse_poly_arg(spec, text: str, human: bool) -> Polynomial:
     if human:
         from .poly import _parse_human
@@ -104,7 +100,7 @@ def build_parser() -> _Parser:
     add_common(p, expr=True, sigma=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--variant", required=True,
-                   choices=["carlitz", "sigma", "ahmadi", "linear", "corollary"])
+                   choices=list(counting.VARIANTS))
     p.add_argument("--oracle", action="store_true",
                    help="recompute by brute force and compare")
 
@@ -181,9 +177,9 @@ def cmd_transform(args, json_mode: bool) -> int:
     f = _parse_poly_arg(spec, args.f, args.human)
     r = _parse_expr_arg(spec, args.expr)
     t = transform(f, r, monic=args.monic)
-    out = {"cmd": "transform", "field": spec.name, "f": _poly_out(f),
-           "expr": r.to_text(), "result": _poly_out(t.result),
-           "degree_dropped": t.degree_dropped, "monic": t.normalized_monic}
+    out = {"cmd": "transform", "field": spec.name, "f": f.to_json_dict(),
+           "expr": r.to_text(), "result": t.result.to_json_dict(),
+           "degree_dropped": t.degree_dropped, "monic": args.monic}
     _emit(out, json_mode)
     return EXIT_OK
 
@@ -193,8 +189,8 @@ def cmd_reconstruct(args, json_mode: bool) -> int:
     big_f = _parse_poly_arg(spec, args.big_f, args.human)
     sigma = element_from_text(spec, args.sigma)
     f = reconstruct(big_f, sigma)
-    out = {"cmd": "reconstruct", "field": spec.name, "F": _poly_out(big_f),
-           "sigma": sigma.to_text(), "f": _poly_out(f)}
+    out = {"cmd": "reconstruct", "field": spec.name, "F": big_f.to_json_dict(),
+           "sigma": sigma.to_text(), "f": f.to_json_dict()}
     _emit(out, json_mode)
     return EXIT_OK
 
@@ -204,7 +200,7 @@ def cmd_dickson(args, json_mode: bool) -> int:
     a = element_from_text(spec, args.a)
     d = dickson(DicksonParams(args.n, a))
     out = {"cmd": "dickson", "field": spec.name, "n": args.n,
-           "a": a.to_text(), "result": _poly_out(d)}
+           "a": a.to_text(), "result": d.to_json_dict()}
     _emit(out, json_mode)
     return EXIT_OK
 
@@ -234,13 +230,11 @@ def cmd_table(args, json_mode: bool) -> int:
     for name in args.fields.split(","):
         spec = field_from_name(name.strip())
         for n in range(1, args.n_max + 1):
-            if args.variant == "carlitz":
-                queries = [counting.CountQuery(spec, n, "carlitz")]
+            if counting.VARIANTS[args.variant].needs is None:
+                sigmas = [None]
             else:
-                sigmas = ([spec.one] if spec.p == 2
-                          else [spec.one, least_nonsquare(spec)])
-                queries = [counting.CountQuery(spec, n, "sigma", sigma=s)
-                           for s in sigmas]
+                sigmas = [spec.one] if spec.p == 2 else [spec.one, least_nonsquare(spec)]
+            queries = [counting.CountQuery(spec, n, args.variant, sigma=s) for s in sigmas]
             for query in queries:
                 res = counting.evaluate(query)
                 out = {"cmd": "table", "field": spec.name, "n": n,

@@ -5,10 +5,12 @@ Every count is one formula in q, n and a square class epsilon:
 
     (sum over odd d | n of mu(d) * q^(n/d) - delta) / (2n),
 
-where delta = epsilon^n when q is odd and n is a power of two, and delta = 0
-otherwise.  epsilon is 0 for q even and +1/-1 for q odd by the square class
-of sigma, or of b^2 - ac for an expression g/h with involution triple
-(a, b, c).  The division is integer-exact and checked so.  The counts:
+where delta = sum over odd d | n of mu(d) * epsilon^(n/d), the same divisor
+sum at epsilon: epsilon^n when n is a power of two, and 0 otherwise.
+epsilon is 0 for q even and +1/-1 for q odd by the square class of sigma,
+or of b^2 - ac for an expression g/h with involution triple (a, b, c).  The
+division is integer-exact and checked so.  The counts, one row each of
+:data:`VARIANTS`:
 
 * ``count_carlitz``: monic irreducible self-reciprocal polynomials of
   degree 2n over GF(q) (sigma = 1).
@@ -30,10 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from . import errors
 from .gf import FieldElement, FieldSpec, square_class
-from .intmath import divisors, factorization, is_power_of_two
+from .intmath import divisors, factorization
 from .moebius import QuadRationalExpr, SigmaClass, classify_sigma, sigma_form
 from .transform import irreducible_image_count, irreducible_pencil
 
@@ -55,13 +58,14 @@ class CountQuery:
     """A counting problem instance; `variant` selects the formula."""
     field: FieldSpec
     n: int
-    variant: str  # carlitz | sigma | ahmadi | linear | corollary
+    variant: str  # a key of VARIANTS
     sigma: FieldElement | None = None
     expr: QuadRationalExpr | None = None
 
     def __post_init__(self):
-        needs = {"sigma": "sigma", "corollary": "sigma",
-                 "ahmadi": "expr", "linear": "expr"}.get(self.variant)
+        if self.variant not in VARIANTS:
+            raise errors.Error(f"unknown count variant {self.variant!r}")
+        needs = VARIANTS[self.variant].needs
         if needs and getattr(self, needs) is None:
             raise errors.InvalidArgument(f"the {self.variant} count needs {needs}")
 
@@ -88,7 +92,7 @@ def _exact_div(num: int, den: int) -> int:
 
 def _count(q: int, n: int, eps: int) -> tuple[int, int]:
     """(value, delta): value = (sum over odd d | n of mu(d) q^(n/d) - delta) / (2n),
-    with delta = eps^n when q is odd and n a power of two, else 0.
+    with delta = sum over odd d | n of mu(d) eps^(n/d).
 
     A q^n of more than _MAX_DIGITS decimal digits is refused; n * log10(q)
     decides that up to one digit, and q^n is computed only for that last digit.
@@ -96,8 +100,12 @@ def _count(q: int, n: int, eps: int) -> tuple[int, int]:
     if n * math.log10(q) >= _MAX_DIGITS + 1 or q ** n >= 10 ** _MAX_DIGITS:
         raise errors.SizeBoundExceeded(
             f"q^n with q = {q}, n = {n} has more than {_MAX_DIGITS} decimal digits")
-    delta = eps ** n if q % 2 and is_power_of_two(n) else 0
-    total = sum(moebius_mu(d) * q ** (n // d) for d in divisors(n) if d % 2)
+    total = delta = 0
+    for d in divisors(n):
+        if d % 2:
+            mu = moebius_mu(d)
+            total += mu * q ** (n // d)
+            delta += mu * eps ** (n // d)
     return _exact_div(total - delta, 2 * n), delta
 
 
@@ -181,20 +189,30 @@ def count_corollary(field: FieldSpec, n: int, sigma: FieldElement) -> CountResul
     return CountResult(value, eps, delta, branch)
 
 
+@dataclass(frozen=True)
+class _Variant:
+    needs: str | None  # the CountQuery field the count reads besides field and n
+    formula: Callable[[CountQuery], CountResult]
+    oracle_expr: Callable[[CountQuery], QuadRationalExpr] | None  # None: the pencil
+
+
+#: Every count variant by name, in the order the CLI offers them.
+VARIANTS = {
+    "carlitz": _Variant(None, lambda q: count_carlitz(q.field, q.n),
+                        lambda q: sigma_form(q.field.one)),
+    "sigma": _Variant("sigma", lambda q: count_sigma(q.field, q.n, q.sigma),
+                      lambda q: sigma_form(q.sigma)),
+    "ahmadi": _Variant("expr", lambda q: count_ahmadi(q.field, q.n, q.expr),
+                       lambda q: q.expr),
+    "linear": _Variant("expr", lambda q: count_linear_inputs(q.field, q.expr), None),
+    "corollary": _Variant("sigma", lambda q: count_corollary(q.field, q.n, q.sigma),
+                          lambda q: sigma_form(q.sigma)),
+}
+
+
 def evaluate(query: CountQuery) -> CountResult:
     """Dispatch a query to the matching formula."""
-    v = query.variant
-    if v == "carlitz":
-        return count_carlitz(query.field, query.n)
-    if v == "sigma":
-        return count_sigma(query.field, query.n, query.sigma)
-    if v == "ahmadi":
-        return count_ahmadi(query.field, query.n, query.expr)
-    if v == "linear":
-        return count_linear_inputs(query.field, query.expr)
-    if v == "corollary":
-        return count_corollary(query.field, query.n, query.sigma)
-    raise errors.Error(f"unknown count variant {v!r}")
+    return VARIANTS[query.variant].formula(query)
 
 
 def brute_count(query: CountQuery) -> int:
@@ -205,16 +223,7 @@ def brute_count(query: CountQuery) -> int:
     degree.  For the linear variant: test every monic quadratic in the
     pencil spanned by g and h.
     """
-    v = query.variant
-    field = query.field
-    if v == "linear":
+    oracle_expr = VARIANTS[query.variant].oracle_expr
+    if oracle_expr is None:
         return len(irreducible_pencil(query.expr))
-    if v == "carlitz":
-        expr = sigma_form(field.one)
-    elif v in ("sigma", "corollary"):
-        expr = sigma_form(query.sigma)
-    elif v == "ahmadi":
-        expr = query.expr
-    else:
-        raise errors.Error(f"unknown count variant {v!r}")
-    return irreducible_image_count(expr, query.n)
+    return irreducible_image_count(oracle_expr(query), query.n)

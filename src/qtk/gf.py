@@ -442,19 +442,8 @@ def _embedding_powers(source: FieldSpec, target: FieldSpec) -> tuple[FieldElemen
 
 
 def embed(e: FieldElement, target: FieldSpec) -> FieldElement:
-    """Image of e under the fixed embedding of its field into `target`.
+    """Image of e under the fixed embedding of its field into `target`: the
+    constant polynomial e through :meth:`qtk.poly.Polynomial.embed`."""
+    from .poly import Polynomial  # deferred: poly imports this module
 
-    The embedding is the ring homomorphism fixing GF(p) that sends the
-    source generator to the least root of the source modulus in `target`.
-    """
-    source = e.owner
-    if source is target:
-        return e
-    if source.p != target.p or target.k % source.k != 0:
-        raise errors.NoEmbedding(
-            f"no embedding of {source!r} into {target!r}")
-    out = target.zero
-    for a, power in zip(e.coords, _embedding_powers(source, target)):
-        if a:
-            out = out + power * a
-    return out
+    return Polynomial(e.owner, [e]).embed(target).coeff(0)

@@ -33,16 +33,15 @@ import os
 from dataclasses import dataclass, replace
 
 from . import errors
-from .gf import FieldElement, FieldSpec, parse_int, square_class
+from .gf import FieldElement, parse_int, square_class
 from .intmath import divisors
 from .moebius import (CanonicalKind, QuadRationalExpr, SigmaClass,
                       classify_sigma, reduce_canonical, sigma_form)
 from .poly import Polynomial, _product_tree, _remainder_tree, ddf, gcd, pow_mod
-from .transform import (_validate_triple, fixed_point_quadratic,
-                        irreducible_images, irreducible_pencil,
-                        is_invariant_generalized, is_sigma_self_reciprocal,
-                        reconstruct, transform, transport_back,
-                        transport_forward)
+from .transform import (fixed_point_quadratic, irreducible_images,
+                        irreducible_pencil, is_invariant_generalized,
+                        is_sigma_self_reciprocal, reconstruct, transform,
+                        transport_back, transport_forward)
 
 #: Default cap on q^n + 1 (the degree of H) for the verify operations.
 DEFAULT_SIZE_BOUND = 4096
@@ -59,83 +58,57 @@ def resolve_size_bound(explicit: int | None = None) -> int:
     return parse_int(env, "QTK_SIZE_BOUND") if env else DEFAULT_SIZE_BOUND
 
 
-@dataclass(frozen=True)
-class HSpec:
-    """Parameters of one H polynomial: the degree exponent n and the triple."""
-
-    n: int
-    a: FieldElement
-    b: FieldElement
-    c: FieldElement
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise errors.InvalidArgument("n must be >= 1")
-        spec = self.a.owner
-        if self.b.owner is not spec or self.c.owner is not spec:
-            raise errors.FieldMismatch("triple entries from different fields")
-        _validate_triple(spec, self.a, self.b, self.c)
-
-    @property
-    def owner(self) -> FieldSpec:
-        return self.a.owner
-
-    def discriminant(self) -> FieldElement:
-        return self.b * self.b - self.a * self.c
-
-
-def hspec_from_expr(r: QuadRationalExpr, n: int) -> HSpec:
-    return HSpec(n, *r.abc)
-
-
 def _bounded_qn(q: int, n: int, size_bound: int | None = None) -> int:
-    """q^n, refusing a degree q^n + 1 of H beyond the size bound.
+    """q^n, refusing n < 1 and a degree q^n + 1 of H beyond the size bound.
 
     Since q >= 2, n >= the bit length of the bound already refuses, so q^n is
     computed only for n below that bit length.
     """
     bound = resolve_size_bound(size_bound)
+    if n < 1:
+        raise errors.InvalidArgument("n must be >= 1")
     if n >= bound.bit_length() or q ** n + 1 > bound:
         raise errors.SizeBoundExceeded(
             f"q^n + 1 with q = {q}, n = {n} exceeds the size bound {bound}")
     return q ** n
 
 
-def build_h(spec: HSpec, size_bound: int | None = None) -> Polynomial:
-    """The dense polynomial a*x^(q^n+1) - b*(x^(q^n) + x) + c."""
-    fs = spec.owner
-    qn = _bounded_qn(fs.q, spec.n, size_bound)
-    zero = fs.zero
-    coeffs = [zero] * (qn + 2)
-    coeffs[0] = spec.c
-    coeffs[1] = -spec.b
-    coeffs[qn] = coeffs[qn] - spec.b
-    coeffs[qn + 1] = spec.a
+def build_h(r: QuadRationalExpr, n: int, size_bound: int | None = None) -> Polynomial:
+    """The dense polynomial a*x^(q^n+1) - b*(x^(q^n) + x) + c, (a, b, c) = r.abc."""
+    fs = r.owner
+    a, b, c = r.abc
+    qn = _bounded_qn(fs.q, n, size_bound)
+    coeffs = [fs.zero] * (qn + 2)
+    coeffs[0] = c
+    coeffs[1] = -b
+    coeffs[qn] = coeffs[qn] - b
+    coeffs[qn + 1] = a
     return Polynomial(fs, coeffs)
 
 
-def _fixed_part(spec: HSpec) -> Polynomial:
+def _fixed_part(r: QuadRationalExpr, n: int) -> Polynomial:
     """gcd(a*x^2 - 2bx + c, x^(q^n) - x): the part of H carried by fixed points
     and base-field roots."""
-    fs = spec.owner
-    fixq = fixed_point_quadratic(spec.a, spec.b, spec.c)
+    fs = r.owner
+    fixq = fixed_point_quadratic(*r.abc)
     if fixq.degree < 1:
         return Polynomial.one(fs)
-    z = pow_mod(Polynomial.x(fs), fs.q ** spec.n, fixq)
+    z = pow_mod(Polynomial.x(fs), fs.q ** n, fixq)
     return gcd(fixq, z - Polynomial.x(fs))
 
 
-def _split_h(spec: HSpec, size_bound: int | None):
+def _split_h(r: QuadRationalExpr, n: int, size_bound: int | None):
     """(H, fixed part, H // fixed part, whether the division is exact)."""
-    h = build_h(spec, size_bound)
-    fixed = _fixed_part(spec)
+    h = build_h(r, n, size_bound)
+    fixed = _fixed_part(r, n)
     core, rem = divmod(h, fixed)
     return h, fixed, core, rem.is_zero()
 
 
-def _squarefree_combo(spec: HSpec, h: Polynomial) -> Polynomial:
+def _squarefree_combo(r: QuadRationalExpr, h: Polynomial) -> Polynomial:
     """(ax - b)*H' - a*H, the constant b^2 - ac when H is built correctly."""
-    return Polynomial(spec.owner, [-spec.b, spec.a]) * h.derivative() - h.scale(spec.a)
+    a, b, _ = r.abc
+    return Polynomial(r.owner, [-b, a]) * h.derivative() - h.scale(a)
 
 
 # -- verification ---------------------------------------------------------------
@@ -187,27 +160,24 @@ class HVerifyReport:
         return [c for c in self.checks if not c.ok]
 
     def to_json_dict(self) -> dict:
-        def pjson(p: Polynomial) -> dict:
-            return {"coeffs": p.to_text(), "human": p.to_human()}
-
         return {
             "field": self.field_name,
             "n": self.n,
             "abc": [e.to_text() for e in self.abc],
             "expr": self.expr.to_text(),
-            "h": pjson(self.h),
-            "h_core": pjson(self.h_core),
+            "h": self.h.to_json_dict(),
+            "h_core": self.h_core.to_json_dict(),
             "scalar": self.scalar.to_text(),
             "degree_multiset": self.degree_multiset(),
             "factor_count": len(self.factors),
             "factors": [
                 {
-                    "factor": pjson(m.factor),
+                    "factor": m.factor.to_json_dict(),
                     "degree": m.degree,
                     "source_kind": m.source_kind,
-                    "f": pjson(m.f) if m.f is not None else None,
+                    "f": m.f.to_json_dict() if m.f is not None else None,
                     "alpha": m.alpha.to_text() if m.alpha is not None else None,
-                    "reconstructed_f": (pjson(m.reconstructed_f)
+                    "reconstructed_f": (m.reconstructed_f.to_json_dict()
                                         if m.reconstructed_f is not None else None),
                 }
                 for m in self.factors
@@ -248,22 +218,21 @@ def _verify_engine(r: QuadRationalExpr, n: int, size_bound: int | None,
     if classify_sigma(r) is SigmaClass.X_SQUARED:
         raise errors.Char2Degenerate(
             "characteristic 2 with g and h both even: no irreducible images")
-    hspec = hspec_from_expr(r, n)
-    a, b, c = hspec.a, hspec.b, hspec.c
+    a, b, c = r.abc
+    disc = r.discriminant()
     checks: list[CheckOutcome] = []
 
-    h_full, fixed, h_core, exact = _split_h(hspec, size_bound)
-    combo = _squarefree_combo(hspec, h_full)
+    h_full, fixed, h_core, exact = _split_h(r, n, size_bound)
+    combo = _squarefree_combo(r, h_full)
     checks.append(CheckOutcome(
-        "squarefree-witness", combo == Polynomial(fs, [hspec.discriminant()]),
-        combo.to_text()))
+        "squarefree-witness", combo == Polynomial(fs, [disc]), combo.to_text()))
 
     checks.append(CheckOutcome(
         "fixed-part-divides", exact, f"deg fixed part = {fixed.degree}"))
     h_core_monic = h_core.monic()
     scalar = h_core.leading
 
-    eps = square_class(hspec.discriminant())
+    eps = square_class(disc)
     expected_deg = qn - eps ** n
     checks.append(CheckOutcome(
         "degree-identity", int(h_core.degree) == expected_deg,

@@ -51,8 +51,3 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def is_power_of_two(n: int) -> bool:
-    """True for n in {1, 2, 4, 8, ...}."""
-    return n >= 1 and (n & (n - 1)) == 0

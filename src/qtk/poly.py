@@ -242,9 +242,10 @@ class Polynomial:
         return Polynomial._wrap(self.owner, _trim(self._a[::-1].copy()))
 
     def embed(self, target: FieldSpec) -> "Polynomial":
-        """The same polynomial over an extension field: :func:`qtk.gf.embed`
-        on every coefficient at once, as one GF(p) matrix product whose rows
-        are the target coordinates of the embedded powers of the generator."""
+        """The same polynomial over an extension field, under the ring
+        homomorphism fixing GF(p) that sends the source generator to the least
+        root of the source modulus in `target`: one GF(p) matrix product whose
+        rows are the target coordinates of the powers of that root."""
         source = self.owner
         if target is source:
             return self
@@ -292,6 +293,10 @@ class Polynomial:
         if not len(self._a):
             return "0"
         return ",".join(map(self.owner.element_text, self._a.tolist()))
+
+    def to_json_dict(self) -> dict:
+        """Form (a) with form (b) alongside, as the CLI's output carries it."""
+        return {"coeffs": self.to_text(), "human": self.to_human()}
 
     def to_human(self) -> str:
         """Form (b): "x^2+2*x+1" with coefficients as residues."""
@@ -563,20 +568,23 @@ def _operands(a, mod, error):
     spec, D = F.owner, F.C.shape[1] - 1
     _check_headroom(spec, 2 * D)
     neg = spec.from_coords(-F.C[:, :-1] % spec.p)
-    return F, neg, _rows_reduce(spec, A.C, neg)
+    return F, neg, _rows_reduce(spec, A.C, neg)[0]
 
 
 def _rows_reduce(spec: FieldSpec, R, neg):
-    """The rows of R ((N, L, k), entries >= 0) modulo the monic rows with
-    negated bodies neg ((N, D) indices), as (N, D, k): one step per position
-    from the top, each adding c * neg at the D positions below it."""
+    """The rows of R ((N, L, k), entries >= 0) divided by the monic rows with
+    negated bodies neg ((N, D) indices), as (remainder (N, D, k), quotient
+    (N, L-D, k)): one step per position i from the top, each adding c * neg
+    at the D positions below it; c, the quotient's x^(i-D) coefficient,
+    stays at position i."""
     N, L, k = R.shape
     D = neg.shape[1]
     R = np.concatenate([R, np.zeros((N, max(0, D - L), k), dtype=np.int64)], axis=1)
     for i in range(L - 1, D - 1, -1):
         c = spec.from_coords(R[:, i] % spec.p)
         R[:, i - D:i] += spec.to_coords(spec.mul_vec(neg, c[:, np.newaxis]))
-    return R[:, :D] % spec.p
+    R %= spec.p
+    return R[:, :D], R[:, D:]
 
 
 def _rows_mulmod(spec: FieldSpec, A, B, neg):
@@ -588,7 +596,7 @@ def _rows_mulmod(spec: FieldSpec, A, B, neg):
     P = np.zeros((N, 2 * D - 1, k), dtype=np.int64)
     for i in range(D):
         P[:, i:i + D] += spec.to_coords(spec.mul_vec(b, a[:, i:i + 1]))
-    return _rows_reduce(spec, P, neg)
+    return _rows_reduce(spec, P, neg)[0]
 
 
 def _rows_gcd(spec: FieldSpec, A, F):

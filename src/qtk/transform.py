@@ -40,17 +40,16 @@ from math import lcm
 import numpy as np
 
 from . import errors
-from .gf import FieldElement, FieldSpec, embed, field_make
+from .gf import SIZE_BOUND, FieldElement, FieldSpec, embed, field_make
 from .moebius import POST, PRE, MoebiusMap, QuadRationalExpr, ReductionTrail
-from .poly import (Polynomial, _Stack, _as_rows, compose_fraction, ddf,
-                   factorize, gcd, is_irreducible, monic_irreducibles)
+from .poly import (Polynomial, _rows_reduce, _Stack, _as_rows, compose_fraction,
+                   ddf, factorize, gcd, is_irreducible, monic_irreducibles)
 
 
 @dataclass(frozen=True)
 class TransformResult:
     result: Polynomial
     degree_dropped: bool
-    normalized_monic: bool
 
 
 def transform(f, r, monic: bool = False):
@@ -79,7 +78,7 @@ def transform(f, r, monic: bool = False):
         expected_drop = ~(spec.to_coords(terms).sum(axis=1) % spec.p).any(axis=1)
     errors.require((dropped == expected_drop).all(), "degree-drop criterion out of sync")
     out = out.monic() if monic else out
-    results = [TransformResult(F, flag, monic) for F, flag in zip(out, dropped.tolist())]
+    results = [TransformResult(F, flag) for F, flag in zip(out, dropped.tolist())]
     return results[0] if single else results
 
 
@@ -190,11 +189,14 @@ def dickson(params: DicksonParams) -> Polynomial:
     y^(n-2i) is (-a)^i * n/(n-i) * C(n-i, i), and the textbook quotient
     n/(n-i) can hit zero divisors mod p, so it is taken as the integer
     identity n/(n-i) * C(n-i, i) = C(n-i, i) + C(n-i-1, i-1).  Each
-    binomial is reduced mod p by Lucas' theorem, never formed exactly.
+    binomial is reduced mod p by Lucas' theorem, never formed exactly.  A
+    degree above 2^20, the field size bound, is refused.
     """
     n, a = params.n, params.a
     if n < 0:
         raise errors.InvalidArgument("Dickson degree must be >= 0")
+    if n > SIZE_BOUND:
+        raise errors.SizeBoundExceeded(f"Dickson degree {n} exceeds 2^20")
     spec = a.owner
     if n == 0:
         return Polynomial(spec, [spec.element(2)])
@@ -268,13 +270,10 @@ def solve_kernel(F, core: Polynomial, weight: Polynomial):
         coeffs[:, j] = c = spec.from_coords(R[:, cdeg * j])
         P = powers[j]._a
         R[:, :len(P)] = (R[:, :len(P)] - spec.to_coords(spec.mul_vec(P, c[:, np.newaxis]))) % p
-        if j:  # exact division by weight: quotient above x^e, remainder below
-            for i in range(R.shape[1] - 1, e - 1, -1) if body.any() else ():
-                c = spec.from_coords(R[:, i] % p)
-                R[:, i - e:i] += spec.to_coords(spec.mul_vec(body, c[:, np.newaxis]))
-            R %= p
-            bad |= R[:, :e].any(axis=(1, 2))
-            R = R[:, e:]
+        if j:  # exact division by weight; a monomial weight x^e is a shift
+            rem, R = (_rows_reduce(spec, R, body[np.newaxis]) if body.any()
+                      else (R[:, :e], R[:, e:]))
+            bad |= rem.any(axis=(1, 2))
     bad |= R.any(axis=(1, 2))
     if single and bad[0]:
         raise errors.NoSolution("F is not in the image of the kernel")

@@ -213,6 +213,7 @@ def test_bad_input_exits_with_one_stderr_line(monkeypatch, capsys, env, argv):
     ["hverify", "--field", "2", "--n", "13", "--expr", "1,0,1 / 0,0,1"],
     ["count", "--field", "2", "--n", "15000", "--variant", "carlitz"],
     ["count", "--field", "3", "--n", "1000000000", "--variant", "carlitz"],
+    ["dickson", "--field", "3", "--n", "2000000", "--a", "1"],
 ])
 def test_oversized_input_exits_2_with_one_stderr_line(capsys, argv):
     assert cli.main(argv) == cli.EXIT_SIZE_BOUND

@@ -7,9 +7,9 @@ from conftest import random_expr
 from qtk import errors, field_make
 from qtk.counting import count_sigma
 from qtk.gf import least_nonsquare
-from qtk.hfactor import (HSpec, _split_h, _squarefree_combo, build_h,
-                         hspec_from_expr, permitted_source_degrees,
-                         verify_meyn_generalized, verify_meyn_product)
+from qtk.hfactor import (_split_h, _squarefree_combo, build_h,
+                         permitted_source_degrees, verify_meyn_generalized,
+                         verify_meyn_product)
 from qtk.higher import ORDER3, ORDER4, TRANSLATION, kernel
 from qtk.intmath import divisors, factorization
 from qtk.moebius import expr_parse, sigma_form
@@ -33,20 +33,25 @@ def test_cross_product_examples():
     assert not (b * b - a * c).is_zero()
 
 
-def test_hspec_validation():
-    F3, F2 = field_make(3), field_make(2)
-    with pytest.raises(errors.SingularTriple):
-        HSpec(1, F3.one, F3.one, F3.one)
-    with pytest.raises(errors.Char2Degenerate):
-        HSpec(1, F2.zero, F2.one, F2.zero)
+def test_h_size_and_degree_refused():
+    # the triple is r.abc, nonsingular for every QuadRationalExpr;
+    # SingularTriple and Char2Degenerate are tested in test_transform.py and
+    # test_verify_char2_degenerate_rejected
+    F3 = field_make(3)
+    r = expr_parse(F3, "1,0,1 / 0,1")
     with pytest.raises(errors.SizeBoundExceeded):
-        build_h(HSpec(9, F3.one, F3.zero, F3.element(2)))
+        build_h(r, 9)
+    for n in (0, -1):
+        with pytest.raises(errors.InvalidArgument, match="n must be >= 1"):
+            build_h(r, n)
+        with pytest.raises(errors.InvalidArgument, match="n must be >= 1"):
+            verify_meyn_generalized(r, n)
 
 
 def test_build_h_meyn_examples():
     # (x^(q^n+1) - sigma) / gcd(x^2 - sigma, x^(q^n-1) - 1) for (x^2 + sigma)/x
     def core(sigma, n):
-        _, _, h_core, exact = _split_h(hspec_from_expr(sigma_form(sigma), n), None)
+        _, _, h_core, exact = _split_h(sigma_form(sigma), n, None)
         assert exact
         return h_core
 
@@ -60,19 +65,17 @@ def test_build_h_meyn_examples():
 
 def test_build_h_dense_form():
     F3 = field_make(3)
-    spec = hspec_from_expr(expr_parse(F3, "1,0,1 / 0,1"), 1)
-    assert build_h(spec) == parse_poly(F3, "x^4+2")  # x^4 - 1
-    spec = hspec_from_expr(expr_parse(F3, "0,0,1 / 1"), 1)
+    assert build_h(expr_parse(F3, "1,0,1 / 0,1"), 1) == parse_poly(F3, "x^4+2")  # x^4 - 1
     # (a, b, c) = (0, -1, 0): H = x^3 + x
-    assert build_h(spec) == parse_poly(F3, "x^3+x")
+    assert build_h(expr_parse(F3, "0,0,1 / 1"), 1) == parse_poly(F3, "x^3+x")
 
 
 def test_squarefree_witness():
     F3 = field_make(3)
-    hs = hspec_from_expr(expr_parse(F3, "1,0,1 / 0,1"), 1)
-    assert _squarefree_combo(hs, build_h(hs)) == Polynomial.one(F3)
-    hs = hspec_from_expr(expr_parse(F3, "0,0,1 / 1"), 1)
-    assert _squarefree_combo(hs, build_h(hs)) == Polynomial.one(F3)  # b^2 - ac = 1
+    r = expr_parse(F3, "1,0,1 / 0,1")
+    assert _squarefree_combo(r, build_h(r, 1)) == Polynomial.one(F3)
+    r = expr_parse(F3, "0,0,1 / 1")
+    assert _squarefree_combo(r, build_h(r, 1)) == Polynomial.one(F3)  # b^2 - ac = 1
 
 
 def test_squarefree_witness_randomized(fields, rng):
@@ -85,9 +88,8 @@ def test_squarefree_witness_randomized(fields, rng):
                 if spec.p == 2 and r.g.coeff(1).is_zero() \
                         and r.h.coeff(1).is_zero():
                     continue
-                hs = hspec_from_expr(r, n)
-                assert _squarefree_combo(hs, build_h(hs)) \
-                    == Polynomial(spec, [hs.discriminant()])
+                assert _squarefree_combo(r, build_h(r, n)) \
+                    == Polynomial(spec, [r.discriminant()])
 
 
 def test_corrupted_h_fails_the_squarefree_witness_check(monkeypatch):
@@ -95,15 +97,14 @@ def test_corrupted_h_fails_the_squarefree_witness_check(monkeypatch):
     # check, with the nonconstant combination as its detail
     import qtk.hfactor as hfactor
     real = hfactor.build_h
-    monkeypatch.setattr(hfactor, "build_h", lambda spec, bound=None:
-                        real(spec, bound) + Polynomial.monomial(spec.owner, 2))
+    monkeypatch.setattr(hfactor, "build_h", lambda r, n, bound=None:
+                        real(r, n, bound) + Polynomial.monomial(r.owner, 2))
     F3 = field_make(3)
     with pytest.raises(errors.MismatchFound) as exc:
         verify_meyn_product(F3.element(2), 2)
     witness = _check(exc.value.report, "squarefree-witness")
     assert witness.ok is False
-    combo = _squarefree_combo(hspec_from_expr(sigma_form(F3.element(2)), 2),
-                              exc.value.report.h)
+    combo = _squarefree_combo(sigma_form(F3.element(2)), exc.value.report.h)
     assert combo.degree > 0 and witness.detail == combo.to_text()
 
 
