@@ -62,16 +62,6 @@ class ZeroPolynomial(Error):
     """Operation requires a nonzero polynomial."""
 
 
-# --- Moebius group / canonical reduction ---
-
-class DegenerateResult(Error):
-    """A quadratic rational expression lost coprimality or degree 2.
-
-    Cannot happen under composition with invertible maps; raised only to
-    signal an internal bug.
-    """
-
-
 # --- quadratic transformation ---
 
 class OddDegree(Error):

@@ -15,9 +15,11 @@ two independent directions:
   x^(q^(2n)) = x (mod H) confines factor degrees to divisors of 2n, and
   the product comparison then certifies the enumerated images are the
   complete factorization; for small H a gcd-based degree decomposition is
-  cross-checked layer by layer as well.  The product and the divisibility
-  of the core by each image come from one product tree of the images and
-  the remainder tree of the core down it.
+  cross-checked layer by layer as well.  The images are grouped by degree
+  into layers; each layer's balanced product must divide the core and the
+  product of the layer products must equal it.  Distinct monic irreducibles
+  are coprime, so a layer product divides the core exactly when each of its
+  factors does, once the factors are known to be distinct.
 
 Each factor of degree >= 4 is also re-derived from the factor alone, by
 transporting it along the canonical-reduction trail, inverting the special
@@ -28,7 +30,6 @@ one stack, so each runs once per factor degree.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, replace
 
@@ -37,7 +38,7 @@ from .gf import FieldElement, parse_int, square_class
 from .intmath import divisors
 from .moebius import (CanonicalKind, QuadRationalExpr, SigmaClass,
                       classify_sigma, reduce_canonical, sigma_form)
-from .poly import Polynomial, _product_tree, _remainder_tree, ddf, gcd, pow_mod
+from .poly import Polynomial, _product, ddf, gcd, pow_mod
 from .transform import (fixed_point_quadratic, irreducible_images,
                         irreducible_pencil, is_invariant_generalized,
                         is_sigma_self_reciprocal, reconstruct, transform,
@@ -139,9 +140,7 @@ class FactorMatch:
 class HVerifyReport:
     """Structured outcome of one H-factorization verification."""
 
-    field_name: str
     n: int
-    abc: tuple[FieldElement, FieldElement, FieldElement]
     expr: QuadRationalExpr
     h: Polynomial
     h_core: Polynomial
@@ -161,9 +160,9 @@ class HVerifyReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "field": self.field_name,
+            "field": self.expr.owner.name,
             "n": self.n,
-            "abc": [e.to_text() for e in self.abc],
+            "abc": [e.to_text() for e in self.expr.abc],
             "expr": self.expr.to_text(),
             "h": self.h.to_json_dict(),
             "h_core": self.h_core.to_json_dict(),
@@ -248,21 +247,26 @@ def _verify_engine(r: QuadRationalExpr, n: int, size_bound: int | None,
     distinct = len({m.factor for m in matches}) == len(matches)
     checks.append(CheckOutcome("factors-distinct", distinct, f"{len(matches)} factors"))
 
-    # one stacked check per factor degree (the matches come sorted by degree)
-    stacks = [[m.factor for m in run] for _, run in itertools.groupby(matches, lambda m: m.degree)]
+    # the layer table: the matches of each factor degree, in sorted order;
+    # every later check takes one stack or one product per layer
+    layers: dict[int, list[FactorMatch]] = {}
+    for m in matches:
+        layers.setdefault(m.degree, []).append(m)
+    stacks = [[m.factor for m in layer] for layer in layers.values()]
     if sigma is not None:
         srim_ok = all(all(is_sigma_self_reciprocal(F, sigma)) for F in stacks)
         checks.append(CheckOutcome("sigma-self-reciprocal", srim_ok, ""))
     invariant_ok = all(all(is_invariant_generalized(F, a, b, c)) for F in stacks)
     checks.append(CheckOutcome("factors-invariant", invariant_ok, ""))
 
-    # one subproduct tree of the matches: its leaves' remainders of the core
-    # and its root, the product of all matches
-    tree = _product_tree(m.factor for m in matches)
-    divide_ok = all(rem.is_zero() for rem in _remainder_tree(h_core_monic, tree))
+    # distinct monic irreducibles are coprime, so a layer's product divides
+    # the core exactly when each of its factors does
+    one = Polynomial.one(fs)
+    layer_products = {d: _product(F, one) for d, F in zip(layers, stacks)}
+    divide_ok = all((h_core_monic % p).is_zero() for p in layer_products.values())
     checks.append(CheckOutcome("factors-divide-core", divide_ok, ""))
 
-    product = tree[-1][0] if matches else Polynomial.one(fs)
+    product = _product(layer_products.values(), one)
     checks.append(CheckOutcome(
         "product-identity", product == h_core_monic,
         f"scalar = {scalar.to_text()}"))
@@ -282,32 +286,27 @@ def _verify_engine(r: QuadRationalExpr, n: int, size_bound: int | None,
     checks.append(CheckOutcome("frobenius-closure", closure_ok, ""))
 
     if 1 <= h_core_monic.degree <= _DDF_DEGREE_LIMIT:
-        layers: dict[int, Polynomial] = {}
-        for m in matches:
-            layers[m.degree] = layers.get(m.degree, Polynomial.one(fs)) * m.factor
-        checks.append(CheckOutcome("ddf-layers", ddf(h_core_monic) == layers, ""))
+        checks.append(CheckOutcome("ddf-layers", ddf(h_core_monic) == layer_products, ""))
 
     # re-derive each large factor from the factor alone via the reduction trail
-    matches = _attach_reconstructions(r, matches, checks)
+    matches = _attach_reconstructions(r, layers, checks)
 
     report = HVerifyReport(
-        field_name=fs.name, n=n, abc=(a, b, c), expr=r, h=h_full,
-        h_core=h_core_monic, scalar=scalar, factors=tuple(matches),
-        checks=tuple(checks))
+        n=n, expr=r, h=h_full, h_core=h_core_monic, scalar=scalar,
+        factors=tuple(matches), checks=tuple(checks))
     if not report.ok:
         names = ", ".join(c.name for c in report.failures())
         raise errors.MismatchFound(f"verification failed: {names}", report)
     return report
 
 
-def _attach_reconstructions(r: QuadRationalExpr, matches: list[FactorMatch],
+def _attach_reconstructions(r: QuadRationalExpr, layers: dict[int, list[FactorMatch]],
                             checks: list[CheckOutcome]) -> list[FactorMatch]:
     form, trail = reduce_canonical(r)
     errors.require(form.kind is CanonicalKind.X_PLUS_SIGMA_OVER_X, "reduced to x^2")
     out: list[FactorMatch] = []
     failures: list[str] = []
-    for degree, run in itertools.groupby(matches, lambda m: m.degree):
-        run = list(run)
+    for degree, run in layers.items():
         if degree == 2:
             # degree-2 factors live in the pencil; the pencil label is the
             # recovery (the canonical-trail route is reserved for n >= 2,

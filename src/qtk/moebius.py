@@ -227,10 +227,7 @@ def apply_pre(r: QuadRationalExpr, m: MoebiusMap) -> QuadRationalExpr:
         # den^2 * p(num/den), whatever the degree of p
         return compose_fraction(p, num, den) * den ** (2 - int(p.degree))
 
-    try:
-        return QuadRationalExpr(subst(r.g), subst(r.h))
-    except errors.Error as exc:  # impossible for invertible m
-        raise errors.DegenerateResult(str(exc)) from exc
+    return QuadRationalExpr(subst(r.g), subst(r.h))
 
 
 def apply_post(r: QuadRationalExpr, m: MoebiusMap) -> QuadRationalExpr:
@@ -239,10 +236,7 @@ def apply_post(r: QuadRationalExpr, m: MoebiusMap) -> QuadRationalExpr:
         raise errors.FieldMismatch("map and expression over different fields")
     new_g = r.g.scale(m.a) + r.h.scale(m.b)
     new_h = r.g.scale(m.c) + r.h.scale(m.d)
-    try:
-        return QuadRationalExpr(new_g, new_h)
-    except errors.Error as exc:
-        raise errors.DegenerateResult(str(exc)) from exc
+    return QuadRationalExpr(new_g, new_h)
 
 
 # -- reduction trail -------------------------------------------------------------

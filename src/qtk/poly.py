@@ -63,7 +63,7 @@ import re
 import numpy as np
 
 from . import errors, intmath
-from .gf import FieldElement, FieldSpec, _embedding_powers, element_from_text
+from .gf import SIZE_BOUND, FieldElement, FieldSpec, _embedding_powers, element_from_text
 
 #: Degree of the zero polynomial.
 NEG_INF = float("-inf")
@@ -642,30 +642,16 @@ def _pow_mod_rows(base, e: int, mod) -> _Stack:
     return _Stack(spec, r)
 
 
-def _product_tree(leaves) -> list[list[Polynomial]]:
-    """The subproduct tree of a list of polynomials, as levels: level 0 is the
-    leaves, each next level the products of adjacent pairs (an odd last node
-    carried up unchanged), and the last level the product of all leaves
-    (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 10).  No
-    leaves give the single empty level [[]]."""
-    tree = [list(leaves)]
-    while len(tree[-1]) > 1:
-        level = tree[-1]
-        up = [level[i] * level[i + 1] for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            up.append(level[-1])
-        tree.append(up)
-    return tree
-
-
-def _remainder_tree(f: Polynomial, tree) -> list[Polynomial]:
-    """[f % leaf for each leaf of a :func:`_product_tree`]: f is reduced
-    modulo the root, then each node's remainder modulo the nodes below it,
-    so below the root no dividend outgrows its parent node."""
-    rems = [f % node for node in tree[-1]]
-    for level in reversed(tree[:-1]):
-        rems = [rems[i // 2] % node for i, node in enumerate(level)]
-    return rems
+def _product(factors, one: Polynomial) -> Polynomial:
+    """The product of `factors` (`one` for none), multiplied pairwise, level
+    by level, so both operands of a product have about the same degree (the
+    root of the subproduct tree of von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, ch. 10)."""
+    level = list(factors)
+    while len(level) > 1:
+        level = [level[i] * level[i + 1] if i + 1 < len(level) else level[i]
+                 for i in range(0, len(level), 2)]
+    return level[0] if level else one
 
 
 def _frobenius_step(z, steps: int, mod):
@@ -1025,7 +1011,12 @@ def _parse_human(spec: FieldSpec, text: str) -> Polynomial:
         if m.group("x") is None:
             e = 0
         else:
-            e = 1 if m.group("exp") is None else int(m.group("exp"))
+            # refused by length first, so int() never converts a long digit run
+            exp = (m.group("exp") or "1").lstrip("0") or "0"
+            if len(exp) > len(str(SIZE_BOUND)) or int(exp) > SIZE_BOUND:
+                raise errors.SizeBoundExceeded(
+                    f"an exponent exceeds the size bound {SIZE_BOUND}")
+            e = int(exp)
         if negate:
             c = -c
         coeffs[e] = coeffs.get(e, spec.zero) + c

@@ -61,8 +61,6 @@ def transform(f, r, monic: bool = False):
     also be a stack of one degree: the result is then one TransformResult
     per row, from one substitution of all rows.
     """
-    if isinstance(f, Polynomial) and f.is_zero():
-        raise errors.ZeroPolynomial("transform of the zero polynomial")
     S, single = _as_rows(f)
     if S is None:
         return []

@@ -214,6 +214,8 @@ def test_bad_input_exits_with_one_stderr_line(monkeypatch, capsys, env, argv):
     ["count", "--field", "2", "--n", "15000", "--variant", "carlitz"],
     ["count", "--field", "3", "--n", "1000000000", "--variant", "carlitz"],
     ["dickson", "--field", "3", "--n", "2000000", "--a", "1"],
+    ["transform", "--field", "3", "--f", "x^99999999999", "--expr", "1,0,1 / 0,1"],
+    ["transform", "--field", "3", "--f", "x^" + "9" * 5000, "--expr", "1,0,1 / 0,1"],
 ])
 def test_oversized_input_exits_2_with_one_stderr_line(capsys, argv):
     assert cli.main(argv) == cli.EXIT_SIZE_BOUND

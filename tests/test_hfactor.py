@@ -161,6 +161,15 @@ def test_foreign_factor_fails_the_divisibility(monkeypatch):
         == [None if i == 1 else m.f for i, m in enumerate(report.factors)]
 
 
+def test_duplicate_factor_fails_the_layer_divisibility(monkeypatch):
+    # one factor listed twice: its square divides no squarefree core, so the
+    # layer product fails to divide it although every single factor does
+    report = _verify_with_matches(monkeypatch, lambda ms: ms[:2] + ms[1:])
+    assert _failed(report) == {"factors-distinct", "factors-divide-core",
+                               "product-identity", "degree-bookkeeping",
+                               "ddf-layers"}
+
+
 def test_wrong_input_fails_only_the_roundtrip(monkeypatch):
     # one transform match keeps its factor but gets another irreducible
     # quadratic as its input: the factor checks pass, and the input

@@ -69,24 +69,20 @@ def test_division_by_a_monomial_matches_long_division(rng):
                     assert a % b == r
 
 
-def test_product_and_remainder_trees_match_sequential(fields, rng):
-    # odd counts carry a node up a level; f ranges below and above the root
+def test_product_matches_sequential(fields, rng):
+    # odd counts carry a factor up a level unpaired
     for q in (3, 4, 9):
         spec = fields[q]
+        one = Polynomial.one(spec)
         for count in (1, 2, 3, 5, 8):
             leaves = [random_poly(spec, rng.randrange(1, 5), rng, monic=True)
                       for _ in range(count)]
-            tree = poly._product_tree(leaves)
-            product = Polynomial.one(spec)
+            product = one
             for d in leaves:
                 product = product * d
-            assert tree[0] == leaves and tree[-1] == [product]
-            for degree in (0, 3, int(product.degree) + 4):
-                f = random_poly(spec, degree, rng)
-                assert poly._remainder_tree(f, tree) == [f % d for d in leaves]
-            assert all(r.is_zero() for r in poly._remainder_tree(product, tree))
-    assert poly._product_tree([]) == [[]]
-    assert poly._remainder_tree(Polynomial.x(fields[3]), [[]]) == []
+            assert poly._product(leaves, one) == product
+            assert poly._product(iter(leaves), one) == product
+        assert poly._product([], one) == one
 
 
 def test_gcd_examples():
