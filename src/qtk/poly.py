@@ -32,6 +32,19 @@ end to end; a single polynomial is the one-row stack of the same loop.
 Cantor-Zassenhaus (von zur Gathen & Gerhard, *Modern Computer Algebra*,
 ch. 14); Rabin's test and the irreducible sieve stand apart from it.
 
+Scalar :func:`is_irreducible` of degree d >= 2 first evaluates f at
+0, 1, ..., p-1 by Horner on Python integers, one coordinate column at a
+time (a prime-field point scales each coordinate alike), and rejects f at
+its first root.  Most random candidates have one, so most of the
+enumeration never reaches Rabin's Frobenius steps.  The test runs only
+while its p*k*(d+1) multiply-adds are at most the bitlen(q)*d^2 of one
+Frobenius step; GF(1021) quadratics go straight to Rabin.  The stacked test
+has no root test.  Its callers pass kernel images F = h^n f(g/h), g and h
+coprime, and when f is monic irreducible of degree n >= 2, F has no root in
+GF(q): F(a) = 0 with h(a) != 0 would make g(a)/h(a) a root of f, and
+h(a) = 0 gives g(a) != 0, so F(a) = g(a)^n != 0.  Only the images of the q
+linear f (the pencil) can have roots.
+
 A *stack* is a sequence of polynomials over one field.  :func:`pow_mod` and
 :func:`gcd` take stacks as rowwise operations modulo a stack of one degree
 D >= 1, and :func:`is_irreducible` takes a stack of one degree: all run the
@@ -666,7 +679,9 @@ def is_irreducible(f):
     """Rabin's irreducibility criterion.
 
     f of degree n is irreducible over GF(q) iff x^(q^n) = x (mod f) and,
-    for each prime r dividing n, gcd(x^(q^(n/r)) - x, f) = 1.
+    for each prime r dividing n, gcd(x^(q^(n/r)) - x, f) = 1.  A single f
+    of degree n >= 2 with a root in GF(p) is rejected before these steps
+    (module docstring).
 
     f may also be a stack: a sequence of nonzero polynomials of one degree
     over one field.  The result is then one bool per row, in order ([] for
@@ -686,16 +701,38 @@ def is_irreducible(f):
     if d == 1:
         return True
     spec = f.owner
-    x = Polynomial.x(spec)
-    z = x % f
-    cur = 0
+    # the root test, while it costs no more than one Frobenius step
+    if (spec.p * spec.k * (d + 1) <= spec.q.bit_length() * d * d
+            and _has_prime_root(f)):
+        return False
+    x = Polynomial.x(spec)  # already reduced: deg f >= 2
+    z, cur = x, 0
     for t in sorted({d // r for r in intmath.prime_factors(d)}):
         z = _frobenius_step(z, t - cur, f)
         cur = t
         if gcd(z - x, f).degree > 0:
             return False
     z = _frobenius_step(z, d - cur, f)
-    return z == x % f
+    return z == x
+
+
+def _has_prime_root(f: Polynomial) -> bool:
+    """Whether f vanishes at some a in GF(p), by Horner on Python integers:
+    a times a coefficient scales each of its coordinates, so f(a) = 0 iff
+    every coordinate column, as a polynomial over GF(p), vanishes at a."""
+    spec = f.owner
+    p = spec.p
+    columns = spec.to_coords(f._a[::-1]).T.tolist()  # leading coefficient first
+    for a in range(p):
+        for column in columns:
+            acc = 0
+            for c in column:
+                acc = (acc * a + c) % p
+            if acc:
+                break
+        else:
+            return True
+    return False
 
 
 def _rabin_rows(F: _Stack) -> list[bool]:

@@ -159,6 +159,52 @@ def test_irreducibility_examples():
         is_irreducible(P(F3, "2"))
 
 
+def counted(monkeypatch, *names):
+    """Replace each poly.<name> by a wrapper that counts its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _name=name, _inner=getattr(poly, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(poly, name, wrapper)
+    return calls
+
+
+def test_a_prime_field_root_rejects_before_rabin(monkeypatch):
+    # GF(7), d = 4: 7*(4+1) <= bitlen(7)*4^2, so the root test runs first
+    F7 = field_make(7)
+    f = P(F7, "x+4") * P(F7, "x^3+3*x+2")  # the root 3
+    calls = counted(monkeypatch, "pow_mod", "gcd")
+    assert not is_irreducible(f)
+    assert calls == {"pow_mod": 0, "gcd": 0}
+
+
+def test_large_prime_quadratics_go_straight_to_rabin(monkeypatch):
+    # GF(1021), d = 2: 1021*(2+1) > bitlen(1021)*2^2, so no root test
+    F = field_make(1021)
+    def refuse(f):
+        raise AssertionError("the root test ran above its bound")
+    monkeypatch.setattr(poly, "_has_prime_root", refuse)
+    calls = counted(monkeypatch, "pow_mod")
+    assert not is_irreducible(P(F, "x+1020") * P(F, "x+1019"))
+    assert calls["pow_mod"] > 0
+    calls["pow_mod"] = 0
+    assert is_irreducible(P(F, "x^2+1019"))  # 2 is a non-square: 1021 = 5 mod 8
+    assert calls["pow_mod"] > 0
+
+
+def test_roots_outside_the_prime_field_reach_rabin(monkeypatch):
+    # over GF(4) = GF(2)(w): (x^2+x+1)(x+w)^2 has the roots w and w^2 only,
+    # so the GF(2) root test passes it on and Rabin finds it reducible
+    F4 = field_make(2, 2)
+    w = F4.element((0, 1))
+    f = P(F4, "x^2+x+1") * Polynomial(F4, [w * w, 0, 1])
+    assert not poly._has_prime_root(f)
+    calls = counted(monkeypatch, "pow_mod")
+    assert not is_irreducible(f)
+    assert calls["pow_mod"] > 0
+
+
 def test_irreducibility_exhaustive_small(fields):
     # one sweep over all monic polynomials of degree <= 6 for q <= 5:
     # is_irreducible must agree with trial division by the sieved
@@ -215,7 +261,7 @@ def test_irreducibility_on_a_stack_runs_in_blocks(monkeypatch):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (7, 2)]),
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (7, 2), (2, 3), (5, 1)]),
        st.integers(1, 8), st.data())
 def test_stacked_rabin_matches_single_calls(field, d, data):
     spec = field_make(*field)
