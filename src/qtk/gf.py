@@ -102,7 +102,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "k", "q", "modulus", "unit", "_pw", "_pwl", "_ymat",
-                 "_red", "_tables", "zero", "one")
+                 "_red", "_bytemod", "_tables", "zero", "one")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -117,6 +117,7 @@ class FieldSpec:
         ymod = [(-c) % p for c in modulus[:k]]
         self._ymat = np.vstack([np.eye(k, dtype=np.int64)[1:], [ymod]])
         self._red = self._matrix(ymod)[:k - 1]
+        self._bytemod = bytes(i % p for i in range(256))  # a bytes.translate table
         self._tables = None
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, self.unit)
@@ -170,6 +171,18 @@ class FieldSpec:
             return pow(u, -1, self.p)
         exp, log = (self._tables or self._build_tables())[2:]
         return exp[-log[u] % (self.q - 1)]
+
+    def inv_vec(self, u):
+        """raw_inv on an array of nonzero indices: by the tables, or u^(p-2)."""
+        if self.k > 1:
+            exp, log = (self._tables or self._build_tables())[:2]
+            return exp[-log[u] % (self.q - 1)].astype(np.int64)
+        inv = u
+        for bit in bin(self.p - 2)[3:]:
+            inv = self.mul_vec(inv, inv)
+            if bit == "1":
+                inv = self.mul_vec(inv, u)
+        return inv
 
     def raw_pow(self, u: int, e: int) -> int:
         if not u:

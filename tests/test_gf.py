@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import reference
@@ -133,6 +134,16 @@ def test_embedding_sends_the_generator_to_the_least_root(src, dst):
     s, t = field_make(*src), field_make(*dst)
     assert [e.coords for e in _embedding_powers(s, t)] \
         == reference.least_root_powers(s, t)
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (3, 2), (2, 4), (2, 11)])
+def test_inv_vec_matches_raw_inv(p, k):
+    # every nonzero element, as a vector and as a column (one per row)
+    spec = field_make(p, k)
+    u = np.arange(1, spec.q, dtype=np.int64)
+    want = [spec.raw_inv(v) for v in range(1, spec.q)]
+    assert spec.inv_vec(u).tolist() == want
+    assert spec.inv_vec(u[:, np.newaxis]).ravel().tolist() == want
 
 
 def test_field_mismatch_and_zero_division():

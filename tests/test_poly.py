@@ -137,17 +137,51 @@ def test_pow_mod():
 
 
 def test_pow_mod_starts_from_the_first_set_bit(monkeypatch):
-    # x^(2^j) takes j squarings and no product with the constant 1
+    # x^(2^j) takes j squarings and no product with the constant 1, on the
+    # packed path (x^4+x+1) and on the array path (a degree above the crossover)
     F2 = field_make(2)
-    f, x = P(F2, "x^4+x+1"), Polynomial.x(F2)
-    expected = [x ** (2 ** j) % f for j in range(4)]
+    x = Polynomial.x(F2)
     products = []
-    kmul = poly._kmul
-    monkeypatch.setattr(poly, "_kmul", lambda *a: products.append(a) or kmul(*a))
-    for j in range(4):
-        products.clear()
-        assert pow_mod(x, 2 ** j, f) == expected[j]
-        assert len(products) == j
+    mulmod = poly._Divisor.mulmod
+    monkeypatch.setattr(poly._Divisor, "mulmod", lambda *a: products.append(a) or mulmod(*a))
+    for f in (P(F2, "x^4+x+1"), P(F2, f"x^{poly._PACKED_DEGREE + 1}+x+1")):
+        for j in range(8):
+            products.clear()
+            assert pow_mod(x, 2 ** j, f) == x ** (2 ** j) % f
+            assert len(products) == j
+
+
+def test_packed_and_array_arithmetic_agree_across_the_crossover(monkeypatch, rng):
+    # divmod, pow_mod and gcd over GF(p) on packed integers (divisor degree at
+    # most C = _PACKED_DEGREE) against the numpy path (C patched to 0), at
+    # divisor degrees C - 1, C and C + 1: monic and non-monic divisors, one
+    # with a known common factor, zero remainders, dividends longer than
+    # 2m - 1, and every coefficient p - 1, the largest slot sums
+    C = poly._PACKED_DEGREE
+    for p in (2, 3, 7, 1021, 1048573):
+        spec = field_make(p)
+        cases = []
+        for m in (C - 1, C, C + 1):
+            g = random_poly(spec, rng.randrange(1, 6), rng)
+            for f in (random_poly(spec, m, rng, monic=True), random_poly(spec, m, rng),
+                      g * random_poly(spec, m - int(g.degree), rng)):
+                dividends = [random_poly(spec, n, rng) for n in (m - 1, m, 2 * m - 1, 3 * m)]
+                dividends += [random_poly(spec, 5, rng) * f, g * random_poly(spec, m + 2, rng),
+                              Polynomial.zero(spec)]
+                cases.append((f, dividends, rng.randrange(1, 2 ** 12)))
+            cases.append((Polynomial(spec, [p - 1] * m + [1]),
+                          [Polynomial(spec, [p - 1] * n) for n in (m, 2 * m)], p))
+
+        def results():
+            return [(divmod(a, f), gcd(a, f), pow_mod(a, e, f))
+                    for f, dividends, e in cases for a in dividends]
+
+        packed = results()
+        monkeypatch.setattr(poly, "_PACKED_DEGREE", 0)
+        assert results() == packed, spec
+        monkeypatch.setattr(poly, "_PACKED_DEGREE", C)
+    # the widest slot: GF(1048573) at degree C packs 8-byte slots
+    assert poly._Divisor(field_make(1048573), np.ones(C + 1, dtype=np.int64)).dt.itemsize == 8
 
 
 def test_irreducibility_examples():
@@ -261,9 +295,15 @@ def test_irreducibility_on_a_stack_runs_in_blocks(monkeypatch):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (7, 2), (2, 3), (5, 1)]),
-       st.integers(1, 8), st.data())
-def test_stacked_rabin_matches_single_calls(field, d, data):
+@given(st.one_of(
+           st.tuples(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (7, 2), (2, 3), (5, 1)]),
+                     st.integers(1, 8)),
+           # single calls on packed integers up to the crossover, and past it
+           st.tuples(st.just((2, 1)), st.sampled_from(
+               range(poly._PACKED_DEGREE - 1, poly._PACKED_DEGREE + 3)))),
+       st.data())
+def test_stacked_rabin_matches_single_calls(case, data):
+    field, d = case
     spec = field_make(*field)
     coeff = st.integers(0, spec.q - 1)
     rows = [Polynomial._wrap(spec, np.array(
