@@ -41,11 +41,14 @@ def field_make(p: int, k: int = 1) -> "FieldSpec":
 
 @functools.lru_cache(maxsize=None)
 def _field_make(p: int, k: int) -> "FieldSpec":
+    # refused by size before is_prime's trial division and before p ** k
+    if p > SIZE_BOUND:
+        raise errors.SizeBoundExceeded(f"refusing field of size {p}^{k} > 2^20")
     if not intmath.is_prime(p):
         raise errors.NotPrime(f"{p} is not prime")
     if k < 1:
         raise errors.Error(f"extension degree must be a positive integer, got {k}")
-    if p ** k > SIZE_BOUND:
+    if k >= SIZE_BOUND.bit_length() or p ** k > SIZE_BOUND:
         raise errors.SizeBoundExceeded(f"refusing field of size {p}^{k} > 2^20")
     if k == 1:
         modulus = (0, 1)  # the polynomial x
@@ -65,8 +68,10 @@ def field_from_name(name: str) -> "FieldSpec":
         p_str, k_str = text.split("^", 1)
         return field_make(parse_int(p_str, "field"), parse_int(k_str, "field"))
     q = parse_int(text, "field")
-    if intmath.is_prime(q):
-        return field_make(q)
+    if q < 2:
+        raise errors.NotPrime(f"{q} is not a prime power")
+    if q > SIZE_BOUND:  # before the trial division of factorization
+        raise errors.SizeBoundExceeded(f"refusing field of size {q} > 2^20")
     factors = intmath.factorization(q)
     if len(factors) == 1:
         [(p, k)] = factors.items()
@@ -177,12 +182,8 @@ class FieldSpec:
         if self.k > 1:
             exp, log = (self._tables or self._build_tables())[:2]
             return exp[-log[u] % (self.q - 1)].astype(np.int64)
-        inv = u
-        for bit in bin(self.p - 2)[3:]:
-            inv = self.mul_vec(inv, inv)
-            if bit == "1":
-                inv = self.mul_vec(inv, u)
-        return inv
+        inv = intmath.power(u, self.p - 2, self.mul_vec)
+        return u if inv is None else inv  # p = 2: u is 1
 
     def raw_pow(self, u: int, e: int) -> int:
         if not u:
@@ -217,14 +218,8 @@ class FieldSpec:
         # doubling, then each next block is the last one times g^L.
         p, k, order = self.p, self.k, self.q - 1
 
-        def mpow(m, e):
-            out = np.eye(k, dtype=np.int64)
-            while e:
-                if e & 1:
-                    out = out @ m % p
-                m = m @ m % p
-                e >>= 1
-            return out
+        def mpow(m, e):  # e >= 1
+            return intmath.power(m, e, lambda a, b: a @ b % p)
 
         ident = np.eye(k, dtype=np.int64)
         primes = intmath.prime_factors(order)

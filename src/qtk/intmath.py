@@ -1,6 +1,20 @@
-"""Small integer-arithmetic helpers (primality, divisors)."""
+"""Small integer-arithmetic helpers (primality, divisors, powers)."""
 
 from . import errors
+
+
+def power(x, e: int, mul):
+    """x^e for e >= 0 by square-and-multiply with the product `mul`, from the
+    lowest set bit of e up: no product with a 1 and no square past the top
+    bit, so x^(2^j) costs j products.  None for e = 0; the caller has the 1."""
+    r = None
+    while e:
+        if e & 1:
+            r = x if r is None else mul(r, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return r
 
 
 def is_prime(n: int) -> bool:

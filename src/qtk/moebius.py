@@ -83,12 +83,12 @@ class MoebiusMap:
         S, single = _as_rows(F)
         if S is None:
             return []
-        spec, d = S.owner, S.C.shape[1] - 1
+        spec, d = S.owner, S.A.shape[1] - 1
         if d % block:
             raise errors.DegreeNotMultiple(f"degree {d} is not a multiple of {block}")
-        image = compose_fraction(S, *self.fraction()).C  # width d + 1: num, den are linear
-        scaled = spec.mul_vec(spec.from_coords(S.C), (scalar ** (d // block)).value)
-        ok = (image == spec.to_coords(scaled)).all(axis=(1, 2))
+        image = compose_fraction(S, *self.fraction()).A  # width d + 1: num, den are linear
+        scaled = spec.mul_vec(S.A, (scalar ** (d // block)).value)
+        ok = (image == scaled).all(axis=1)
         return bool(ok[0]) if single else ok.tolist()
 
     def inverse(self) -> "MoebiusMap":

@@ -55,17 +55,22 @@ GF(q): F(a) = 0 with h(a) != 0 would make g(a)/h(a) a root of f, and
 h(a) = 0 gives g(a) != 0, so F(a) = g(a)^n != 0.  Only the images of the q
 linear f (the pencil) can have roots.
 
-A *stack* is a sequence of polynomials over one field.  :func:`pow_mod` and
-:func:`gcd` take stacks as rowwise operations modulo a stack of one degree
-D >= 1, and :func:`is_irreducible` takes a stack of one degree: all run the
-row kernel, one (N, L, k) int64 coordinate array (:class:`_Stack`) with the
-moduli scaled monic once.  A product and a reduction modulo the N monic rows
-each loop over the D positions, one step vectorized over the rows; a gcd is
-a fixed 2D - 1 divsteps with no branch per row.  Each step adds products
-already reduced below p, so a coordinate sums at most 2D terms below p;
-``_check_headroom(spec, 2D)`` checks the stronger k*(2D+1)*(p-1)^2 < 2^63.
-A single polynomial never enters the kernel: at N = 1 it is several times
-slower than the scalar code.  The stacked Rabin test serves the filter behind
+A *stack* is a sequence of polynomials over one field, held as one (N, L)
+int64 array of element indices (:class:`_Stack`): row i is the _a of
+polynomial i padded with zeros, and a single polynomial is the one-row view
+of its own _a.  Coordinates are scratch space inside the kernels that add
+sums (a product, a reduction, a gcd step, a digit of :func:`compose_fraction`),
+which convert on entry and exit.  :func:`pow_mod` and :func:`gcd` take stacks
+as rowwise operations modulo a stack of one degree D >= 1, and
+:func:`is_irreducible` takes a stack of one degree: all run the row kernel
+with the moduli scaled monic once.  A product and a reduction modulo the N
+monic rows each loop over the D positions, one step vectorized over the
+rows; a gcd is a fixed 2D - 1 divsteps with no branch per row.  Each step
+adds products already reduced below p, so a coordinate sums at most 2D
+terms below p; ``_check_headroom(spec, 2D)`` checks the stronger
+k*(2D+1)*(p-1)^2 < 2^63.  A single polynomial's pow_mod, gcd or Rabin test
+never enters the row kernel: at N = 1 it is several times slower than the
+scalar code.  The stacked Rabin test serves the filter behind
 :func:`qtk.transform.irreducible_images` and
 :func:`qtk.transform.irreducible_pencil`, for both the count oracle and the
 transform side of the H verifier.
@@ -234,14 +239,8 @@ class Polynomial:
     def __pow__(self, e: int):
         if e < 0:
             raise errors.InvalidArgument("negative polynomial power")
-        result = Polynomial.one(self.owner)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        result = intmath.power(self, e, Polynomial.__mul__)
+        return Polynomial.one(self.owner) if result is None else result
 
     def monic(self) -> "Polynomial":
         """The unique monic scalar multiple."""
@@ -497,7 +496,7 @@ def gcd(p1, p2):
     is the sequence of the monic gcds."""
     if not isinstance(p1, Polynomial):
         F, _, A = _operands(p1, p2, errors.DegreeZero)
-        return _Stack(F.owner, _rows_gcd(F.owner, A, F.C))
+        return _Stack(F.owner, _rows_gcd(F.owner, A, F.A))
     p1._check_owner(p2)
     if p1.is_zero() and p2.is_zero():
         raise errors.BothZero("gcd(0, 0) is undefined")
@@ -509,7 +508,7 @@ def gcd(p1, p2):
 
 
 def pow_mod(base, e: int, mod):
-    """base^e mod `mod` by square-and-multiply; e is an arbitrary-size integer.
+    """base^e mod `mod` by :func:`qtk.intmath.power`; e is an arbitrary-size integer.
 
     Also rowwise on stacks (module docstring): mod a sequence of polynomials
     of one degree D >= 1, base a sequence of as many polynomials."""
@@ -522,14 +521,7 @@ def pow_mod(base, e: int, mod):
         raise errors.InvalidArgument("negative exponent")
     spec = base.owner
     div = _Divisor(spec, mod._a)
-    r = None  # the first set bit takes b as it is
-    b = div.load(base._a)
-    while e:
-        if e & 1:
-            r = b if r is None else div.mulmod(r, b)
-        e >>= 1
-        if e:
-            b = div.mulmod(b, b)
+    r = intmath.power(div.load(base._a), e, div.mulmod)
     return Polynomial.one(spec) if r is None else Polynomial._wrap(spec, div.store(r))
 
 
@@ -537,47 +529,48 @@ def pow_mod(base, e: int, mod):
 
 
 class _Stack:
-    """N polynomials over one field as one (N, L, k) int64 array: [i, j] holds
-    the coordinates, in [0, p), of the coefficient of x^j in row i.  To a
-    caller it is the sequence of those polynomials."""
+    """N polynomials over one field as one (N, L) int64 array A of element
+    indices: row i is the _a of polynomial i, padded with zeros.  To a caller
+    it is the sequence of those polynomials."""
 
-    __slots__ = ("owner", "C")
+    __slots__ = ("owner", "A")
 
-    def __init__(self, owner: FieldSpec, C):
+    def __init__(self, owner: FieldSpec, A):
         self.owner = owner
-        self.C = C
+        self.A = A
 
     def __len__(self):
-        return len(self.C)
+        return len(self.A)
 
     def __getitem__(self, i: int) -> Polynomial:
-        return Polynomial._wrap(self.owner, _trim(self.owner.from_coords(self.C[i])))
+        return Polynomial._wrap(self.owner, _trim(self.A[i]))
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self.C)))
+        return map(self.__getitem__, range(len(self.A)))
 
     _check_owner = Polynomial._check_owner  # reads only .owner
 
     def take(self, rows) -> "_Stack":
-        return _Stack(self.owner, self.C[rows])
+        return _Stack(self.owner, self.A[rows])
 
     def monic(self) -> "_Stack":
         """Each row scaled by the inverse of its leading coefficient."""
-        spec, a = self.owner, self.owner.from_coords(self.C)
-        top = a.shape[1] - 1 - np.argmax(a[:, ::-1] != 0, axis=1)
-        lead = a[np.arange(len(a)), top, np.newaxis]
-        return _Stack(spec, spec.to_coords(spec.mul_vec(a, spec.inv_vec(lead))))
+        spec, A = self.owner, self.A
+        top = A.shape[1] - 1 - np.argmax(A[:, ::-1] != 0, axis=1)
+        lead = A[np.arange(len(A)), top, np.newaxis]
+        return _Stack(spec, spec.mul_vec(A, spec.inv_vec(lead)))
 
 
 def _as_rows(f):
-    """(S, single): a nonzero polynomial (single) or a sequence of polynomials
-    of one degree over one field as a _Stack S, None for no rows."""
+    """(S, single): a nonzero polynomial (single, as a one-row view of its _a)
+    or a sequence of polynomials of one degree over one field as a _Stack S,
+    None for no rows."""
     if isinstance(f, Polynomial):
         if f.is_zero():
             raise errors.ZeroPolynomial("zero polynomial")
-        return _Stack(f.owner, f.owner.to_coords(f._a)[np.newaxis]), True
+        return _Stack(f.owner, f._a[np.newaxis]), True
     S = _stack(f) if len(f) else None
-    if S is not None and not S.owner.from_coords(S.C[:, -1]).all():
+    if S is not None and not S.A[:, -1].all():
         raise errors.InvalidArgument("the rows of a stack need one degree and no zero row")
     return S, False
 
@@ -594,45 +587,44 @@ def _stack(rows) -> _Stack:
         raise TypeError(f"expected Polynomial, got {type(first).__name__}")
     for f in rows:
         first._check_owner(f)
-    spec = first.owner
-    C = np.zeros((len(rows), max(1, *(len(f._a) for f in rows)), spec.k), dtype=np.int64)
-    for row, f in zip(C, rows):
-        row[:len(f._a)] = spec.to_coords(f._a)
-    return _Stack(spec, C)
+    A = np.zeros((len(rows), max(1, *(len(f._a) for f in rows))), dtype=np.int64)
+    for row, f in zip(A, rows):
+        row[:len(f._a)] = f._a
+    return _Stack(first.owner, A)
 
 
 def _monic_rows(rows, error) -> _Stack:
-    """The rows scaled monic, as (N, D+1, k): they must share one degree
-    D >= 1 (else `error`, or InvalidArgument when the degrees differ)."""
+    """The rows scaled monic, as (N, D+1): they must share one degree D >= 1
+    (else `error`, or InvalidArgument when the degrees differ)."""
     S = _stack(rows)
-    if not S.C[:, 1:].any(axis=(1, 2)).all():
+    if not S.A[:, 1:].any(axis=1).all():
         raise error("every row needs degree >= 1")
     S = _as_rows(S)[0]
-    return S if (S.owner.from_coords(S.C[:, -1]) == S.owner.unit).all() else S.monic()
+    return S if (S.A[:, -1] == S.owner.unit).all() else S.monic()
 
 
 def _operands(a, mod, error):
     """(F, neg, A) for a rowwise operation: F the rows of `mod` by
     :func:`_monic_rows`, neg the (N, D) indices of their negated bodies, and
-    A the rows of `a` reduced modulo them, as (N, D, k)."""
+    A the rows of `a` reduced modulo them, as (N, D)."""
     F = _monic_rows(mod, error)
     A = _stack(a)
     if A.owner is not F.owner:
         raise errors.FieldMismatch("stacks over different fields")
     if len(A) != len(F):
         raise errors.InvalidArgument("stacks of different lengths")
-    spec, D = F.owner, F.C.shape[1] - 1
+    spec, D = F.owner, F.A.shape[1] - 1
     _check_headroom(spec, 2 * D)
-    neg = spec.from_coords(-F.C[:, :-1] % spec.p)
-    return F, neg, _rows_reduce(spec, A.C, neg)[0]
+    neg = spec.mul_vec(F.A[:, :-1], spec.raw_neg(spec.unit))
+    return F, neg, spec.from_coords(_rows_reduce(spec, spec.to_coords(A.A), neg)[0])
 
 
 def _rows_reduce(spec: FieldSpec, R, neg):
-    """The rows of R ((N, L, k), entries >= 0) divided by the monic rows with
-    negated bodies neg ((N, D) indices), as (remainder (N, D, k), quotient
-    (N, L-D, k)): one step per position i from the top, each adding c * neg
-    at the D positions below it; c, the quotient's x^(i-D) coefficient,
-    stays at position i."""
+    """The rows of the coordinate array R ((N, L, k), entries >= 0) divided
+    by the monic rows with negated bodies neg ((N, D) indices), as coordinate
+    arrays (remainder (N, D, k), quotient (N, L-D, k)): one step per position
+    i from the top, each adding c * neg at the D positions below it; c, the
+    quotient's x^(i-D) coefficient, stays at position i."""
     N, L, k = R.shape
     D = neg.shape[1]
     R = np.concatenate([R, np.zeros((N, max(0, D - L), k), dtype=np.int64)], axis=1)
@@ -645,26 +637,25 @@ def _rows_reduce(spec: FieldSpec, R, neg):
 
 def _rows_mulmod(spec: FieldSpec, A, B, neg):
     """A * B modulo the monic rows with negated bodies neg, for residues A and
-    B ((N, D, k)): one step per position of A, each adding A_i * B."""
-    N, D, k = A.shape
-    a = spec.from_coords(A)
-    b = a if B is A else spec.from_coords(B)
-    P = np.zeros((N, 2 * D - 1, k), dtype=np.int64)
+    B ((N, D)): one step per position of A, each adding A_i * B to a
+    coordinate array, reduced by :func:`_rows_reduce`."""
+    N, D = A.shape
+    P = np.zeros((N, 2 * D - 1, spec.k), dtype=np.int64)
     for i in range(D):
-        P[:, i:i + D] += spec.to_coords(spec.mul_vec(b, a[:, i:i + 1]))
-    return _rows_reduce(spec, P, neg)[0]
+        P[:, i:i + D] += spec.to_coords(spec.mul_vec(B, A[:, i:i + 1]))
+    return spec.from_coords(_rows_reduce(spec, P, neg)[0])
 
 
 def _rows_gcd(spec: FieldSpec, A, F):
-    """The monic gcd of each residue row of A ((N, D, k)) with its monic row
-    of F ((N, D+1, k)), as (N, D+1, k): 2D - 1 divsteps on the reversed rows,
+    """The monic gcd of each residue row of A ((N, D)) with its monic row of
+    F ((N, D+1)), as (N, D+1): 2D - 1 divsteps on the reversed rows,
     f = x^D F(1/x) and g = x^(D-1) A(1/x), with no per-row branch; then
     deg gcd = delta / 2 and gcd = x^deg f(1/x) / f(0) (Bernstein & Yang, "Fast
     constant-time gcd computation and modular inversion", 2019, Theorem 6.2)."""
     N, D = len(F), F.shape[1] - 1
-    f = spec.from_coords(F[:, ::-1])
+    f = F[:, ::-1]
     g = np.zeros_like(f)
-    g[:, :D] = spec.from_coords(A[:, ::-1])
+    g[:, :D] = A[:, ::-1]
     delta = np.ones(N, dtype=np.int64)
     for _ in range(2 * D - 1):
         swap = (delta > 0) & (g[:, 0] != 0)
@@ -676,7 +667,7 @@ def _rows_gcd(spec: FieldSpec, A, F):
         g[:, :D] = spec.from_coords(h[:, 1:])
     top = delta[:, np.newaxis] // 2 - np.arange(D + 1)
     G = np.where(top >= 0, np.take_along_axis(f, np.maximum(top, 0), axis=1), 0)
-    return spec.to_coords(spec.mul_vec(G, spec.inv_vec(f[:, :1])))
+    return spec.mul_vec(G, spec.inv_vec(f[:, :1]))
 
 
 def _pow_mod_rows(base, e: int, mod) -> _Stack:
@@ -685,16 +676,10 @@ def _pow_mod_rows(base, e: int, mod) -> _Stack:
         raise errors.InvalidArgument("negative exponent")
     F, neg, b = _operands(base, mod, errors.ZeroModulus)
     spec = F.owner
-    r = None
-    while e:
-        if e & 1:
-            r = b if r is None else _rows_mulmod(spec, r, b, neg)
-        e >>= 1
-        if e:
-            b = _rows_mulmod(spec, b, b, neg)
+    r = intmath.power(b, e, lambda u, v: _rows_mulmod(spec, u, v, neg))
     if r is None:
         r = np.zeros_like(b)
-        r[:, 0, 0] = 1
+        r[:, 0] = spec.unit
     return _Stack(spec, r)
 
 
@@ -782,27 +767,27 @@ def _rabin_rows(F: _Stack) -> list[bool]:
     """Rabin's test on monic rows of one degree d: one pow_mod call per
     Frobenius step and one gcd call per prime of d, for all rows at once;
     a row leaves the stack once a gcd shows it reducible."""
-    spec, (N, L, k) = F.owner, F.C.shape
+    spec, (N, L) = F.owner, F.A.shape
     d = L - 1
     if d == 1:
         return [True] * N
-    x = np.zeros((N, d, k), dtype=np.int64)
-    x[:, 1, 0] = 1
+    x = np.zeros((N, d), dtype=np.int64)
+    x[:, 1] = spec.unit
     out = np.ones(N, dtype=bool)
     alive = np.arange(N)
     z, cur = _Stack(spec, x), 0
     for t in sorted({d // r for r in intmath.prime_factors(d)}):
         z = _frobenius_step(z, t - cur, F)
         cur = t
-        zx = z.C.copy()
-        zx[:, 1, 0] = (zx[:, 1, 0] - 1) % spec.p
-        keep = ~gcd(_Stack(spec, zx), F).C[:, 1:].any(axis=(1, 2))
+        zx = z.A.copy()  # z - x: index - unit, mod q, lowers coordinate 0 by 1
+        zx[:, 1] = (zx[:, 1] - spec.unit) % spec.q
+        keep = ~gcd(_Stack(spec, zx), F).A[:, 1:].any(axis=1)
         out[alive[~keep]] = False
         alive, z, F = alive[keep], z.take(keep), F.take(keep)
         if not len(alive):
             return out.tolist()
     z = _frobenius_step(z, d - cur, F)
-    out[alive] = (z.C == x[:len(alive)]).all(axis=(1, 2))
+    out[alive] = (z.A == x[:len(alive)]).all(axis=1)
     return out.tolist()
 
 
@@ -1014,11 +999,12 @@ def compose_fraction(f, num: Polynomial, den: Polynomial):
         return []
     S._check_owner(num)
     S._check_owner(den)
-    spec, (N, L, k) = S.owner, S.C.shape
+    spec, (N, L), k = S.owner, S.A.shape, S.owner.k
     B = max(1, _DIGIT_COORDS // k)
+    C = spec.to_coords(S.A)
 
     def image(start, r):  # den^r * (each row's digit of degree <= r at start)(num/den)
-        v = S.C[:, start:start + r + 1].reshape(N, -1) @ _substitution(spec, num, den, r)
+        v = C[:, start:start + r + 1].reshape(N, -1) @ _substitution(spec, num, den, r)
         return spec.from_coords(v.reshape(N, -1, k) % spec.p)
 
     top = (L - 1) // B * B
@@ -1032,7 +1018,7 @@ def compose_fraction(f, num: Polynomial, den: Polynomial):
                                     + _rows_times(spec, low, dpow._a, width)) % spec.p)
             if start:
                 dpow = dpow * den_b
-    return Polynomial._wrap(spec, _trim(acc[0])) if single else _Stack(spec, spec.to_coords(acc))
+    return Polynomial._wrap(spec, _trim(acc[0])) if single else _Stack(spec, acc)
 
 
 def _rows_times(spec: FieldSpec, A, b, width: int):

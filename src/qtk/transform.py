@@ -64,15 +64,15 @@ def transform(f, r, monic: bool = False):
     S, single = _as_rows(f)
     if S is None:
         return []
-    spec, n = S.owner, S.C.shape[1] - 1
+    spec, n = S.owner, S.A.shape[1] - 1
     out = compose_fraction(S, r.g, r.h)
     d = max(int(r.g.degree), int(r.h.degree))
-    dropped = ~out.C[:, d * n:].any(axis=(1, 2))
+    dropped = ~out.A[:, d * n:].any(axis=1)
     expected_drop = False
     if r.h.degree == d:  # each row at alpha = g_d/h_d: sum of f_j * alpha^j
         alpha = (r.g.coeff(d) / r.h.coeff(d)).value
         powers = np.array([spec.raw_pow(alpha, j) for j in range(n + 1)], dtype=np.int64)
-        terms = spec.mul_vec(spec.from_coords(S.C), powers)
+        terms = spec.mul_vec(S.A, powers)
         expected_drop = ~(spec.to_coords(terms).sum(axis=1) % spec.p).any(axis=1)
     errors.require((dropped == expected_drop).all(), "degree-drop criterion out of sync")
     out = out.monic() if monic else out
@@ -92,15 +92,14 @@ def is_sigma_self_reciprocal(F, sigma: FieldElement):
     S, single = _as_rows(F)
     if S is None:
         return []
-    spec, d = S.owner, S.C.shape[1] - 1
+    spec, d = S.owner, S.A.shape[1] - 1
     if sigma.owner is not spec:
         raise errors.FieldMismatch("sigma from a different field")
     if d % 2:
         raise errors.OddDegree(f"degree {d} is odd")
     n = d // 2
-    b = spec.from_coords(S.C)
     spow = np.fromiter(itertools.accumulate([sigma.value] * n, spec.raw_mul), np.int64, n)
-    ok = (b[:, :n][:, ::-1] == spec.mul_vec(b[:, n + 1:], spow)).all(axis=1)
+    ok = (S.A[:, :n][:, ::-1] == spec.mul_vec(S.A[:, n + 1:], spow)).all(axis=1)
     return bool(ok[0]) if single else ok.tolist()
 
 
@@ -131,8 +130,8 @@ def is_invariant_generalized(F, a: FieldElement, b: FieldElement, c: FieldElemen
     S, single = _as_rows(F)
     if S is None:
         return []
-    if (S.C.shape[1] - 1) % 2:
-        raise errors.OddDegree(f"degree {S.C.shape[1] - 1} is odd")
+    if (S.A.shape[1] - 1) % 2:
+        raise errors.OddDegree(f"degree {S.A.shape[1] - 1} is odd")
     involution = MoebiusMap(b, -c, a, -b)
     return involution.fixes(F if single else S, -involution.det(), 2)
 
@@ -256,14 +255,16 @@ def solve_kernel(F, core: Polynomial, weight: Polynomial):
     errors.require(core.is_monic() and weight.is_monic() and weight.degree < core.degree,
                    "kernel needs monic core and weight, deg weight < deg core")
     spec, p = S.owner, S.owner.p
-    cdeg, e, d = int(core.degree), int(weight.degree), S.C.shape[1] - 1
+    cdeg, e, d = int(core.degree), int(weight.degree), S.A.shape[1] - 1
     if d % cdeg:
         raise errors.DegreeNotMultiple(f"degree {d} is not a multiple of {cdeg}")
     n = d // cdeg
     powers = list(itertools.accumulate([core] * n, Polynomial.__mul__,
                                        initial=Polynomial.one(spec)))
-    body = spec.from_coords(-spec.to_coords(weight._a[:-1]) % p)  # -(weight - x^e)
-    R, coeffs, bad = S.C.copy(), np.zeros((len(S), n + 1), dtype=np.int64), np.zeros(len(S), bool)
+    body = spec.mul_vec(weight._a[:-1], spec.raw_neg(spec.unit))  # -(weight - x^e)
+    # the peel writes in place, and for k = 1 to_coords is a view of S.A
+    R = spec.to_coords(S.A).copy()
+    coeffs, bad = np.zeros((len(S), n + 1), dtype=np.int64), np.zeros(len(S), bool)
     for j in range(n, -1, -1):
         coeffs[:, j] = c = spec.from_coords(R[:, cdeg * j])
         P = powers[j]._a
@@ -275,8 +276,8 @@ def solve_kernel(F, core: Polynomial, weight: Polynomial):
     bad |= R.any(axis=(1, 2))
     if single and bad[0]:
         raise errors.NoSolution("F is not in the image of the kernel")
-    f = _Stack(spec, spec.to_coords(coeffs))  # every row of degree n: f_n = lead F
-    same = (compose_fraction(f, core, weight).C == S.C).all(axis=(1, 2))
+    f = _Stack(spec, coeffs)  # every row of degree n: f_n = lead F
+    same = (compose_fraction(f, core, weight).A == S.A).all(axis=1)
     errors.require(same[~bad].all(), "recovered input does not reproduce F")
     out = [None if miss else row for row, miss in zip(f, bad.tolist())]
     return out[0] if single else out

@@ -196,6 +196,8 @@ def test_module_entry_point():
     ({"QTK_SIZE_BOUND": "abc"}, ["hverify", "--field", "3", "--n", "2", "--sigma", "1"]),
     ({}, ["count", "--field", "abc", "--variant", "carlitz"]),
     ({}, ["count", "--field", "3", "--n", "2", "--variant", "ahmadi"]),
+    ({}, ["count", "--field", "0", "--n", "2", "--variant", "carlitz"]),
+    ({}, ["count", "--field", "-3", "--n", "2", "--variant", "carlitz"]),
 ])
 def test_bad_input_exits_with_one_stderr_line(monkeypatch, capsys, env, argv):
     for key, value in env.items():
@@ -203,6 +205,9 @@ def test_bad_input_exits_with_one_stderr_line(monkeypatch, capsys, env, argv):
     assert cli.main(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    field = argv[argv.index("--field") + 1]
+    if field in ("0", "-3"):  # the message names the field, not --n
+        assert f"{field} is not a prime power" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -216,6 +221,9 @@ def test_bad_input_exits_with_one_stderr_line(monkeypatch, capsys, env, argv):
     ["dickson", "--field", "3", "--n", "2000000", "--a", "1"],
     ["transform", "--field", "3", "--f", "x^99999999999", "--expr", "1,0,1 / 0,1"],
     ["transform", "--field", "3", "--f", "x^" + "9" * 5000, "--expr", "1,0,1 / 0,1"],
+    # refused before trial division (2^61 - 1) and before forming p ** k
+    ["count", "--field", "2305843009213693951", "--n", "2", "--variant", "carlitz"],
+    ["count", "--field", "3^99999999", "--n", "2", "--variant", "carlitz"],
 ])
 def test_oversized_input_exits_2_with_one_stderr_line(capsys, argv):
     assert cli.main(argv) == cli.EXIT_SIZE_BOUND

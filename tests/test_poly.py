@@ -12,7 +12,7 @@ from conftest import random_poly, subprocess_env
 from qtk import errors, field_make, poly
 from qtk.counting import moebius_mu
 from qtk.gf import FieldElement, embed
-from qtk.intmath import divisors
+from qtk.intmath import divisors, power
 from qtk.poly import (NEG_INF, Polynomial, compose_fraction, ddf,
                       enumerate_monic_irreducible, factorize, gcd,
                       is_irreducible, monic_irreducibles, parse_poly, pow_mod)
@@ -149,6 +149,34 @@ def test_pow_mod_starts_from_the_first_set_bit(monkeypatch):
             products.clear()
             assert pow_mod(x, 2 ** j, f) == x ** (2 ** j) % f
             assert len(products) == j
+
+
+def test_power_counts_its_products():
+    # from the lowest set bit up: bit_length - 1 squares and popcount - 1
+    # other products, so x^(2^j) costs j; e = 0 is None with no product, and
+    # each caller supplies its own 1
+    products = []
+
+    def mul(a, b):
+        products.append((a, b))
+        return a * b
+    for e in range(70):
+        products.clear()
+        if e == 0:
+            assert power(3, e, mul) is None and not products
+            continue
+        assert power(3, e, mul) == 3 ** e
+        assert len(products) == e.bit_length() - 1 + bin(e).count("1") - 1
+    for j in range(8):
+        products.clear()
+        assert power(3, 2 ** j, mul) == 3 ** 2 ** j and len(products) == j
+    F2, F3 = field_make(2), field_make(3)
+    f = P(F3, "x^2+2*x+2")
+    assert f ** 0 == Polynomial.one(F3) and f ** 1 is f and f ** 3 == f * f * f
+    assert pow_mod(f, 0, P(F3, "x^3+2")) == Polynomial.one(F3)
+    u = np.array([1, 2, 1], dtype=np.int64)
+    assert F2.inv_vec(u[[0, 2]]).tolist() == [1, 1]  # p - 2 = 0: u itself
+    assert F3.inv_vec(u).tolist() == [1, 2, 1]
 
 
 def test_packed_and_array_arithmetic_agree_across_the_crossover(monkeypatch, rng):

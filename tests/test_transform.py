@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import reference
@@ -11,8 +12,8 @@ from qtk.higher import ORDER3, ORDER4, TRANSLATION, HigherKernel, is_invariant, 
 from qtk.moebius import MoebiusMap, QuadRationalExpr, apply_post, apply_pre, \
     expr_parse, reduce_canonical, sigma_form
 from qtk.poly import (Polynomial, compose_fraction, enumerate_monic,
-                      enumerate_monic_irreducible, is_irreducible,
-                      monic_irreducibles, parse_poly)
+                      enumerate_monic_irreducible, gcd, is_irreducible,
+                      monic_irreducibles, parse_poly, pow_mod)
 from qtk.transform import (DicksonParams, dickson, irreducible_image_count,
                            is_invariant_generalized, is_sigma_self_reciprocal,
                            reconstruct, reconstruct_dickson_sum,
@@ -547,3 +548,48 @@ def test_substitution_stacks_edge_cases():
             call([F, F * F])
         with pytest.raises(errors.FieldMismatch):
             call([F, P(F9, "x^4+1")])
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (3, 2)])
+def test_single_and_stacked_calls_leave_their_inputs_unchanged(p, k):
+    # a single polynomial enters the row kernels as a one-row view of its own
+    # array, so an in-place step there (such as solve_kernel's peel without
+    # its copy) would rewrite the caller's polynomial
+    spec = field_make(p, k)
+    rng = random.Random(p * k)
+    one, zero, sigma = spec.one, spec.zero, spec.element(2)
+    r = expr_parse(spec, "2,1,1 / 1,1")
+    _, trail = reduce_canonical(r)
+    ker = kernel(spec, ORDER3)
+    assert np.count_nonzero(ker.h._a) > 1  # a weight that is not a monomial
+    fs = [random_poly(spec, 3, rng, monic=True) for _ in range(3)]
+    sig = [transform(f, sigma_form(sigma)).result for f in fs]
+    orbit = [transform(f, ker).result for f in fs]
+    images = [transform(f, r, monic=True).result for f in fs]
+    mods = [random_poly(spec, 3, rng) for _ in range(3)]
+    bases = [random_poly(spec, 5, rng) for _ in range(3)]
+    involution = MoebiusMap(zero, sigma, one, zero)
+    calls = [
+        (lambda F: transform(F, r), fs),
+        (lambda F: transform(F, r, monic=True), fs),
+        (lambda F: compose_fraction(F, r.g, r.h), fs),
+        (lambda F: is_sigma_self_reciprocal(F, sigma), sig),
+        (lambda F: is_invariant_generalized(F, one, zero, -sigma), sig),
+        (lambda F: involution.fixes(F, -involution.det(), 2), sig),
+        (lambda F: ker.map.fixes(F, ker.scalar, ker.block), orbit),
+        (lambda F: reconstruct(F, sigma), sig),
+        (lambda F: solve_kernel(F, ker.g, ker.h), orbit),
+        (lambda F: transport_forward(F, trail), images),
+        (lambda F: transport_back(F, trail), fs),
+        (lambda b, m: pow_mod(b, spec.q ** 2 + 3, m), bases, mods),
+        (lambda b, m: gcd(b, m), bases, mods),
+        (lambda m: is_irreducible(m), mods),
+    ]
+    fixed = [r.g, r.h, ker.g, ker.h]
+    for call, *stacks in calls:
+        for args in ([s[0] for s in stacks], stacks):
+            inputs = fixed + [g for a in args for g in (a if isinstance(a, list) else [a])]
+            before = [Polynomial._wrap(spec, g._a.copy()) for g in inputs]
+            call(*args)
+            for g, b in zip(inputs, before):
+                assert g._a.tobytes() == b._a.tobytes() and hash(g) == hash(b)
