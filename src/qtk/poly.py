@@ -25,9 +25,10 @@ coefficient i fills bits [i*w, (i+1)*w), w the narrowest of 8, 16, 32 or 64
 holding 2m(p-1)^2 + p (the product's rule; below 2^48 for q <= 2^20, m <= 64).
 A product of residues puts at most m(p-1)^2 in a slot and a dividend less than
 p; division adds at most m products of two residues, so no slot carries, and
-reduces each remainder slot mod p once, at the end.  Packed pow_mod(g, p, f)
-ran 2.2-6.9x faster at m <= 64 over GF(3), GF(7), GF(1021), 1.3-1.4x at 256;
-730-term dividends tie from m = 128 on, so the crossover is 64 (CHANGES.md).
+then reduces each remainder slot mod p.  A dividend longer than 2m + 32 goes
+in windows, the remainder so far over the next m + 32 coefficients, so a
+quotient step costs O(m), not O(dividend length).  CHANGES.md has the
+measurements behind the crossover 64 (packed pow_mod 2.2-6.9x faster below it).
 
 :func:`compose_fraction` cuts f into digits of B = max(1, 32 // k)
 coefficients, maps each by one int64 matmul ((r+1)*k <= 32 terms of at most
@@ -73,7 +74,14 @@ never enters the row kernel: at N = 1 it is several times slower than the
 scalar code.  The stacked Rabin test serves the filter behind
 :func:`qtk.transform.irreducible_images` and
 :func:`qtk.transform.irreducible_pencil`, for both the count oracle and the
-transform side of the H verifier.
+transform side of the H verifier.  z -> z^q is GF(q)-linear, so z^q mod F is
+z Q, row i of Q being x^(iq) mod F (Berlekamp's Q matrix: Knuth, TAOCP vol. 2,
+4.6.2; von zur Gathen & Shoup 1992).  For q > 2 a block builds its rows' Q by
+one stacked pow_mod (row 1) and d - 2 products by x^q, and a Frobenius step
+is one product z Q: a coordinate adds d terms below p, inside the 2D of
+``_check_headroom(spec, 2D)`` in :func:`_operands`.  A block takes at most
+_FROBENIUS_ENTRIES / (d^2 k) rows, which bounds Q and z Q.  Over GF(2) a step
+is one squaring, which Q only slows, so it stays one stacked pow_mod.
 
 Two text formats are accepted everywhere:
   (a) ascending coefficient list: "1,0,2" or "[1 0],[0 1]" for extensions;
@@ -420,7 +428,7 @@ class _Divisor:
         """The index vector a as a reduced residue in this divisor's form."""
         if self.dt is None:
             return self.divmod(a, want_quotient=False)[1]
-        return self._pack(a) if len(a) <= self.m else self._reduce(self._pack(a))[1]
+        return self._pack(a) if len(a) <= self.m else self._long(a)[1]
 
     def store(self, r):
         """A residue in this divisor's form as a trimmed index vector."""
@@ -435,6 +443,18 @@ class _Divisor:
         if self.dt is not None:
             return self._reduce(a * b)[1]
         return self.load(_kmul(self.spec, a, b)) if len(a) and len(b) else _EMPTY
+
+    def _long(self, a, want_quotient: bool = False):
+        """_reduce of the index vector a in windows (module docstring) from the
+        remainder 0: one quotient digit per slot, less the top m phantom ones."""
+        Q, r, step = [], 0, self.m + 32
+        for j in range(len(a), 0, -step):
+            i = max(0, j - step)
+            q, r = self._reduce(r << (j - i) * 8 * self.dt.itemsize | self._pack(a[i:j]),
+                                want_quotient)
+            if want_quotient:
+                Q += [0] * (j - i - len(q)) + q
+        return Q[self.m:] if want_quotient else None, r
 
     def _reduce(self, A, want_quotient: bool = False):
         """(quotient coefficients from the top or None, reduced residue) of
@@ -458,7 +478,8 @@ class _Divisor:
         if n <= m:
             return (_EMPTY if want_quotient else None), a
         if self.dt is not None:
-            Q, r = self._reduce(self._pack(a), want_quotient)
+            Q, r = (self._reduce(self._pack(a), want_quotient) if n <= 2 * m + 32
+                    else self._long(a, want_quotient))
             return (np.array(Q[::-1], dtype=np.int64) if want_quotient else None), self.store(r)
         # by c * x^m the division is a shift; a nonzero body[0] rules it out
         # without the scan, which would cost a share of the gcd and Rabin loops
@@ -695,11 +716,16 @@ def _product(factors, one: Polynomial) -> Polynomial:
     return level[0] if level else one
 
 
-def _frobenius_step(z, steps: int, mod):
-    """z^(q^steps) mod `mod`, for polynomials or stacks."""
-    q = z.owner.q
+def _frobenius_step(z, steps: int, mod, Q=None):
+    """z^(q^steps) mod `mod`, for polynomials or stacks; with the stack's
+    Frobenius matrices Q each step is z Q (module docstring)."""
+    spec = z.owner
     for _ in range(steps):
-        z = pow_mod(z, q, mod)
+        if Q is None:
+            z = pow_mod(z, spec.q, mod)
+        else:
+            P = spec.to_coords(spec.mul_vec(Q, z.A[:, :, np.newaxis])).sum(axis=1)
+            z = _Stack(spec, spec.from_coords(P % spec.p))
     return z
 
 
@@ -714,15 +740,19 @@ def is_irreducible(f):
     f may also be a stack: a sequence of nonzero polynomials of one degree
     over one field.  The result is then one bool per row, in order ([] for
     no rows), from the same steps on all rows at once (module docstring),
-    in blocks of _SIEVE_ROWS rows.
+    in blocks of _SIEVE_ROWS rows, fewer over q > 2 when the Frobenius
+    matrices of a block would hold more than _FROBENIUS_ENTRIES coordinates.
     """
     if not isinstance(f, Polynomial):
         f = list(f)
         if not f:
             return []
         F = _monic_rows(f, errors.DegreeZero)
-        return [v for start in range(0, len(F), _SIEVE_ROWS)
-                for v in _rabin_rows(F.take(slice(start, start + _SIEVE_ROWS)))]
+        d, spec = F.A.shape[1] - 1, F.owner
+        rows = _SIEVE_ROWS if spec.q == 2 else max(1, min(
+            _SIEVE_ROWS, _FROBENIUS_ENTRIES // (d * d * spec.k)))
+        return [v for start in range(0, len(F), rows)
+                for v in _rabin_rows(F.take(slice(start, start + rows)))]
     d = f.degree
     if f.is_zero() or d < 1:
         raise errors.DegreeZero("irreducibility needs degree >= 1")
@@ -764,29 +794,37 @@ def _has_prime_root(f: Polynomial) -> bool:
 
 
 def _rabin_rows(F: _Stack) -> list[bool]:
-    """Rabin's test on monic rows of one degree d: one pow_mod call per
-    Frobenius step and one gcd call per prime of d, for all rows at once;
-    a row leaves the stack once a gcd shows it reducible."""
+    """Rabin's test on monic rows of one degree d, all at once, with one gcd
+    call per prime of d; a row leaves the stack, and Q, once a gcd shows it
+    reducible.  A Frobenius step is z Q for q > 2 (module docstring)."""
     spec, (N, L) = F.owner, F.A.shape
     d = L - 1
     if d == 1:
         return [True] * N
     x = np.zeros((N, d), dtype=np.int64)
     x[:, 1] = spec.unit
+    z, Q = _Stack(spec, x), None
+    if spec.q > 2:  # row i of Q: x^(iq) mod F
+        Q = np.zeros((N, d, d), dtype=np.int64)
+        Q[:, 0, 0] = spec.unit
+        Q[:, 1] = pow_mod(z, spec.q, F).A
+        neg = spec.mul_vec(F.A[:, :-1], spec.raw_neg(spec.unit))
+        for i in range(2, d):
+            Q[:, i] = _rows_mulmod(spec, Q[:, i - 1], Q[:, 1], neg)
     out = np.ones(N, dtype=bool)
-    alive = np.arange(N)
-    z, cur = _Stack(spec, x), 0
+    alive, cur = np.arange(N), 0
     for t in sorted({d // r for r in intmath.prime_factors(d)}):
-        z = _frobenius_step(z, t - cur, F)
+        z = _frobenius_step(z, t - cur, F, Q)
         cur = t
         zx = z.A.copy()  # z - x: index - unit, mod q, lowers coordinate 0 by 1
         zx[:, 1] = (zx[:, 1] - spec.unit) % spec.q
         keep = ~gcd(_Stack(spec, zx), F).A[:, 1:].any(axis=1)
         out[alive[~keep]] = False
         alive, z, F = alive[keep], z.take(keep), F.take(keep)
+        Q = Q if Q is None else Q[keep]
         if not len(alive):
             return out.tolist()
-    z = _frobenius_step(z, d - cur, F)
+    z = _frobenius_step(z, d - cur, F, Q)
     out[alive] = (z.A == x[:len(alive)]).all(axis=1)
     return out.tolist()
 
@@ -817,6 +855,9 @@ _PACKED_DEGREE = 64
 
 #: Cofactors per sieve block (at most 2^14 x 20 int64: q^d <= 2^20 gives d*k <= 20).
 _SIEVE_ROWS = 2 ** 14
+
+#: Coordinates of the Frobenius matrices in one block of the stacked Rabin test.
+_FROBENIUS_ENTRIES = 2 ** 18
 
 #: Coordinates per digit of :func:`compose_fraction` (at least one coefficient).
 _DIGIT_COORDS = 32

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import subprocess_env
 from qtk import cli, errors, field_make
 from qtk.counting import count_carlitz
 
@@ -187,6 +188,24 @@ def test_module_entry_point():
          "--variant", "carlitz"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and "value=1" in proc.stdout
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_count_oracle_memory_at_image_degree_twenty():
+    # the stacked Rabin test holds d^2 Frobenius matrix entries per row
+    # (d = 20 here), in blocks: the child's peak RSS stays within 10% of the
+    # 49 MB it took with square-and-multiply Frobenius steps.  The child reads
+    # its own high-water mark (VmHWM): its ru_maxrss would start at the peak
+    # of the process that spawned it, here the test runner
+    code = ("import sys\nfrom qtk import cli\nstatus = cli.main(sys.argv[1:])\n"
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0],"
+            " file=sys.stderr)\nsys.exit(status)\n")
+    proc = subprocess.run([sys.executable, "-c", code, "--json", "count", "--field", "3",
+                           "--n", "10", "--oracle", "--variant", "carlitz"],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "MATCH"
+    assert int(proc.stderr.split()[-1]) < 1.1 * 49 * 1024
 
 
 @pytest.mark.parametrize("env,argv", [

@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from conftest import random_poly, subprocess_env
 from qtk import errors, field_make, poly
 from qtk.counting import moebius_mu
 from qtk.gf import FieldElement, embed
-from qtk.intmath import divisors, power
+from qtk.intmath import divisors, power, prime_factors
 from qtk.poly import (NEG_INF, Polynomial, compose_fraction, ddf,
                       enumerate_monic_irreducible, factorize, gcd,
                       is_irreducible, monic_irreducibles, parse_poly, pow_mod)
@@ -212,6 +213,25 @@ def test_packed_and_array_arithmetic_agree_across_the_crossover(monkeypatch, rng
     assert poly._Divisor(field_make(1048573), np.ones(C + 1, dtype=np.int64)).dt.itemsize == 8
 
 
+def test_packed_division_of_long_dividends_matches_arrays(monkeypatch, rng):
+    # dividends of 2,000 to 4,096 coefficients cross many reduction windows;
+    # every coefficient p - 1 gives the largest slot sums
+    cases = []
+    for p, n, m in ((2, 4096, 1), (3, 4096, 2), (7, 2000, 16), (1021, 2000, 16),
+                    (1048573, 2500, poly._PACKED_DEGREE), (5, 3000, 40)):
+        spec = field_make(p)
+        f = random_poly(spec, m, rng)
+        for a in (random_poly(spec, n - 1, rng), Polynomial(spec, [p - 1] * n),
+                  f * random_poly(spec, n - 1 - m, rng)):
+            cases.append((a, f))
+    packed = [divmod(a, f) for a, f in cases]
+    assert all(int(a.degree) >= 1999 and r.degree < f.degree
+               for (a, f), (_, r) in zip(cases, packed))
+    assert all(r.is_zero() for (_, r) in packed[2::3])
+    monkeypatch.setattr(poly, "_PACKED_DEGREE", 0)
+    assert [divmod(a, f) for a, f in cases] == packed
+
+
 def test_irreducibility_examples():
     F2, F3 = field_make(2), field_make(3)
     assert is_irreducible(P(F2, "x^2+x+1"))
@@ -339,6 +359,73 @@ def test_stacked_rabin_matches_single_calls(case, data):
                 + [data.draw(st.integers(1, spec.q - 1))], dtype=np.int64))
             for _ in range(data.draw(st.integers(1, 12)))]
     assert is_irreducible(rows) == [is_irreducible(f) for f in rows]
+
+
+#: The largest space sieved here; larger ones would raise the test process's
+#: peak RSS, which the ru_maxrss of later child processes starts from.
+SIEVE_LIMIT = 2 ** 18
+
+
+def known_irreducible(spec, e, rng):
+    """A random monic irreducible of degree e from the sieve, or one over
+    GF(p) taken into spec when gcd(e, k) = 1 (it stays irreducible); None
+    when neither space is within SIEVE_LIMIT."""
+    for source in (spec, field_make(spec.p)):
+        if source.q ** e <= SIEVE_LIMIT and (source is spec or math.gcd(e, spec.k) == 1):
+            return rng.choice(monic_irreducibles(source, e)).embed(spec)
+    return None
+
+
+def partitions(d, parts, largest=None):
+    """The partitions of d into at most `parts` parts of at most `largest`,
+    largest part first."""
+    if d == 0:
+        yield ()
+    elif parts:
+        for first in range(min(d, largest or d), 0, -1):
+            for rest in partitions(d - first, parts - 1, first):
+                yield (first,) + rest
+
+
+@pytest.mark.parametrize("p, k, degrees", [(3, 1, (8, 9, 10, 12)), (2, 2, (8, 9, 10, 12)),
+                                           (3, 2, (8, 9, 10, 12)), (2, 1, (12,))])
+def test_frobenius_matrix_rabin_agrees_with_the_sieve(monkeypatch, p, k, degrees, rng):
+    # stacks that mix rows a gcd rejects first, rows a later gcd rejects,
+    # rows only the last Frobenius step rejects, and irreducible rows, each
+    # built from sieved factors of known degrees; q = 2 runs without Q
+    spec = field_make(p, k)
+    sizes = []
+    gcd = poly.gcd
+    monkeypatch.setattr(poly, "gcd", lambda a, b: (
+        sizes.append(len(b)) if not isinstance(b, Polynomial) else None) or gcd(a, b))
+    for d in degrees:
+        steps = sorted({d // r for r in prime_factors(d)})
+        # route: the first gcd step that rejects a row, len(steps) for the
+        # last Frobenius step, len(steps) + 1 for an irreducible row
+        routes = {}
+        for shape in partitions(d, 4):
+            route = next((i for i, t in enumerate(steps) if any(t % e == 0 for e in shape)),
+                         len(steps) + (shape == (d,)))
+            factors = [known_irreducible(spec, e, rng) for e in shape]
+            if None not in factors and len(routes.setdefault(route, [])) < 4:
+                routes[route].append(poly._product(factors, Polynomial.one(spec)))
+        while len(routes.setdefault(len(steps) + 1, [])) < 2:  # irreducible rows
+            f = random_poly(spec, d, rng, monic=True)
+            if is_irreducible(f):
+                routes[len(steps) + 1].append(f)
+        assert sorted(routes) == list(range(len(steps) + 2)), (spec, d, sorted(routes))
+        rows = [(route, f) for route, fs in routes.items() for f in fs]
+        rng.shuffle(rows)
+        sizes.clear()
+        verdicts = is_irreducible([f.scale(rng.randrange(1, spec.p)) for _, f in rows])
+        expected = [route > len(steps) for route, _ in rows]
+        assert verdicts == expected == [is_irreducible(f) for _, f in rows], (spec, d)
+        # each gcd sees the rows that no earlier gcd rejected
+        assert sizes[:len(steps)] == [sum(route >= i for route, _ in rows)
+                                      for i in range(len(steps))], (spec, d)
+        if spec.q ** d <= SIEVE_LIMIT:
+            sieved = set(monic_irreducibles(spec, d))
+            assert [f in sieved for _, f in rows] == expected, (spec, d)
 
 
 def test_pow_mod_and_gcd_on_stacks_match_single_calls(fields, rng):
