@@ -80,8 +80,9 @@ z Q, row i of Q being x^(iq) mod F (Berlekamp's Q matrix: Knuth, TAOCP vol. 2,
 one stacked pow_mod (row 1) and d - 2 products by x^q, and a Frobenius step
 is one product z Q: a coordinate adds d terms below p, inside the 2D of
 ``_check_headroom(spec, 2D)`` in :func:`_operands`.  A block takes at most
-_FROBENIUS_ENTRIES / (d^2 k) rows, which bounds Q and z Q.  Over GF(2) a step
-is one squaring, which Q only slows, so it stays one stacked pow_mod.
+_FROBENIUS_ENTRIES / (d^2 k) rows, which bounds Q and z Q; a degree whose
+one Q would exceed it runs without Q.  So does GF(2): a step there is one
+squaring, which Q only slows, so it stays one stacked pow_mod.
 
 Two text formats are accepted everywhere:
   (a) ascending coefficient list: "1,0,2" or "[1 0],[0 1]" for extensions;
@@ -749,8 +750,8 @@ def is_irreducible(f):
             return []
         F = _monic_rows(f, errors.DegreeZero)
         d, spec = F.A.shape[1] - 1, F.owner
-        rows = _SIEVE_ROWS if spec.q == 2 else max(1, min(
-            _SIEVE_ROWS, _FROBENIUS_ENTRIES // (d * d * spec.k)))
+        fit = _FROBENIUS_ENTRIES // (d * d * spec.k) if spec.q > 2 else 0
+        rows = min(_SIEVE_ROWS, fit) or _SIEVE_ROWS
         return [v for start in range(0, len(F), rows)
                 for v in _rabin_rows(F.take(slice(start, start + rows)))]
     d = f.degree
@@ -796,7 +797,8 @@ def _has_prime_root(f: Polynomial) -> bool:
 def _rabin_rows(F: _Stack) -> list[bool]:
     """Rabin's test on monic rows of one degree d, all at once, with one gcd
     call per prime of d; a row leaves the stack, and Q, once a gcd shows it
-    reducible.  A Frobenius step is z Q for q > 2 (module docstring)."""
+    reducible.  A Frobenius step is z Q for q > 2 while one row's Q fits in
+    _FROBENIUS_ENTRIES (module docstring)."""
     spec, (N, L) = F.owner, F.A.shape
     d = L - 1
     if d == 1:
@@ -804,7 +806,7 @@ def _rabin_rows(F: _Stack) -> list[bool]:
     x = np.zeros((N, d), dtype=np.int64)
     x[:, 1] = spec.unit
     z, Q = _Stack(spec, x), None
-    if spec.q > 2:  # row i of Q: x^(iq) mod F
+    if spec.q > 2 and d * d * spec.k <= _FROBENIUS_ENTRIES:  # row i of Q: x^(iq) mod F
         Q = np.zeros((N, d, d), dtype=np.int64)
         Q[:, 0, 0] = spec.unit
         Q[:, 1] = pow_mod(z, spec.q, F).A

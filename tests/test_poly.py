@@ -340,6 +340,16 @@ def test_irreducibility_on_a_stack_runs_in_blocks(monkeypatch):
     monkeypatch.setattr(poly, "_rabin_rows", lambda F: blocks.append(len(F)) or rabin_rows(F))
     assert is_irreducible(candidates) == verdicts
     assert blocks == [7] * 11 + [4]
+    # a block's Frobenius matrices hold at most _FROBENIUS_ENTRIES
+    # coordinates, d^2 k = 16 per row here: with Q a block makes one stacked
+    # pow_mod call; below one row's Q the blocks run without it
+    for entries, sizes in ((80, [5] * 16 + [1]), (15, [7] * 11 + [4])):
+        blocks.clear()
+        monkeypatch.setattr(poly, "_FROBENIUS_ENTRIES", entries)
+        calls = counted(monkeypatch, "pow_mod")
+        assert is_irreducible(candidates) == verdicts
+        assert blocks == sizes
+        assert (calls["pow_mod"] == len(blocks)) == (entries == 80), calls
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
