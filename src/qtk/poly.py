@@ -20,15 +20,19 @@ per quotient coefficient and reduces at the end, so a coordinate reaches at
 most (divisor length) * (p-1).
 
 Over GF(p), division by a divisor of degree m <= _PACKED_DEGREE, and with it
-scalar :func:`pow_mod` and :func:`gcd`, runs on packed Python integers instead:
-coefficient i fills bits [i*w, (i+1)*w), w the narrowest of 8, 16, 32 or 64
-holding 2m(p-1)^2 + p (the product's rule; below 2^48 for q <= 2^20, m <= 64).
-A product of residues puts at most m(p-1)^2 in a slot and a dividend less than
+scalar :func:`pow_mod`, runs on packed Python integers instead: coefficient i
+fills bits [i*w, (i+1)*w), w the narrowest of 8, 16, 32 or 64 holding
+2m(p-1)^2 + p (the product's rule; below 2^48 for q <= 2^20, m <= 64).  A
+product of residues puts at most m(p-1)^2 in a slot and a dividend less than
 p; division adds at most m products of two residues, so no slot carries, and
 then reduces each remainder slot mod p.  A dividend longer than 2m + 32 goes
 in windows, the remainder so far over the next m + 32 coefficients, so a
-quotient step costs O(m), not O(dividend length).  CHANGES.md has the
-measurements behind the crossover 64 (packed pow_mod 2.2-6.9x faster below it).
+quotient step costs O(m), not O(dividend length).  Scalar :func:`gcd`, the
+larger degree m <= _PACKED_DEGREE, runs Euclid on packed remainders in the one
+slot width this rule gives m: a remainder slot gets at most m quotient
+additions of at most (p-1)^2 on top of a value below p, so none carries.
+CHANGES.md has the measurements behind the crossover 64 (packed pow_mod
+2.2-6.9x faster below it).
 
 :func:`compose_fraction` cuts f into digits of B = max(1, 32 // k)
 coefficients, maps each by one int64 matmul ((r+1)*k <= 32 terms of at most
@@ -44,12 +48,14 @@ Cantor-Zassenhaus (von zur Gathen & Gerhard, *Modern Computer Algebra*,
 ch. 14); Rabin's test and the irreducible sieve stand apart from it.
 
 Scalar :func:`is_irreducible` of degree d >= 2 first evaluates f at
-0, 1, ..., p-1 by Horner on Python integers, one coordinate column at a
-time (a prime-field point scales each coordinate alike), and rejects f at
-its first root.  Most random candidates have one, so most of the
-enumeration never reaches Rabin's Frobenius steps.  The test runs only
-while its p*k*(d+1) multiply-adds are at most the bitlen(q)*d^2 of one
-Frobenius step; GF(1021) quadratics go straight to Rabin.  The stacked test
+0, 1, ..., p-1 by Horner on Python integers, one coordinate column at a time
+(a prime-field point scales each coordinate alike), and rejects f at its
+first root.  Most random candidates have one, so most of the enumeration
+never reaches Rabin's Frobenius steps.  The test runs only while its
+p*k*(d+1) multiply-adds are at most the bitlen(q)*d^2 of one Frobenius step;
+GF(1021) quadratics go straight to Rabin.  Rabin keeps z in the residue form
+of one _Divisor of f, one :func:`pow_mod` on residues per Frobenius step;
+only the gcd operand z - x and the final z == x leave it.  The stacked test
 has no root test.  Its callers pass kernel images F = h^n f(g/h), g and h
 coprime, and when f is monic irreducible of degree n >= 2, F has no root in
 GF(q): F(a) = 0 with h(a) != 0 would make g(a)/h(a) a root of f, and
@@ -403,6 +409,36 @@ def _kmul(spec: FieldSpec, a, b):
     return spec.from_coords(C)
 
 
+def _pack(a, dt):
+    """The index vector a packed in slots of dtype dt (module docstring)."""
+    return int.from_bytes(a.astype(dt).tobytes(), "little")
+
+
+def _unpack(r, dt):
+    """The packed r as a trimmed index vector: whole slots up to the top nonzero one."""
+    size = dt.itemsize
+    return np.frombuffer(r.to_bytes(size * -(-r.bit_length() // (8 * size)), "little"),
+                         dt).astype(np.int64)
+
+
+def _reduce_packed(spec: FieldSpec, dt, A, B, m: int, inv, want_quotient: bool = False):
+    """(quotient coefficients from the top or None, reduced residue) of the
+    packed A modulo the packed B of degree m, inv the inverse of its lead
+    (None for 1): from A's top slot i down to m, A += c * x^(i-m) * B with
+    c = -(slot i) * inv mod p; then each remainder slot mod p."""
+    p, w, inv = spec.p, 8 * dt.itemsize, inv or 1
+    Q, mask, top = [] if want_quotient else None, (1 << w) - 1, m * w
+    for s in range((A.bit_length() - 1) // w * w, top - 1, -w):
+        c = -(A >> s & mask) * inv % p
+        if c:
+            A += c * B << (s - top)
+        if want_quotient:
+            Q.append(-c % p)
+    R = (A & ((1 << top) - 1)).to_bytes(m * w // 8, "little")
+    R = R.translate(spec._bytemod) if w == 8 else np.frombuffer(R, dt) % p
+    return Q, int.from_bytes(R, "little")
+
+
 class _Divisor:
     """A nonzero divisor prepared for repeated long division.  Residues are
     Python integers packed in slots of dtype dt, the divisor in `packed`
@@ -417,61 +453,38 @@ class _Divisor:
         self.inv = None if lead == spec.unit else spec.raw_inv(lead)
         if spec.k == 1 and self.m <= _PACKED_DEGREE:
             self.dt = _slot_dtype(2 * self.m * (spec.p - 1) ** 2 + spec.p)
-            self.packed = self._pack(b)
+            self.packed = _pack(b, self.dt)
         else:
             self.body = (b if self.inv is None else spec.mul_vec(b, self.inv))[:-1]
             self.multiples = {}
-
-    def _pack(self, a):
-        return int.from_bytes(a.astype(self.dt).tobytes(), "little")
 
     def load(self, a):
         """The index vector a as a reduced residue in this divisor's form."""
         if self.dt is None:
             return self.divmod(a, want_quotient=False)[1]
-        return self._pack(a) if len(a) <= self.m else self._long(a)[1]
+        return _pack(a, self.dt) if len(a) <= self.m else self._long(a)[1]
 
     def store(self, r):
         """A residue in this divisor's form as a trimmed index vector."""
-        if self.dt is None:
-            return r
-        size = self.dt.itemsize  # whole slots, up to the top nonzero one
-        return np.frombuffer(r.to_bytes(size * -(-r.bit_length() // (8 * size)), "little"),
-                             self.dt).astype(np.int64)
+        return r if self.dt is None else _unpack(r, self.dt)
 
     def mulmod(self, a, b):
         """The reduced product of two residues in this divisor's form."""
         if self.dt is not None:
-            return self._reduce(a * b)[1]
+            return _reduce_packed(self.spec, self.dt, a * b, self.packed, self.m, self.inv)[1]
         return self.load(_kmul(self.spec, a, b)) if len(a) and len(b) else _EMPTY
 
     def _long(self, a, want_quotient: bool = False):
-        """_reduce of the index vector a in windows (module docstring) from the
-        remainder 0: one quotient digit per slot, less the top m phantom ones."""
-        Q, r, step = [], 0, self.m + 32
+        """_reduce_packed of the index vector a in windows (module docstring) from
+        the remainder 0: one quotient digit per slot, less the top m phantom ones."""
+        Q, r, step, w = [], 0, self.m + 32, 8 * self.dt.itemsize
         for j in range(len(a), 0, -step):
             i = max(0, j - step)
-            q, r = self._reduce(r << (j - i) * 8 * self.dt.itemsize | self._pack(a[i:j]),
-                                want_quotient)
+            q, r = _reduce_packed(self.spec, self.dt, r << (j - i) * w | _pack(a[i:j], self.dt),
+                                  self.packed, self.m, self.inv, want_quotient)
             if want_quotient:
                 Q += [0] * (j - i - len(q)) + q
         return Q[self.m:] if want_quotient else None, r
-
-    def _reduce(self, A, want_quotient: bool = False):
-        """(quotient coefficients from the top or None, reduced residue) of
-        the packed A: from its top slot i down to m, A += c * x^(i-m) * divisor
-        with c = -(slot i) / lead mod p; then each remainder slot mod p."""
-        p, m, w, inv = self.spec.p, self.m, 8 * self.dt.itemsize, self.inv or 1
-        Q, mask, packed, top = [] if want_quotient else None, (1 << w) - 1, self.packed, m * w
-        for s in range((A.bit_length() - 1) // w * w, top - 1, -w):
-            c = -(A >> s & mask) * inv % p
-            if c:
-                A += c * packed << (s - top)
-            if want_quotient:
-                Q.append(-c % p)
-        R = (A & ((1 << top) - 1)).to_bytes(m * w // 8, "little")
-        R = R.translate(self.spec._bytemod) if w == 8 else np.frombuffer(R, self.dt) % p
-        return Q, int.from_bytes(R, "little")
 
     def divmod(self, a, want_quotient: bool = True):
         """(quotient, remainder) index vectors; the quotient is None unless wanted."""
@@ -479,7 +492,8 @@ class _Divisor:
         if n <= m:
             return (_EMPTY if want_quotient else None), a
         if self.dt is not None:
-            Q, r = (self._reduce(self._pack(a), want_quotient) if n <= 2 * m + 32
+            Q, r = (_reduce_packed(spec, self.dt, _pack(a, self.dt), self.packed, m, self.inv,
+                                   want_quotient) if n <= 2 * m + 32
                     else self._long(a, want_quotient))
             return (np.array(Q[::-1], dtype=np.int64) if want_quotient else None), self.store(r)
         # by c * x^m the division is a shift; a nonzero body[0] rules it out
@@ -522,8 +536,16 @@ def gcd(p1, p2):
     p1._check_owner(p2)
     if p1.is_zero() and p2.is_zero():
         raise errors.BothZero("gcd(0, 0) is undefined")
-    spec = p1.owner
-    a, b = p1._a, p2._a
+    spec, a, b = p1.owner, p1._a, p2._a
+    n = max(len(a), len(b)) - 1
+    if spec.k == 1 and n <= _PACKED_DEGREE:  # Euclid on packed remainders (module docstring)
+        dt = _slot_dtype(2 * n * (spec.p - 1) ** 2 + spec.p)
+        w, a, b = 8 * dt.itemsize, _pack(a, dt), _pack(b, dt)
+        while b:
+            m = (b.bit_length() - 1) // w
+            inv = None if (lead := b >> m * w) == 1 else spec.raw_inv(lead)
+            a, b = b, _reduce_packed(spec, dt, a, b, m, inv)[1]
+        return Polynomial._wrap(spec, _unpack(a, dt)).monic()
     while len(b):
         a, b = b, _Divisor(spec, b).divmod(a, want_quotient=False)[1]
     return Polynomial._wrap(spec, a).monic()
@@ -533,7 +555,13 @@ def pow_mod(base, e: int, mod):
     """base^e mod `mod` by :func:`qtk.intmath.power`; e is an arbitrary-size integer.
 
     Also rowwise on stacks (module docstring): mod a sequence of polynomials
-    of one degree D >= 1, base a sequence of as many polynomials."""
+    of one degree D >= 1, base a sequence of as many polynomials.  With mod a
+    :class:`_Divisor` and e >= 1, base is a residue in its form (a packed integer
+    or an index vector), and so is the result, intmath.power(base, e, mod.mulmod)."""
+    if isinstance(mod, _Divisor):
+        if e < 1:
+            raise errors.InvalidArgument("a residue power needs an exponent >= 1")
+        return intmath.power(base, e, mod.mulmod)
     if not isinstance(base, Polynomial):
         return _pow_mod_rows(base, e, mod)
     base._check_owner(mod)
@@ -717,14 +745,14 @@ def _product(factors, one: Polynomial) -> Polynomial:
     return level[0] if level else one
 
 
-def _frobenius_step(z, steps: int, mod, Q=None):
-    """z^(q^steps) mod `mod`, for polynomials or stacks; with the stack's
-    Frobenius matrices Q each step is z Q (module docstring)."""
-    spec = z.owner
+def _frobenius_step(z, steps: int, mod, q: int, Q=None):
+    """z^(q^steps) mod `mod`, for stacks or residues of the _Divisor mod;
+    with the stack's Frobenius matrices Q each step is z Q (module docstring)."""
     for _ in range(steps):
         if Q is None:
-            z = pow_mod(z, spec.q, mod)
+            z = pow_mod(z, q, mod)
         else:
+            spec = z.owner
             P = spec.to_coords(spec.mul_vec(Q, z.A[:, :, np.newaxis])).sum(axis=1)
             z = _Stack(spec, spec.from_coords(P % spec.p))
     return z
@@ -735,8 +763,8 @@ def is_irreducible(f):
 
     f of degree n is irreducible over GF(q) iff x^(q^n) = x (mod f) and,
     for each prime r dividing n, gcd(x^(q^(n/r)) - x, f) = 1.  A single f
-    of degree n >= 2 with a root in GF(p) is rejected before these steps
-    (module docstring).
+    of degree n >= 2 with a root in GF(p) is rejected before these steps,
+    which run on the residues of one _Divisor of f (module docstring).
 
     f may also be a stack: a sequence of nonzero polynomials of one degree
     over one field.  The result is then one bool per row, in order ([] for
@@ -764,15 +792,16 @@ def is_irreducible(f):
     if (spec.p * spec.k * (d + 1) <= spec.q.bit_length() * d * d
             and _has_prime_root(f)):
         return False
-    x = Polynomial.x(spec)  # already reduced: deg f >= 2
-    z, cur = x, 0
+    div, x = _Divisor(spec, f._a), Polynomial.x(spec)  # x is reduced: deg f >= 2
+    z, cur = div.load(x._a), 0
     for t in sorted({d // r for r in intmath.prime_factors(d)}):
-        z = _frobenius_step(z, t - cur, f)
+        z = _frobenius_step(z, t - cur, div, spec.q)
         cur = t
-        if gcd(z - x, f).degree > 0:
+        zx = np.concatenate([div.store(z), np.zeros(d, dtype=np.int64)])[:d]
+        zx[1] = (zx[1] - spec.unit) % spec.q  # z - x: index - unit lowers coordinate 0 by 1
+        if gcd(Polynomial._wrap(spec, _trim(zx)), f).degree > 0:
             return False
-    z = _frobenius_step(z, d - cur, f)
-    return z == x
+    return Polynomial._wrap(spec, div.store(_frobenius_step(z, d - cur, div, spec.q))) == x
 
 
 def _has_prime_root(f: Polynomial) -> bool:
@@ -816,7 +845,7 @@ def _rabin_rows(F: _Stack) -> list[bool]:
     out = np.ones(N, dtype=bool)
     alive, cur = np.arange(N), 0
     for t in sorted({d // r for r in intmath.prime_factors(d)}):
-        z = _frobenius_step(z, t - cur, F, Q)
+        z = _frobenius_step(z, t - cur, F, spec.q, Q)
         cur = t
         zx = z.A.copy()  # z - x: index - unit, mod q, lowers coordinate 0 by 1
         zx[:, 1] = (zx[:, 1] - spec.unit) % spec.q
@@ -826,7 +855,7 @@ def _rabin_rows(F: _Stack) -> list[bool]:
         Q = Q if Q is None else Q[keep]
         if not len(alive):
             return out.tolist()
-    z = _frobenius_step(z, d - cur, F, Q)
+    z = _frobenius_step(z, d - cur, F, spec.q, Q)
     out[alive] = (z.A == x[:len(alive)]).all(axis=1)
     return out.tolist()
 

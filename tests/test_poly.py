@@ -152,6 +152,28 @@ def test_pow_mod_starts_from_the_first_set_bit(monkeypatch):
             assert len(products) == j
 
 
+def test_pow_mod_on_residues_of_a_prepared_divisor(rng):
+    # with a _Divisor for mod, pow_mod maps residues in the divisor's form to
+    # residues: packed integers in slots of 1, 2, 4 and 8 bytes, and index
+    # vectors over GF(9) and above the crossover degree; each result stores to
+    # the _a of the polynomial pow_mod; exponents below 1 are refused
+    C = poly._PACKED_DEGREE
+    for (p, k), m, width in [((2, 1), 11, 1), ((7, 1), 4, 2), ((1021, 1), 6, 4),
+                             ((1048573, 1), 9, 8), ((3, 2), 5, None), ((2, 1), C + 6, None)]:
+        spec = field_make(p, k)
+        for f in (random_poly(spec, m, rng, monic=True), random_poly(spec, m, rng)):
+            div = poly._Divisor(spec, f._a)
+            assert (None if div.dt is None else div.dt.itemsize) == width, (spec, m)
+            for z in (Polynomial.x(spec), random_poly(spec, m - 1, rng),
+                      random_poly(spec, 2 * m + 3, rng), f * random_poly(spec, 2, rng)):
+                for e in (1, 2, spec.q, rng.randrange(3, 2 ** 40)):
+                    r = pow_mod(div.load(z._a), e, div)
+                    assert div.store(r).tolist() == pow_mod(z, e, f)._a.tolist(), (spec, f, z, e)
+            for e in (0, -1):
+                with pytest.raises(errors.InvalidArgument):
+                    pow_mod(div.load(Polynomial.x(spec)._a), e, div)
+
+
 def test_power_counts_its_products():
     # from the lowest set bit up: bit_length - 1 squares and popcount - 1
     # other products, so x^(2^j) costs j; e = 0 is None with no product, and
@@ -180,16 +202,28 @@ def test_power_counts_its_products():
     assert F3.inv_vec(u).tolist() == [1, 2, 1]
 
 
+#: Per p, the seeds s at which random_poly(GF(p), m, random.Random(s),
+#: monic=True) is irreducible for m = 63, 64, 65 (found by search).
+CROSSOVER_IRREDUCIBLE_SEEDS = {2: (71, 47, 112), 3: (187, 173, 11), 7: (23, 90, 64),
+                               1021: (147, 144, 30), 1048573: (21, 81, 62)}
+
+
 def test_packed_and_array_arithmetic_agree_across_the_crossover(monkeypatch, rng):
-    # divmod, pow_mod and gcd over GF(p) on packed integers (divisor degree at
-    # most C = _PACKED_DEGREE) against the numpy path (C patched to 0), at
-    # divisor degrees C - 1, C and C + 1: monic and non-monic divisors, one
-    # with a known common factor, zero remainders, dividends longer than
-    # 2m - 1, and every coefficient p - 1, the largest slot sums
+    # divmod, pow_mod, gcd and scalar is_irreducible over GF(p) on packed
+    # integers (divisor degree at most C = _PACKED_DEGREE) against the numpy
+    # path (C patched to 0), at divisor degrees C - 1, C and C + 1: monic and
+    # non-monic divisors, one with a known common factor, zero remainders,
+    # dividends longer than 2m - 1, every coefficient p - 1 (the largest slot
+    # sums), and one irreducible per degree, so both paths of Rabin's test
+    # run all its Frobenius steps
     C = poly._PACKED_DEGREE
+    assert C == 64  # the degrees of the seeded irreducibles
     for p in (2, 3, 7, 1021, 1048573):
         spec = field_make(p)
-        cases = []
+        irreducible = [random_poly(spec, m, random.Random(seed), monic=True)
+                       for m, seed in zip((C - 1, C, C + 1), CROSSOVER_IRREDUCIBLE_SEEDS[p])]
+        cases = [(f, [random_poly(spec, 2 * int(f.degree), rng), random_poly(spec, 5, rng) * f],
+                  spec.q) for f in irreducible]
         for m in (C - 1, C, C + 1):
             g = random_poly(spec, rng.randrange(1, 6), rng)
             for f in (random_poly(spec, m, rng, monic=True), random_poly(spec, m, rng),
@@ -201,11 +235,21 @@ def test_packed_and_array_arithmetic_agree_across_the_crossover(monkeypatch, rng
             cases.append((Polynomial(spec, [p - 1] * m + [1]),
                           [Polynomial(spec, [p - 1] * n) for n in (m, 2 * m)], p))
 
+        # Rabin's test on every divisor over the small fields; over GF(1021) and
+        # GF(1048573), where one full test takes up to 0.2 and 1.4 s, on the
+        # irreducible of degree C alone
+        rabin = irreducible[1:2] if p > 7 else [f for f, _, _ in cases]
+
         def results():
-            return [(divmod(a, f), gcd(a, f), pow_mod(a, e, f))
-                    for f, dividends, e in cases for a in dividends]
+            return ([(divmod(a, f), gcd(a, f), pow_mod(a, e, f))
+                     for f, dividends, e in cases for a in dividends]
+                    + [is_irreducible(f) for f in rabin])
 
         packed = results()
+        for f, verdict in zip(rabin, packed[-len(rabin):]):
+            if f in irreducible:  # certified by factorize, independently of Rabin's test
+                m = int(f.degree)
+                assert verdict and [(g.degree, e) for g, e in factorize(f, m)] == [(m, 1)], f
         monkeypatch.setattr(poly, "_PACKED_DEGREE", 0)
         assert results() == packed, spec
         monkeypatch.setattr(poly, "_PACKED_DEGREE", C)
@@ -371,8 +415,9 @@ def test_stacked_rabin_matches_single_calls(case, data):
     assert is_irreducible(rows) == [is_irreducible(f) for f in rows]
 
 
-#: The largest space sieved here; larger ones would raise the test process's
-#: peak RSS, which the ru_maxrss of later child processes starts from.
+#: The largest space sieved here: `monic_irreducibles` caches every list it
+#: builds for the life of the test process, so larger spaces would hold their
+#: memory for the rest of the session.
 SIEVE_LIMIT = 2 ** 18
 
 
@@ -508,20 +553,25 @@ def test_sieve_runs_no_rabin_test(monkeypatch):
         monic_irreducibles.cache_clear()
 
 
+#: The child's own peak RSS in kB.  Its ru_maxrss would start at the peak of
+#: the process that spawned it, here the test runner.
+CHILD_PEAK_KB = "open('/proc/self/status').read().split('VmHWM:')[1].split()[0]"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_sieve_memory_and_time_at_the_bound():
     # 2^20 candidates, the largest space the bound admits, in blocks
-    code = ("import resource, time\nfrom qtk import field_make\n"
+    code = ("import time\nfrom qtk import field_make\n"
             "from qtk.poly import monic_irreducibles\nt = time.perf_counter()\n"
             "n = len(monic_irreducibles(field_make(2), 20))\n"
-            "print(n, time.perf_counter() - t,"
-            " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            f"print(n, time.perf_counter() - t, {CHILD_PEAK_KB})\n")
     proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    count, seconds, maxrss_kb = proc.stdout.split()
+    count, seconds, peak_kb = proc.stdout.split()
     assert int(count) == 52377 == necklace_count(2, 20)
     assert float(seconds) < 20
-    assert int(maxrss_kb) < 200 * 1024
+    assert int(peak_kb) < 200 * 1024
 
 
 def test_compose_fraction_with_constant_denominator(fields, rng):
@@ -580,6 +630,7 @@ def test_compose_fraction_on_stacks_across_digits(fields, rng):
             assert list(stacked) == [compose_fraction(f, num, den) for f in rows], (spec, d)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("p, k, n, points", [(2, 8, 1000, (2, 16)),
                                              (3, 1, 2000, (3, 12))])
 def test_large_transform_memory_and_time(p, k, n, points):
@@ -589,20 +640,19 @@ def test_large_transform_memory_and_time(p, k, n, points):
     rng = random.Random(n)
     f = Polynomial._wrap(spec, np.array([rng.randrange(spec.q) for _ in range(n)]
                                         + [spec.unit], dtype=np.int64))
-    code = ("import resource, sys, time\nfrom qtk import field_make\n"
+    code = ("import sys, time\nfrom qtk import field_make\n"
             "from qtk.moebius import expr_parse\nfrom qtk.poly import parse_poly\n"
             "from qtk.transform import transform\nF = field_make(*map(int, sys.argv[1:3]))\n"
             "f = parse_poly(F, sys.argv[3])\nt = time.perf_counter()\n"
             "out = transform(f, expr_parse(F, '1,0,1 / 0,1')).result\n"
-            "print(time.perf_counter() - t,"
-            " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, out.to_text())\n")
+            f"print(time.perf_counter() - t, {CHILD_PEAK_KB}, out.to_text())\n")
     proc = subprocess.run([sys.executable, "-c", code, str(p), str(k), f.to_text()],
                           env=subprocess_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    seconds, maxrss_kb, text = proc.stdout.split(" ", 2)
+    seconds, peak_kb, text = proc.stdout.split(" ", 2)
     assert float(seconds) < 20
-    assert int(maxrss_kb) < 200 * 1024
+    assert int(peak_kb) < 200 * 1024
     out = parse_poly(spec, text)
     assert out.degree == 2 * n
     E = field_make(*points)

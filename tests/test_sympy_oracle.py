@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_poly
 from qtk import field_make
-from qtk.poly import Polynomial, factorize, is_irreducible
+from qtk.poly import Polynomial, factorize, gcd, is_irreducible
 
 sympy = pytest.importorskip("sympy")
 
@@ -25,3 +25,32 @@ def test_factorization_and_irreducibility_match_sympy(p, rng):
         assert sorted((g.sort_key(), e) for g, e in ours) == theirs, f.to_human()
         assert int(unit) % p == int(ours.unit)
         assert is_irreducible(f) == (len(theirs) == 1 and theirs[0][1] == 1)
+
+
+@pytest.mark.parametrize("p, degrees", [(2, (3, 20, 63)), (3, (5, 40)), (7, (4, 30)),
+                                        (1021, (6, 50)), (1048573, (9, 64)),
+                                        (5, (70,))])
+def test_gcd_matches_sympy_on_a_planted_common_factor(p, degrees, rng):
+    # gcd(g*u, g*v) against sympy's gcd at the larger degrees n given: the
+    # packed Euclid in slots of 1 (p = 2; p = 3 at n = 5), 2 (p = 3 at n = 40;
+    # p = 7), 4 (p = 1021) and 8 (p = 1048573) bytes, and the array loop above
+    # the crossover (n = 70); then a divisor with every coefficient p - 1 and
+    # a quotient of ones, whose first division adds up to n // 2 + 1 products
+    # (p - 1)^2 to a slot, the largest sums
+    spec = field_make(p)
+    x = sympy.Symbol("x")
+
+    def check(a, b):
+        theirs = sympy.Poly([int(c) for c in reversed(a.coeffs)], x, modulus=p).gcd(
+            sympy.Poly([int(c) for c in reversed(b.coeffs)], x, modulus=p)).monic()
+        ours = gcd(a, b)
+        assert ours == Polynomial(spec, [int(c) % p for c in reversed(theirs.all_coeffs())])
+        return ours
+    for n in degrees:
+        for _ in range(6):
+            g = random_poly(spec, rng.randrange(1, n), rng)
+            u = random_poly(spec, n - int(g.degree), rng)
+            v = random_poly(spec, rng.randrange(0, n - int(g.degree) + 1), rng)
+            assert (check(g * u, g * v) % g.monic()).is_zero()
+        b = Polynomial(spec, [p - 1] * (n // 2 + 1))
+        check(b * Polynomial(spec, [1] * (n - n // 2 + 1)) + random_poly(spec, n // 2 - 1, rng), b)
