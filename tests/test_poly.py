@@ -417,7 +417,7 @@ def test_stacked_rabin_matches_single_calls(case, data):
 
 #: The largest space sieved here: `monic_irreducibles` caches every list it
 #: builds for the life of the test process, so larger spaces would hold their
-#: memory for the rest of the session.
+#: memory for the rest of the test run.
 SIEVE_LIMIT = 2 ** 18
 
 
