@@ -25,12 +25,15 @@ fills bits [i*w, (i+1)*w), w the narrowest of 8, 16, 32 or 64 holding
 2m(p-1)^2 + p (the product's rule; below 2^48 for q <= 2^20, m <= 64).  A
 product of residues puts at most m(p-1)^2 in a slot and a dividend less than
 p; division adds at most m products of two residues, so no slot carries, and
-then reduces each remainder slot mod p.  A dividend longer than 2m + 32 goes
-in windows, the remainder so far over the next m + 32 coefficients, so a
-quotient step costs O(m), not O(dividend length).  Scalar :func:`gcd`, the
-larger degree m <= _PACKED_DEGREE, runs Euclid on packed remainders in the one
-slot width this rule gives m: a remainder slot gets at most m quotient
-additions of at most (p-1)^2 on top of a value below p, so none carries.
+then reduces each remainder slot mod p: 8-bit slots by bytes.translate, up to
+_LOOP_SLOTS = 8 wider ones one by one on the Python integer (about 0.2 us per
+slot), more by one numpy % (about 2 us at any length; even at 9 slots).  A
+dividend longer than 2m + 32 goes in windows, the remainder so far over the
+next m + 32 coefficients, so a quotient step costs O(m), not O(dividend
+length).  Scalar :func:`gcd`, the larger degree m <= _PACKED_DEGREE, runs
+Euclid on packed remainders in the one slot width this rule gives m: a
+remainder slot gets at most m quotient additions of at most (p-1)^2 on top of
+a value below p, so none carries.
 CHANGES.md has the measurements behind the crossover 64 (packed pow_mod
 2.2-6.9x faster below it).
 
@@ -434,6 +437,11 @@ def _reduce_packed(spec: FieldSpec, dt, A, B, m: int, inv, want_quotient: bool =
             A += c * B << (s - top)
         if want_quotient:
             Q.append(-c % p)
+    if w > 8 and m <= _LOOP_SLOTS:
+        r = 0
+        for s in range(0, top, w):
+            r |= (A >> s & mask) % p << s
+        return Q, r
     R = (A & ((1 << top) - 1)).to_bytes(m * w // 8, "little")
     R = R.translate(spec._bytemod) if w == 8 else np.frombuffer(R, dt) % p
     return Q, int.from_bytes(R, "little")
@@ -883,6 +891,9 @@ SIZE_BOUND_ENUM = 2 ** 20
 
 #: Largest divisor degree of the packed prime-field division (module docstring).
 _PACKED_DEGREE = 64
+
+#: Most remainder slots wider than 8 bits reduced on Python integers (module docstring).
+_LOOP_SLOTS = 8
 
 #: Cofactors per sieve block (at most 2^14 x 20 int64: q^d <= 2^20 gives d*k <= 20).
 _SIEVE_ROWS = 2 ** 14

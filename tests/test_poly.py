@@ -276,6 +276,51 @@ def test_packed_division_of_long_dividends_matches_arrays(monkeypatch, rng):
     assert [divmod(a, f) for a, f in cases] == packed
 
 
+@pytest.mark.parametrize("p, width", [(7, 2), (257, 4), (1048573, 8)])
+def test_remainder_slots_reduce_alike_on_integers_and_numpy(monkeypatch, p, width, rng):
+    # _reduce_packed reduces a remainder of at most _LOOP_SLOTS slots wider
+    # than 8 bits on Python integers and a longer one through numpy: divmod,
+    # pow_mod, gcd and scalar is_irreducible agree with the switch at 0 (numpy
+    # always) and at 64 (integers always), at divisor degrees on both sides of
+    # it, on irreducible divisors (every Frobenius step of Rabin's test runs)
+    # and with every coefficient p - 1 (the largest slot sums)
+    spec, L = field_make(p), poly._LOOP_SLOTS
+    cases, rabin = [], []
+    for m in (4, L, L + 1, 2 * L):
+        f = random_poly(spec, m, rng, monic=True)
+        while not is_irreducible(f):
+            f = random_poly(spec, m, rng, monic=True)
+        rabin += [f, random_poly(spec, m, rng), f * random_poly(spec, 1, rng, monic=True)]
+        assert poly._Divisor(spec, f._a).dt.itemsize == width
+        for f in (f, random_poly(spec, m, rng), Polynomial(spec, [p - 1] * m + [1])):
+            dividends = [random_poly(spec, n, rng) for n in (m - 1, m + 1, 2 * m - 1, 3 * m)]
+            dividends += [Polynomial(spec, [p - 1] * n) for n in (m, 2 * m)]
+            cases.append((f, dividends, rng.randrange(2, 2 ** 12)))
+
+    def results():
+        return ([(divmod(a, f), gcd(a, f), pow_mod(a, e, f))
+                 for f, dividends, e in cases for a in dividends]
+                + [is_irreducible(f) for f in rabin])
+    default = results()
+    assert default[-len(rabin)::3] == [True] * 4
+    for slots in (0, 64):
+        monkeypatch.setattr(poly, "_LOOP_SLOTS", slots)
+        assert results() == default, slots
+
+
+def test_rabin_matches_the_sieve_at_wide_slots():
+    # over GF(257), 4-byte slots, seeded monic quadratics: Rabin's verdict is
+    # membership in the sieve's list, which runs no division; the 2-byte case,
+    # GF(7) at d = 4, is the whole list in test_sieve_agrees_with_rabin
+    spec = field_make(257)
+    sieved = set(monic_irreducibles(spec, 2))
+    sample = [Polynomial(spec, [u % 257, u // 257, 1])
+              for u in random.Random(25).sample(range(257 ** 2), 1500)]
+    verdicts = [is_irreducible(f) for f in sample]
+    assert verdicts == [f in sieved for f in sample]
+    assert 0 < sum(verdicts) < len(sample)
+
+
 def test_irreducibility_examples():
     F2, F3 = field_make(2), field_make(3)
     assert is_irreducible(P(F2, "x^2+x+1"))

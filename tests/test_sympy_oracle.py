@@ -54,3 +54,19 @@ def test_gcd_matches_sympy_on_a_planted_common_factor(p, degrees, rng):
             assert (check(g * u, g * v) % g.monic()).is_zero()
         b = Polynomial(spec, [p - 1] * (n // 2 + 1))
         check(b * Polynomial(spec, [1] * (n - n // 2 + 1)) + random_poly(spec, n // 2 - 1, rng), b)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_irreducibility_at_eight_byte_slots_matches_sympy(d, rng):
+    # GF(1048573) packs residues in 8-byte slots, and at d <= 3 Rabin's test
+    # runs without the root test, with remainders of d slots
+    p = 1048573
+    spec = field_make(p)
+    x = sympy.Symbol("x")
+    verdicts = []
+    for _ in range(30):
+        f = random_poly(spec, d, rng, monic=True)
+        theirs = sympy.Poly([int(c) for c in reversed(f.coeffs)], x, modulus=p).is_irreducible
+        verdicts.append(is_irreducible(f))
+        assert verdicts[-1] == theirs, f.to_human()
+    assert 0 < sum(verdicts) < len(verdicts)
