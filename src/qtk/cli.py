@@ -226,6 +226,8 @@ def cmd_hverify(args, json_mode: bool) -> int:
 
 
 def cmd_table(args, json_mode: bool) -> int:
+    if args.n_max < 1:
+        raise errors.InvalidArgument("--n-max must be >= 1")
     status = EXIT_OK
     for name in args.fields.split(","):
         spec = field_from_name(name.strip())

@@ -65,6 +65,8 @@ class CountQuery:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise errors.Error(f"unknown count variant {self.variant!r}")
+        if self.n < 1:  # the linear count reads no n, so the query checks it
+            raise errors.InvalidArgument("n must be >= 1")
         needs = VARIANTS[self.variant].needs
         if needs and getattr(self, needs) is None:
             raise errors.InvalidArgument(f"the {self.variant} count needs {needs}")

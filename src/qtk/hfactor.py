@@ -317,14 +317,14 @@ def _attach_reconstructions(r: QuadRationalExpr, layers: dict[int, list[FactorMa
         f_stars = reconstruct(transport_forward([m.factor for m in run], trail), form.sigma)
         solved = [f for f in f_stars if f is not None]
         backs = transport_back(solved, trail).monic() if solved else []
-        recovered = iter(zip(backs, transform(backs, r, monic=True)))
+        recovered = iter(zip(backs, transform(backs, r, monic=True).result))
         for m, f_star in zip(run, f_stars):
             if f_star is None:
                 failures.append(f"transported factor {m.factor.to_human()} not invariant")
                 out.append(m)
                 continue
             f_back, image = next(recovered)
-            if image.result != m.factor or f_back != m.f:
+            if image != m.factor or f_back != m.f:
                 failures.append(f"recovered input for {m.factor.to_human()} does not reproduce it")
                 out.append(m)
                 continue

@@ -81,8 +81,8 @@ terms below p; ``_check_headroom(spec, 2D)`` checks the stronger
 k*(2D+1)*(p-1)^2 < 2^63.  A single polynomial's pow_mod, gcd or Rabin test
 never enters the row kernel: at N = 1 it is several times slower than the
 scalar code.  The stacked Rabin test serves the filter behind
-:func:`qtk.transform.irreducible_images` and
-:func:`qtk.transform.irreducible_pencil`, for both the count oracle and the
+:func:`qtk.transform.irreducible_images`, whose candidates stay one stack
+from :func:`monic_irreducibles` to the verdict, for the count oracle and the
 transform side of the H verifier.  z -> z^q is GF(q)-linear, so z^q mod F is
 z Q, row i of Q being x^(iq) mod F (Berlekamp's Q matrix: Knuth, TAOCP vol. 2,
 4.6.2; von zur Gathen & Shoup 1992).  For q > 2 a block builds its rows' Q by
@@ -774,15 +774,14 @@ def is_irreducible(f):
     of degree n >= 2 with a root in GF(p) is rejected before these steps,
     which run on the residues of one _Divisor of f (module docstring).
 
-    f may also be a stack: a sequence of nonzero polynomials of one degree
-    over one field.  The result is then one bool per row, in order ([] for
-    no rows), from the same steps on all rows at once (module docstring),
-    in blocks of _SIEVE_ROWS rows, fewer over q > 2 when the Frobenius
-    matrices of a block would hold more than _FROBENIUS_ENTRIES coordinates.
+    f may also be a stack of nonzero polynomials of one degree over one field,
+    a _Stack as it is.  The result is then one bool per row, in order ([] for
+    no rows), from the same steps on all rows at once (module docstring), in
+    blocks of _SIEVE_ROWS rows, fewer over q > 2 when the Frobenius matrices
+    of a block would hold more than _FROBENIUS_ENTRIES coordinates.
     """
     if not isinstance(f, Polynomial):
-        f = list(f)
-        if not f:
+        if not len(f):
             return []
         F = _monic_rows(f, errors.DegreeZero)
         d, spec = F.A.shape[1] - 1, F.owner
@@ -914,13 +913,13 @@ def enumerate_monic_irreducible(spec: FieldSpec, d: int):
 
 
 @functools.lru_cache(maxsize=None)
-def monic_irreducibles(spec: FieldSpec, d: int) -> tuple[Polynomial, ...]:
-    """The monic irreducibles of degree d in enumeration order, found once
-    per (field, degree) by a sieve: each phi * g, phi monic irreducible of
-    degree i <= d/2 and g monic of degree d - i (g in blocks), is struck out.
-    Candidate u has the tail c_0..c_(d-1) with u = sum c_j q^(d-1-j), the
-    order of :func:`enumerate_monic`: the base-p number of its d*k tail
-    coordinates."""
+def monic_irreducibles(spec: FieldSpec, d: int) -> _Stack:
+    """The monic irreducibles of degree d in enumeration order, as one
+    read-only stack, found once per (field, degree) by a sieve: each phi * g,
+    phi monic irreducible of degree i <= d/2 and g monic of degree d - i (g in
+    blocks), is struck out.  Candidate u has the tail c_0..c_(d-1) with
+    u = sum c_j q^(d-1-j), the order of :func:`enumerate_monic`: the base-p
+    number of its d*k tail coordinates."""
     _check_space(spec, d, 1)
     p, k, q = spec.p, spec.k, spec.q
     composite = np.zeros(q ** d, dtype=bool)
@@ -928,10 +927,10 @@ def monic_irreducibles(spec: FieldSpec, d: int) -> tuple[Polynomial, ...]:
     for i in range(1, d // 2 + 1):
         e = d - i
         # phi * (x^e + g) = x^e phi + x^i g + sum over t < i of phi_t x^t g
-        factors = [(spec.to_coords(phi._a[:-1]),
+        factors = [(spec.to_coords(phi[:-1]),
                     [(t, c if k == 1 else spec._matrix(spec.coords(c)))
-                     for t, c in enumerate(phi._a[:-1].tolist()) if c])
-                   for phi in monic_irreducibles(spec, i)]
+                     for t, c in enumerate(phi[:-1].tolist()) if c])
+                   for phi in monic_irreducibles(spec, i).A]
         for start in range(0, q ** e, _SIEVE_ROWS):
             v = np.arange(start, min(start + _SIEVE_ROWS, q ** e), dtype=np.int64)
             G = (v[:, np.newaxis] // weights[i * k:] % p).reshape(len(v), e, k)
@@ -944,7 +943,8 @@ def monic_irreducibles(spec: FieldSpec, d: int) -> tuple[Polynomial, ...]:
                 composite[(P % p).reshape(len(v), d * k) @ weights] = True
     tails = np.flatnonzero(~composite)[:, np.newaxis]
     C = np.hstack([tails // weights[k - 1::k] % q, np.full_like(tails, spec.unit)])
-    return tuple(Polynomial._wrap(spec, row) for row in C)
+    C.flags.writeable = False  # the cache hands out this array itself
+    return _Stack(spec, C)
 
 
 class Factorization:

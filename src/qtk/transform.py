@@ -48,8 +48,8 @@ from .poly import (Polynomial, _rows_reduce, _Stack, _as_rows, compose_fraction,
 
 @dataclass(frozen=True)
 class TransformResult:
-    result: Polynomial
-    degree_dropped: bool
+    result: Polynomial | _Stack
+    degree_dropped: bool | np.ndarray
 
 
 def transform(f, r, monic: bool = False):
@@ -58,12 +58,12 @@ def transform(f, r, monic: bool = False):
     With d = max(deg g, deg h), the degree drops below d*deg f exactly when
     deg h = d and f vanishes at g_d/h_d (the value of R at infinity); the
     flag records that.  With monic=True the result is scaled monic.  f may
-    also be a stack of one degree: the result is then one TransformResult
-    per row, from one substitution of all rows.
+    also be a stack of one degree: the result then holds the stack of the
+    images, from one substitution of all rows, and the array of the flags.
     """
     S, single = _as_rows(f)
     if S is None:
-        return []
+        return TransformResult([], np.zeros(0, dtype=bool))
     spec, n = S.owner, S.A.shape[1] - 1
     out = compose_fraction(S, r.g, r.h)
     d = max(int(r.g.degree), int(r.h.degree))
@@ -76,8 +76,7 @@ def transform(f, r, monic: bool = False):
         expected_drop = ~(spec.to_coords(terms).sum(axis=1) % spec.p).any(axis=1)
     errors.require((dropped == expected_drop).all(), "degree-drop criterion out of sync")
     out = out.monic() if monic else out
-    results = [TransformResult(F, flag) for F, flag in zip(out, dropped.tolist())]
-    return results[0] if single else results
+    return TransformResult(out[0], bool(dropped[0])) if single else TransformResult(out, dropped)
 
 
 def is_sigma_self_reciprocal(F, sigma: FieldElement):
@@ -344,21 +343,17 @@ def transport_back(f, trail: ReductionTrail):
 # -- enumeration helpers ---------------------------------------------------------------
 
 
-def _irreducible_pairs(pairs: list) -> list:
-    """The (label, F) pairs whose F is irreducible, in order: one stacked
-    Rabin test over every F, all of one degree."""
-    return [pair for pair, ok in zip(pairs, is_irreducible([F for _, F in pairs]))
-            if ok]
-
-
 def irreducible_images(r, m: int) -> list[tuple[Polynomial, Polynomial]]:
     """The (f, F) pairs, f the monic irreducibles of degree m in enumeration
     order, whose monic image F = f_R under an expression or a kernel
-    r = g/h has full degree d*m, d = max(deg g, deg h), and is irreducible."""
+    r = g/h has full degree d*m, d = max(deg g, deg h), and is irreducible;
+    only the pairs kept leave the stacks as polynomials."""
     inputs = monic_irreducibles(r.g.owner, m)
     images = transform(inputs, r, monic=True)
-    return _irreducible_pairs([(f, t.result) for f, t in zip(inputs, images)
-                               if not t.degree_dropped])
+    full = ~images.degree_dropped
+    inputs, images = inputs.take(full), images.result.take(full)
+    kept = np.array(is_irreducible(images), dtype=bool)
+    return list(zip(inputs.take(kept), images.take(kept)))
 
 
 def irreducible_image_count(r: QuadRationalExpr, n: int) -> int:
@@ -370,14 +365,14 @@ def irreducible_image_count(r: QuadRationalExpr, n: int) -> int:
 def irreducible_pencil(
         r: QuadRationalExpr) -> list[tuple[FieldElement | None, Polynomial]]:
     """The irreducible quadratics of the pencil spanned by g and h, as
-    (label, monic quadratic).
+    (label, monic quadratic), in the order of the labels.
 
-    Labels: a field element alpha for g - alpha*h (the image of x - alpha),
-    or None for the h endpoint of the pencil.  Every monic quadratic linear
-    combination of g and h is tested exactly once.
+    Labels: a field element alpha for g - alpha*h, the image of x - alpha
+    (the degree-1 layer of :func:`irreducible_images`), or None for the h
+    endpoint.  Every monic quadratic in the pencil is tested exactly once.
     """
-    pencil = [(alpha, cand.monic()) for alpha in r.owner.elements()
-              if (cand := r.g - r.h.scale(alpha)).degree == 2]
-    if r.h.degree == 2:
+    pencil = sorted(((-f.coeff(0), F) for f, F in irreducible_images(r, 1)),
+                    key=lambda pair: pair[0].value)
+    if r.h.degree == 2 and is_irreducible(r.h):
         pencil.append((None, r.h.monic()))
-    return _irreducible_pairs(pencil)
+    return pencil

@@ -217,6 +217,12 @@ def test_count_oracle_memory_at_image_degree_twenty():
     ({}, ["count", "--field", "3", "--n", "2", "--variant", "ahmadi"]),
     ({}, ["count", "--field", "0", "--n", "2", "--variant", "carlitz"]),
     ({}, ["count", "--field", "-3", "--n", "2", "--variant", "carlitz"]),
+    ({}, ["count", "--field", "3", "--n", "0", "--variant", "linear", "--expr", "1,0,1 / 0,1"]),
+    ({}, ["count", "--field", "3", "--n", "-5", "--variant", "linear", "--expr", "1,0,1 / 0,1"]),
+    ({}, ["count", "--field", "3", "--n", "0", "--variant", "linear", "--expr", "1,0,1 / 0,1",
+          "--oracle"]),
+    ({}, ["table", "--fields", "3", "--n-max", "0"]),
+    ({}, ["table", "--fields", "3", "--n-max", "-1"]),
 ])
 def test_bad_input_exits_with_one_stderr_line(monkeypatch, capsys, env, argv):
     for key, value in env.items():
@@ -224,7 +230,7 @@ def test_bad_input_exits_with_one_stderr_line(monkeypatch, capsys, env, argv):
     assert cli.main(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-    field = argv[argv.index("--field") + 1]
+    field = argv[argv.index("--field") + 1] if "--field" in argv else None
     if field in ("0", "-3"):  # the message names the field, not --n
         assert f"{field} is not a prime power" in err
 

@@ -573,11 +573,22 @@ def test_sieve_agrees_with_rabin(p, k):
     d = 1
     while F.q ** d <= 2 ** 12:
         sieved = monic_irreducibles(F, d)
-        assert sieved == tuple(enumerate_monic_irreducible(F, d)), (F, d)
+        assert tuple(sieved) == tuple(enumerate_monic_irreducible(F, d)), (F, d)
         assert len(sieved) == necklace_count(F.q, d), (F, d)
         d += 1
     with pytest.raises(ValueError):
         monic_irreducibles(F, 0)
+
+
+def test_cached_sieve_is_read_only():
+    # monic_irreducibles hands out its cached array, so an in-place kernel
+    # step on it, or on a row read from it, must raise, not rewrite the cache
+    sieved = monic_irreducibles(field_make(5), 2)
+    with pytest.raises(ValueError):
+        sieved.A[0, 0] = 1
+    with pytest.raises(ValueError):
+        sieved[0]._a[0] = 1
+    assert tuple(sieved) == tuple(enumerate_monic_irreducible(field_make(5), 2))
 
 
 def test_sieve_refuses_large_spaces():

@@ -1,10 +1,14 @@
-"""Prime-field irreducibility and factorization against sympy, an independent
-implementation; skipped where sympy is not installed."""
+"""Prime-field irreducibility, factorization and hverify certificates against
+sympy, an independent implementation; skipped where sympy is not installed."""
+
+import functools
+import json
+import operator
 
 import pytest
 
 from conftest import random_poly
-from qtk import field_make
+from qtk import cli, field_make
 from qtk.poly import Polynomial, factorize, gcd, is_irreducible
 
 sympy = pytest.importorskip("sympy")
@@ -70,3 +74,57 @@ def test_irreducibility_at_eight_byte_slots_matches_sympy(d, rng):
         verdicts.append(is_irreducible(f))
         assert verdicts[-1] == theirs, f.to_human()
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+#: hverify argvs over prime fields with odd n, so that n/1 is odd and the
+#: degree-1 layer (the pencil) is among the factors
+HVERIFY_ARGVS = [
+    ["--field", "5", "--n", "3", "--sigma", "2"],
+    ["--field", "13", "--n", "1", "--expr", "1,2,1 / 3,0,1"],
+    ["--field", "3", "--n", "5", "--expr", "1,0,1 / 1,1"],
+    ["--field", "7", "--n", "3", "--expr", "2,1,1 / 0,1"],
+]
+
+
+@pytest.mark.parametrize("argv", HVERIFY_ARGVS)
+def test_hverify_certificate_replays_in_sympy(argv, capsys):
+    # the --json report alone, re-checked with sympy's arithmetic: the
+    # factors multiply to the core, the core divides H, the factors are
+    # distinct irreducibles and exactly sympy's own factorization of the
+    # core, and each factor with a source f is the monic h^m f(g/h)
+    assert cli.main(["--json", "hverify", *argv]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    p = int(report["field"])
+    x = sympy.Symbol("x")
+
+    def poly(text):
+        return sympy.Poly([int(c) for c in reversed(text.split(","))], x, modulus=p)
+
+    def key(f):
+        return tuple(int(c) % p for c in f.all_coeffs())
+    H, core = poly(report["h"]["coeffs"]), poly(report["h_core"]["coeffs"])
+    g, h = (poly(text) for text in report["expr"].split("/"))
+    factors = [poly(m["factor"]["coeffs"]) for m in report["factors"]]
+    assert key(functools.reduce(operator.mul, factors)) == key(core)
+    assert H.rem(core).is_zero
+    assert all(F.is_irreducible and F.is_monic for F in factors)
+    assert len({key(F) for F in factors}) == len(factors)
+    assert sorted(F.degree() for F in factors) == sorted(report["degree_multiset"])
+    _, theirs = core.factor_list()
+    assert all(e == 1 for _, e in theirs)
+    assert sorted(key(F.monic()) for F, _ in theirs) == sorted(map(key, factors))
+    sources = 0
+    for m, F in zip(report["factors"], factors):
+        if m["f"] is None:
+            assert m["source_kind"] == "pencil-endpoint" and key(F) == key(h.monic())
+            continue
+        f = poly(m["f"]["coeffs"])
+        coeffs, deg = f.all_coeffs()[::-1], f.degree()
+        image = sum((c * g ** i * h ** (deg - i) for i, c in enumerate(coeffs)),
+                    sympy.Poly(0, x, modulus=p))
+        assert key(image.monic()) == key(F)
+        if m["alpha"] is not None:
+            assert key(f) == key(poly(f"{-int(m['alpha'])},1"))
+        sources += 1
+    assert any(m["source_kind"] == "pencil" for m in report["factors"])
+    assert sources

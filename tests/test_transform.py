@@ -396,6 +396,25 @@ def test_composite_transports_match_the_stepwise_reference(fields, rng):
     assert compared >= 50
 
 
+def test_image_count_builds_polynomials_only_for_counted_pairs(monkeypatch):
+    # the sieve's stack, its images and their Rabin verdicts stay arrays from
+    # the sieve to the count: two Polynomials per counted pair (f and F), and
+    # at most one per lower-degree irreducible, not one per candidate
+    spec = field_make(13)
+    wrap, calls = Polynomial._wrap.__func__, []
+
+    def counted(cls, owner, a):
+        calls.append(1)
+        return wrap(cls, owner, a)
+    monic_irreducibles.cache_clear()
+    monkeypatch.setattr(Polynomial, "_wrap", classmethod(counted))
+    count = irreducible_image_count(sigma_form(spec.one), 3)
+    monkeypatch.undo()
+    lower = sum(len(monic_irreducibles(spec, i)) for i in (1, 2))
+    assert count == 364
+    assert len(calls) <= 2 * count + lower, (len(calls), count, lower)
+
+
 def test_count_preserving_bijections():
     F3 = field_make(3)
     r = expr_parse(F3, "1,0,1 / 0,1")
@@ -454,14 +473,16 @@ def test_substitution_stacks_match_single_calls_and_the_references(p, k):
             assert _coords(F) == reference.poly_compose_fraction(
                 spec, _coords(f), _coords(r.g), _coords(r.h))
         for monic in (False, True):
-            results = _agree(transform(rows, r, monic=monic),
-                             lambda f: transform(f, r, monic=monic), rows)
-            assert results[2].degree_dropped
+            stacked = transform(rows, r, monic=monic)
+            singles = [transform(f, r, monic=monic) for f in rows]
+            assert list(stacked.result) == [t.result for t in singles]
+            assert stacked.degree_dropped.tolist() == [t.degree_dropped for t in singles]
+            assert stacked.degree_dropped[2]
     # invariance: sigma-form images with a non-invariant row in the middle
     sigma = rng.choice(nonzero)
     for m in (1, 2, 3):
-        F = [t.result for t in transform(
-            [random_poly(spec, m, rng, monic=True) for _ in range(4)], sigma_form(sigma))]
+        F = list(transform([random_poly(spec, m, rng, monic=True) for _ in range(4)],
+                           sigma_form(sigma)).result)
         F.insert(2, F[0] + Polynomial.one(spec))
         want = [True, True, False, True, True]
         assert _agree(is_sigma_self_reciprocal(F, sigma),
@@ -490,7 +511,7 @@ def test_substitution_stacks_match_single_calls_and_the_references(p, k):
                         spec, _coords(G), sigma.coords)
     # a higher kernel, whose weight is not a monomial
     ker = kernel(spec, ORDER3)
-    F = [t.result for t in transform([random_poly(spec, 2, rng) for _ in range(4)], ker)]
+    F = list(transform([random_poly(spec, 2, rng) for _ in range(4)], ker).result)
     F.insert(1, F[0] + Polynomial.one(spec))
     assert _agree(is_invariant(F, ker), lambda G: is_invariant(G, ker), F) \
         == [True, False, True, True, True]
@@ -503,7 +524,8 @@ def test_substitution_stacks_match_single_calls_and_the_references(p, k):
     for m in (2, 3):
         fs = [random_poly(spec, m, rng, monic=True) for _ in range(30)]
         fs = [f for f, ok in zip(fs, is_irreducible(fs)) if ok]
-        F = [t.result for t in transform(fs, r, monic=True) if not t.degree_dropped]
+        images = transform(fs, r, monic=True)
+        F = list(images.result.take(~images.degree_dropped))
         F = [G for G, ok in zip(F, is_irreducible(F)) if ok][:4]
         if not F:
             continue
@@ -531,7 +553,7 @@ def test_substitution_stacks_edge_cases():
     core, x = P(F3, "x^2+2"), Polynomial.x(F3)
     calls = {
         "compose_fraction": lambda F: compose_fraction(F, r.g, r.h),
-        "transform": lambda F: transform(F, r),
+        "transform": lambda F: transform(F, r).result,
         "fixes": lambda F: MoebiusMap(zero, sigma, one, zero).fixes(F, one, 2),
         "is_invariant_generalized": lambda F: is_invariant_generalized(F, one, zero, -sigma),
         "is_sigma_self_reciprocal": lambda F: is_sigma_self_reciprocal(F, sigma),
@@ -541,6 +563,10 @@ def test_substitution_stacks_edge_cases():
         "transport_back": lambda F: transport_back(F, trail),
     }
     F = transform(P(F3, "x^2+1"), sigma_form(sigma)).result
+    # a stacked transform's mask: an empty boolean array for no rows, and
+    # entry i the single call's flag on row i
+    assert transform([], r).degree_dropped.shape == (0,)
+    assert transform([F], r).degree_dropped.tolist() == [transform(F, r).degree_dropped]
     for name, call in calls.items():
         assert list(call([])) == [], name
         assert list(call([F])) == [call(F)], name
