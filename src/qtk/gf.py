@@ -6,8 +6,11 @@ of the generator y, residues mod p) has index a0*p^(k-1) + ... + a_(k-1), so
 indices sort as coordinate tuples do; over a prime field it is the residue.
 Prime fields multiply residues and invert with ``pow(u, -1, p)``; extension
 fields multiply and invert through exp/log tables of a primitive element,
-built on first use (4 bytes per entry each: 8 MB at q = 2^20), and add on
-the coordinates.
+built on first use (4 bytes per entry each: 8 MB at q = 2^20).  Index arrays
+add by one rule (:meth:`FieldSpec.addmul_vec`, :meth:`FieldSpec.sum_vec`):
+residues mod p for k = 1 (acc + a*c < 2^40), XOR for p = 2 (the coordinates
+are the bits), else on the coordinates, from a table of the q elements built
+on first use (int8 for p < 128, else int16: at most q*k bytes, 20 MB at 2^20).
 
 The modulus defining GF(p^k) is the *canonical* one: the lexicographically
 least monic irreducible of degree k over GF(p), comparing coefficient tuples
@@ -107,7 +110,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "k", "q", "modulus", "unit", "_pw", "_pwl", "_ymat",
-                 "_red", "_bytemod", "_tables", "zero", "one")
+                 "_red", "_bytemod", "_tables", "_coords", "zero", "one")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -123,7 +126,7 @@ class FieldSpec:
         self._ymat = np.vstack([np.eye(k, dtype=np.int64)[1:], [ymod]])
         self._red = self._matrix(ymod)[:k - 1]
         self._bytemod = bytes(i % p for i in range(256))  # a bytes.translate table
-        self._tables = None
+        self._tables = self._coords = None
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, self.unit)
 
@@ -139,10 +142,13 @@ class FieldSpec:
         return sum(c % p * w for c, w in zip(coords, self._pwl))
 
     def to_coords(self, a):
-        """Coordinates of an index array, on a new last axis of length k."""
+        """Coordinates of an index array, on a new last axis of length k (int64)."""
         if self.k == 1:
             return a[..., np.newaxis]
-        return a[..., np.newaxis] // self._pw % self.p
+        if self._coords is None:
+            u = np.arange(self.q, dtype=np.int64)[:, np.newaxis]
+            self._coords = (u // self._pw % self.p).astype(np.int8 if self.p < 128 else np.int16)
+        return np.take(self._coords, a, axis=0).astype(np.int64)
 
     def from_coords(self, m):
         """Indices of a coordinate array (last axis of length k, entries in [0, p))."""
@@ -204,6 +210,23 @@ class FieldSpec:
         out = exp[(log[a] + log[c]) % (self.q - 1)].astype(np.int64)
         out[(a == 0) | (c == 0)] = 0
         return out
+
+    def addmul_vec(self, acc, a, c):
+        """acc + a*c entrywise on index arrays, c as in :meth:`mul_vec`."""
+        if self.k == 1:
+            return (acc + a * c) % self.p
+        if self.p == 2:
+            return acc ^ self.mul_vec(a, c)
+        return self.from_coords((self.to_coords(acc) + self.to_coords(self.mul_vec(a, c)))
+                                % self.p)
+
+    def sum_vec(self, a, axis: int):
+        """The sum of the index array a along `axis` (>= 0)."""
+        if self.k == 1:
+            return a.sum(axis=axis) % self.p
+        if self.p == 2:
+            return np.bitwise_xor.reduce(a, axis=axis)
+        return self.from_coords(self.to_coords(a).sum(axis=axis) % self.p)
 
     def _matrix(self, coords):
         """k x k matrix of multiplication by an element: row j is it times y^j."""

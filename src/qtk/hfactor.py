@@ -21,11 +21,11 @@ two independent directions:
   are coprime, so a layer product divides the core exactly when each of its
   factors does, once the factors are known to be distinct.
 
-Each factor of degree >= 4 is also re-derived from the factor alone, by
-transporting it along the canonical-reduction trail, inverting the special
-form there, and transporting back; the result must reproduce the factor.
-The invariance checks and this roundtrip take the factors of one degree as
-one stack, so each runs once per factor degree.
+Each factor of degree >= 4 is also re-derived from the factor alone along
+the canonical-reduction trail (transport, invert the special form, transport
+back) and must be reproduced; a pencil factor must be the image of its
+label's x - alpha.  The invariance checks and this roundtrip take the
+factors of one degree as one stack, so each runs once per factor degree.
 """
 
 from __future__ import annotations
@@ -308,10 +308,14 @@ def _attach_reconstructions(r: QuadRationalExpr, layers: dict[int, list[FactorMa
     failures: list[str] = []
     for degree, run in layers.items():
         if degree == 2:
-            # degree-2 factors live in the pencil; the pencil label is the
-            # recovery (the canonical-trail route is reserved for n >= 2,
-            # where the reciprocal bookkeeping is degree-preserving)
-            out += [replace(m, reconstructed_f=m.f) for m in run]
+            # each pencil label's x - alpha must map to its factor, h has no f
+            # (the trail route below needs degree-preserving bookkeeping: n >= 2)
+            images = iter(transform([m.f for m in run if m.f is not None], r, monic=True).result)
+            for m in run:
+                ok = m.f is None or next(images) == m.factor
+                if not ok:
+                    failures.append(f"pencil input for {m.factor.to_human()} does not reproduce it")
+                out.append(replace(m, reconstructed_f=m.f) if ok else m)
             continue
         # one stacked transport, solve, transport back and transform per degree
         f_stars = reconstruct(transport_forward([m.factor for m in run], trail), form.sigma)

@@ -15,9 +15,8 @@ i*(2k-1)+j, the product's slots hold the coordinates of y^0..y^(2k-2), and
 y^k..y^(2k-2) fold back into the basis.  A slot sums at most k * (shorter
 length) * (p-1)^2 terms and is the narrowest of 1, 2, 4 or 8 bytes holding
 that, so none carries; k * (shorter length + 1) * (p-1)^2 < 2^63 is checked
-before every product.  Long division adds one reduced multiple of the divisor
-per quotient coefficient and reduces at the end, so a coordinate reaches at
-most (divisor length) * (p-1).
+before every product.  Every other sum goes on indices through
+:meth:`FieldSpec.addmul_vec` or :meth:`FieldSpec.sum_vec`, so none accumulates.
 
 Over GF(p), division by a divisor of degree m <= _PACKED_DEGREE, and with it
 scalar :func:`pow_mod`, runs on packed Python integers instead: coefficient i
@@ -68,27 +67,21 @@ linear f (the pencil) can have roots.
 A *stack* is a sequence of polynomials over one field, held as one (N, L)
 int64 array of element indices (:class:`_Stack`): row i is the _a of
 polynomial i padded with zeros, and a single polynomial is the one-row view
-of its own _a.  Coordinates are scratch space inside the kernels that add
-sums (a product, a reduction, a gcd step, a digit of :func:`compose_fraction`),
-which convert on entry and exit.  :func:`pow_mod` and :func:`gcd` take stacks
-as rowwise operations modulo a stack of one degree D >= 1, and
-:func:`is_irreducible` takes a stack of one degree: all run the row kernel
-with the moduli scaled monic once.  A product and a reduction modulo the N
-monic rows each loop over the D positions, one step vectorized over the
-rows; a gcd is a fixed 2D - 1 divsteps with no branch per row.  Each step
-adds products already reduced below p, so a coordinate sums at most 2D
-terms below p; ``_check_headroom(spec, 2D)`` checks the stronger
-k*(2D+1)*(p-1)^2 < 2^63.  A single polynomial's pow_mod, gcd or Rabin test
-never enters the row kernel: at N = 1 it is several times slower than the
-scalar code.  The stacked Rabin test serves the filter behind
+of its own _a.  :func:`pow_mod` and :func:`gcd` take stacks as rowwise
+operations modulo a stack of one degree D >= 1, and :func:`is_irreducible`
+takes a stack of one degree: all run the row kernel with the moduli scaled
+monic once.  A product and a reduction modulo the N monic rows each loop over
+the D positions, one step vectorized over the rows; a gcd is a fixed 2D - 1
+divsteps with no branch per row.  A single polynomial's pow_mod, gcd or Rabin
+test never enters the row kernel: at N = 1 it is several times slower than
+the scalar code.  The stacked Rabin test serves the filter behind
 :func:`qtk.transform.irreducible_images`, whose candidates stay one stack
 from :func:`monic_irreducibles` to the verdict, for the count oracle and the
 transform side of the H verifier.  z -> z^q is GF(q)-linear, so z^q mod F is
 z Q, row i of Q being x^(iq) mod F (Berlekamp's Q matrix: Knuth, TAOCP vol. 2,
 4.6.2; von zur Gathen & Shoup 1992).  For q > 2 a block builds its rows' Q by
 one stacked pow_mod (row 1) and d - 2 products by x^q, and a Frobenius step
-is one product z Q: a coordinate adds d terms below p, inside the 2D of
-``_check_headroom(spec, 2D)`` in :func:`_operands`.  A block takes at most
+is one product z Q, its d terms added by sum_vec.  A block takes at most
 _FROBENIUS_ENTRIES / (d^2 k) rows, which bounds Q and z Q; a degree whose
 one Q would exceed it runs without Q.  So does GF(2): a step there is one
 squaring, which Q only slows, so it stays one stacked pow_mod.
@@ -201,24 +194,23 @@ class Polynomial:
         if other.owner is not self.owner:
             raise errors.FieldMismatch("polynomials over different fields")
 
-    def _combine(self, other, sign: int) -> "Polynomial":
-        # self + sign * other, on the coordinates
+    def _combine(self, other, c: int) -> "Polynomial":
+        # self + c * other, c an element index
         self._check_owner(other)
         spec = self.owner
         a, b = self._a, other._a
-        C = np.zeros((max(len(a), len(b)), spec.k), dtype=np.int64)
-        C[:len(a)] = spec.to_coords(a)
-        C[:len(b)] += sign * spec.to_coords(b)
-        return Polynomial._wrap(spec, _trim(spec.from_coords(C % spec.p)))
+        C = np.concatenate([a, np.zeros(max(0, len(b) - len(a)), dtype=np.int64)])
+        C[:len(b)] = spec.addmul_vec(C[:len(b)], b, c)
+        return Polynomial._wrap(spec, _trim(C))
 
     def __add__(self, other):
-        return self._combine(other, 1)
+        return self._combine(other, self.owner.unit)
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return self._combine(other, self.owner.raw_neg(self.owner.unit))
 
     def __neg__(self):
-        return Polynomial.zero(self.owner)._combine(self, -1)
+        return Polynomial.zero(self.owner) - self
 
     def __mul__(self, other):
         if isinstance(other, (FieldElement, int)):
@@ -271,9 +263,8 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         """Formal derivative; note x^p differentiates to zero in characteristic p."""
         spec = self.owner
-        mult = np.arange(1, len(self._a), dtype=np.int64)[:, np.newaxis] % spec.p
-        C = spec.to_coords(self._a[1:]) * mult % spec.p
-        return Polynomial._wrap(spec, _trim(spec.from_coords(C)))
+        mult = np.arange(1, len(self._a), dtype=np.int64) % spec.p * spec.unit
+        return Polynomial._wrap(spec, _trim(spec.mul_vec(self._a[1:], mult)))
 
     def reciprocal(self) -> "Polynomial":
         """x^deg * f(1/x): the coefficient sequence reversed."""
@@ -450,10 +441,10 @@ def _reduce_packed(spec: FieldSpec, dt, A, B, m: int, inv, want_quotient: bool =
 class _Divisor:
     """A nonzero divisor prepared for repeated long division.  Residues are
     Python integers packed in slots of dtype dt, the divisor in `packed`
-    (module docstring), or index vectors (dt None), with the negated monic
-    body multiples -c*body built once per quotient coefficient c and kept."""
+    (module docstring), or index vectors (dt None), the divisor then in `neg`,
+    the negated body of its monic multiple."""
 
-    __slots__ = ("spec", "inv", "m", "dt", "packed", "body", "multiples")
+    __slots__ = ("spec", "inv", "m", "dt", "packed", "neg")
 
     def __init__(self, spec: FieldSpec, b):
         self.spec, self.m, self.dt = spec, len(b) - 1, None
@@ -463,8 +454,7 @@ class _Divisor:
             self.dt = _slot_dtype(2 * self.m * (spec.p - 1) ** 2 + spec.p)
             self.packed = _pack(b, self.dt)
         else:
-            self.body = (b if self.inv is None else spec.mul_vec(b, self.inv))[:-1]
-            self.multiples = {}
+            self.neg = spec.mul_vec(b[:-1], spec.raw_neg(self.inv or spec.unit))
 
     def load(self, a):
         """The index vector a as a reduced residue in this divisor's form."""
@@ -496,7 +486,7 @@ class _Divisor:
 
     def divmod(self, a, want_quotient: bool = True):
         """(quotient, remainder) index vectors; the quotient is None unless wanted."""
-        spec, p, k, m, n = self.spec, self.spec.p, self.spec.k, self.m, len(a)
+        spec, m, n = self.spec, self.m, len(a)
         if n <= m:
             return (_EMPTY if want_quotient else None), a
         if self.dt is not None:
@@ -504,29 +494,16 @@ class _Divisor:
                                    want_quotient) if n <= 2 * m + 32
                     else self._long(a, want_quotient))
             return (np.array(Q[::-1], dtype=np.int64) if want_quotient else None), self.store(r)
-        # by c * x^m the division is a shift; a nonzero body[0] rules it out
-        # without the scan, which would cost a share of the gcd and Rabin loops
-        if not (m and self.body[0]) and not self.body.any():
-            Q = a[m:] if self.inv is None else spec.mul_vec(a[m:], self.inv)
-            return (Q if want_quotient else None), _trim(a[:m])
-        R = spec.to_coords(a).copy()
-        Q = np.zeros(n - m, dtype=np.int64) if want_quotient else None
-        multiples = self.multiples
-        for i in range(n - 1, m - 1, -1):
-            row = R[i].tolist()
-            c = row[0] % p if k == 1 else spec.index(row)
-            if c:
-                if want_quotient:
-                    Q[i - m] = c
-                t = multiples.get(c)
-                if t is None:
-                    t = multiples[c] = spec.to_coords(
-                        spec.mul_vec(self.body, spec.raw_neg(c)))
-                R[i - m:i] += t
-        r = _trim(spec.from_coords(R[:m] % p))
-        if want_quotient and self.inv is not None:
-            Q = spec.mul_vec(Q, self.inv)
-        return Q, r
+        # one addmul_vec per quotient step, whose coefficient c stays at i; by
+        # c * x^m the division is a shift, which a nonzero neg[0] rules out
+        # without the scan (it would cost a share of the gcd and Rabin loops)
+        R = a.copy()
+        if (m and self.neg[0]) or self.neg.any():
+            for i in range(n - 1, m - 1, -1):
+                if c := int(R[i]):
+                    R[i - m:i] = spec.addmul_vec(R[i - m:i], self.neg, c)
+        Q = R[m:] if self.inv is None or not want_quotient else spec.mul_vec(R[m:], self.inv)
+        return (Q if want_quotient else None), _trim(R[:m])
 
 
 # -- ring-level functions --------------------------------------------------------
@@ -671,37 +648,32 @@ def _operands(a, mod, error):
         raise errors.FieldMismatch("stacks over different fields")
     if len(A) != len(F):
         raise errors.InvalidArgument("stacks of different lengths")
-    spec, D = F.owner, F.A.shape[1] - 1
-    _check_headroom(spec, 2 * D)
+    spec = F.owner
     neg = spec.mul_vec(F.A[:, :-1], spec.raw_neg(spec.unit))
-    return F, neg, spec.from_coords(_rows_reduce(spec, spec.to_coords(A.A), neg)[0])
+    return F, neg, _rows_reduce(spec, A.A, neg)[0]
 
 
 def _rows_reduce(spec: FieldSpec, R, neg):
-    """The rows of the coordinate array R ((N, L, k), entries >= 0) divided
-    by the monic rows with negated bodies neg ((N, D) indices), as coordinate
-    arrays (remainder (N, D, k), quotient (N, L-D, k)): one step per position
-    i from the top, each adding c * neg at the D positions below it; c, the
-    quotient's x^(i-D) coefficient, stays at position i."""
-    N, L, k = R.shape
+    """The rows of the index array R ((N, L)) divided by the monic rows with
+    negated bodies neg ((N, D)), as (remainder (N, D), quotient (N, L-D)):
+    one step per position i from the top, each adding c * neg at the D
+    positions below it; c, the quotient's x^(i-D) coefficient, stays at i."""
+    N, L = R.shape
     D = neg.shape[1]
-    R = np.concatenate([R, np.zeros((N, max(0, D - L), k), dtype=np.int64)], axis=1)
+    R = np.concatenate([R, np.zeros((N, max(0, D - L)), dtype=np.int64)], axis=1)
     for i in range(L - 1, D - 1, -1):
-        c = spec.from_coords(R[:, i] % spec.p)
-        R[:, i - D:i] += spec.to_coords(spec.mul_vec(neg, c[:, np.newaxis]))
-    R %= spec.p
+        R[:, i - D:i] = spec.addmul_vec(R[:, i - D:i], neg, R[:, i:i + 1])
     return R[:, :D], R[:, D:]
 
 
 def _rows_mulmod(spec: FieldSpec, A, B, neg):
     """A * B modulo the monic rows with negated bodies neg, for residues A and
-    B ((N, D)): one step per position of A, each adding A_i * B to a
-    coordinate array, reduced by :func:`_rows_reduce`."""
+    B ((N, D)): one addmul_vec per position of A, then :func:`_rows_reduce`."""
     N, D = A.shape
-    P = np.zeros((N, 2 * D - 1, spec.k), dtype=np.int64)
+    P = np.zeros((N, 2 * D - 1), dtype=np.int64)
     for i in range(D):
-        P[:, i:i + D] += spec.to_coords(spec.mul_vec(B, A[:, i:i + 1]))
-    return spec.from_coords(_rows_reduce(spec, P, neg)[0])
+        P[:, i:i + D] = spec.addmul_vec(P[:, i:i + D], B, A[:, i:i + 1])
+    return _rows_reduce(spec, P, neg)[0]
 
 
 def _rows_gcd(spec: FieldSpec, A, F):
@@ -715,14 +687,14 @@ def _rows_gcd(spec: FieldSpec, A, F):
     g = np.zeros_like(f)
     g[:, :D] = A[:, ::-1]
     delta = np.ones(N, dtype=np.int64)
+    minus = spec.raw_neg(spec.unit)
     for _ in range(2 * D - 1):
         swap = (delta > 0) & (g[:, 0] != 0)
-        h = (spec.to_coords(spec.mul_vec(g, f[:, :1]))
-             - spec.to_coords(spec.mul_vec(f, g[:, :1]))) % spec.p
+        h = spec.addmul_vec(spec.mul_vec(g, f[:, :1]), f, spec.mul_vec(g[:, :1], minus))
         f = np.where(swap[:, np.newaxis], g, f)
         delta = np.where(swap, 1 - delta, 1 + delta)
         g = np.zeros_like(g)
-        g[:, :D] = spec.from_coords(h[:, 1:])
+        g[:, :D] = h[:, 1:]
     top = delta[:, np.newaxis] // 2 - np.arange(D + 1)
     G = np.where(top >= 0, np.take_along_axis(f, np.maximum(top, 0), axis=1), 0)
     return spec.mul_vec(G, spec.inv_vec(f[:, :1]))
@@ -757,12 +729,8 @@ def _frobenius_step(z, steps: int, mod, q: int, Q=None):
     """z^(q^steps) mod `mod`, for stacks or residues of the _Divisor mod;
     with the stack's Frobenius matrices Q each step is z Q (module docstring)."""
     for _ in range(steps):
-        if Q is None:
-            z = pow_mod(z, q, mod)
-        else:
-            spec = z.owner
-            P = spec.to_coords(spec.mul_vec(Q, z.A[:, :, np.newaxis])).sum(axis=1)
-            z = _Stack(spec, spec.from_coords(P % spec.p))
+        z = (pow_mod(z, q, mod) if Q is None
+             else _Stack(z.owner, z.owner.sum_vec(z.owner.mul_vec(Q, z.A[:, :, np.newaxis]), 1)))
     return z
 
 
@@ -1097,21 +1065,21 @@ def compose_fraction(f, num: Polynomial, den: Polynomial):
         for start in range(top - B, -1, -B):
             low = image(start, B - 1)
             width = max(acc.shape[1] + len(num_b._a), low.shape[1] + len(dpow._a)) - 1
-            acc = spec.from_coords((_rows_times(spec, acc, num_b._a, width)
-                                    + _rows_times(spec, low, dpow._a, width)) % spec.p)
+            acc = spec.sum_vec(np.stack([_rows_times(spec, acc, num_b._a, width),
+                                         _rows_times(spec, low, dpow._a, width)]), 0)
             if start:
                 dpow = dpow * den_b
     return Polynomial._wrap(spec, _trim(acc[0])) if single else _Stack(spec, acc)
 
 
 def _rows_times(spec: FieldSpec, A, b, width: int):
-    """Each row of the index array A times the index vector b, as (N, width, k)
-    coordinates: one product of the rows laid end to end, width (>= each product) apart."""
+    """Each row of the index array A times the index vector b, as (N, width):
+    one product of the rows laid end to end, width (>= each product) apart."""
     P = np.zeros((len(A), width), dtype=np.int64)
     if len(b):
         P[:, :A.shape[1]] = A
         P = _kmul(spec, P.ravel(), b)[:P.size].reshape(P.shape)
-    return spec.to_coords(P)
+    return P
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -1135,6 +1103,8 @@ def _parse_coeff_list(spec: FieldSpec, text: str) -> Polynomial:
     tokens = re.findall(r"\[[^\]]*\]|[^,\s]+", text)
     if not tokens:
         raise errors.Error(f"cannot parse polynomial: {text!r}")
+    if not all(t.strip() for t in _BRACKET.sub("0", text).split(",")):
+        raise errors.Error(f"empty coefficient in {text!r}")
     return Polynomial(spec, [element_from_text(spec, t) for t in tokens])
 
 

@@ -72,8 +72,7 @@ def transform(f, r, monic: bool = False):
     if r.h.degree == d:  # each row at alpha = g_d/h_d: sum of f_j * alpha^j
         alpha = (r.g.coeff(d) / r.h.coeff(d)).value
         powers = np.array([spec.raw_pow(alpha, j) for j in range(n + 1)], dtype=np.int64)
-        terms = spec.mul_vec(S.A, powers)
-        expected_drop = ~(spec.to_coords(terms).sum(axis=1) % spec.p).any(axis=1)
+        expected_drop = spec.sum_vec(spec.mul_vec(S.A, powers), 1) == 0
     errors.require((dropped == expected_drop).all(), "degree-drop criterion out of sync")
     out = out.monic() if monic else out
     return TransformResult(out[0], bool(dropped[0])) if single else TransformResult(out, dropped)
@@ -253,26 +252,25 @@ def solve_kernel(F, core: Polynomial, weight: Polynomial):
     S._check_owner(weight)
     errors.require(core.is_monic() and weight.is_monic() and weight.degree < core.degree,
                    "kernel needs monic core and weight, deg weight < deg core")
-    spec, p = S.owner, S.owner.p
+    spec = S.owner
     cdeg, e, d = int(core.degree), int(weight.degree), S.A.shape[1] - 1
     if d % cdeg:
         raise errors.DegreeNotMultiple(f"degree {d} is not a multiple of {cdeg}")
     n = d // cdeg
-    powers = list(itertools.accumulate([core] * n, Polynomial.__mul__,
-                                       initial=Polynomial.one(spec)))
-    body = spec.mul_vec(weight._a[:-1], spec.raw_neg(spec.unit))  # -(weight - x^e)
-    # the peel writes in place, and for k = 1 to_coords is a view of S.A
-    R = spec.to_coords(S.A).copy()
+    minus = spec.raw_neg(spec.unit)
+    negs = [spec.mul_vec(P._a, minus) for P in itertools.accumulate(  # -core^j
+        [core] * n, Polynomial.__mul__, initial=Polynomial.one(spec))]
+    body = spec.mul_vec(weight._a[:-1], minus)  # -(weight - x^e)
+    R = S.A.copy()  # the peel writes in place
     coeffs, bad = np.zeros((len(S), n + 1), dtype=np.int64), np.zeros(len(S), bool)
-    for j in range(n, -1, -1):
-        coeffs[:, j] = c = spec.from_coords(R[:, cdeg * j])
-        P = powers[j]._a
-        R[:, :len(P)] = (R[:, :len(P)] - spec.to_coords(spec.mul_vec(P, c[:, np.newaxis]))) % p
+    for j, P in zip(range(n, -1, -1), negs[::-1]):
+        coeffs[:, j] = R[:, cdeg * j]
+        R[:, :len(P)] = spec.addmul_vec(R[:, :len(P)], P, coeffs[:, j:j + 1])
         if j:  # exact division by weight; a monomial weight x^e is a shift
             rem, R = (_rows_reduce(spec, R, body[np.newaxis]) if body.any()
                       else (R[:, :e], R[:, e:]))
-            bad |= rem.any(axis=(1, 2))
-    bad |= R.any(axis=(1, 2))
+            bad |= rem.any(axis=1)
+    bad |= R.any(axis=1)
     if single and bad[0]:
         raise errors.NoSolution("F is not in the image of the kernel")
     f = _Stack(spec, coeffs)  # every row of degree n: f_n = lead F
@@ -343,23 +341,28 @@ def transport_back(f, trail: ReductionTrail):
 # -- enumeration helpers ---------------------------------------------------------------
 
 
-def irreducible_images(r, m: int) -> list[tuple[Polynomial, Polynomial]]:
-    """The (f, F) pairs, f the monic irreducibles of degree m in enumeration
-    order, whose monic image F = f_R under an expression or a kernel
-    r = g/h has full degree d*m, d = max(deg g, deg h), and is irreducible;
-    only the pairs kept leave the stacks as polynomials."""
+def _kept_stacks(r, m: int) -> tuple[_Stack, _Stack]:
+    """The stacks of f and F for :func:`irreducible_images`."""
     inputs = monic_irreducibles(r.g.owner, m)
     images = transform(inputs, r, monic=True)
     full = ~images.degree_dropped
     inputs, images = inputs.take(full), images.result.take(full)
     kept = np.array(is_irreducible(images), dtype=bool)
-    return list(zip(inputs.take(kept), images.take(kept)))
+    return inputs.take(kept), images.take(kept)
+
+
+def irreducible_images(r, m: int) -> list[tuple[Polynomial, Polynomial]]:
+    """The (f, F) pairs, f the monic irreducibles of degree m in enumeration
+    order, whose monic image F = f_R under an expression or a kernel
+    r = g/h has full degree d*m, d = max(deg g, deg h), and is irreducible;
+    only the pairs kept leave the stacks as polynomials."""
+    return list(zip(*_kept_stacks(r, m)))
 
 
 def irreducible_image_count(r: QuadRationalExpr, n: int) -> int:
     """Number of monic irreducible f of degree n whose image f_R is irreducible
-    of full degree 2n."""
-    return len(irreducible_images(r, n))
+    of full degree 2n, counted on the stacks."""
+    return len(_kept_stacks(r, n)[0])
 
 
 def irreducible_pencil(

@@ -208,6 +208,23 @@ def test_count_oracle_memory_at_image_degree_twenty():
     assert int(proc.stderr.split()[-1]) < 1.1 * 49 * 1024
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_hverify_memory_over_gf_2_11():
+    # the degree-2049 H over GF(2^11) is divided by one addmul_vec per
+    # quotient step: one divisor multiple kept per quotient coefficient would
+    # be 2,047 x 2,048 x 11 int64 entries (369 MB).  The child reads its own
+    # VmHWM, as in the test above
+    code = ("import sys\nfrom qtk import cli\nstatus = cli.main(sys.argv[1:])\n"
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0],"
+            " file=sys.stderr)\nsys.exit(status)\n")
+    proc = subprocess.run([sys.executable, "-c", code, "--json", "hverify", "--field", "2048",
+                           "--n", "1", "--sigma", "[0 1 0 0 0 0 0 0 0 0 0]"],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
+    assert int(proc.stderr.split()[-1]) < 100 * 1024
+
+
 @pytest.mark.parametrize("env,argv", [
     ({}, ["count", "--field", "3", "--n", "0", "--variant", "carlitz"]),
     ({}, ["dickson", "--field", "3", "--n", "-1", "--a", "1"]),
@@ -223,6 +240,8 @@ def test_count_oracle_memory_at_image_degree_twenty():
           "--oracle"]),
     ({}, ["table", "--fields", "3", "--n-max", "0"]),
     ({}, ["table", "--fields", "3", "--n-max", "-1"]),
+    ({}, ["transform", "--field", "3", "--f", "1,,1", "--expr", "1,0,1 / 0,1"]),
+    ({}, ["transform", "--field", "3", "--f", ",1", "--expr", "1,0,1 / 0,1"]),
 ])
 def test_bad_input_exits_with_one_stderr_line(monkeypatch, capsys, env, argv):
     for key, value in env.items():

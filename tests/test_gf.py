@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -144,6 +145,33 @@ def test_inv_vec_matches_raw_inv(p, k):
     want = [spec.raw_inv(v) for v in range(1, spec.q)]
     assert spec.inv_vec(u).tolist() == want
     assert spec.inv_vec(u[:, np.newaxis]).ravel().tolist() == want
+
+
+#: Residues (k = 1), XOR (p = 2), and the coordinate table with int8 and,
+#: at p = 131, int16 entries.
+ADD_FIELDS = [(2, 1), (7, 1), (2, 2), (3, 2), (2, 5), (3, 3), (131, 2)]
+
+
+@pytest.mark.parametrize("p, k", ADD_FIELDS)
+def test_addmul_and_sum_match_raw_add_and_raw_mul(p, k):
+    # every a against every c (a seeded sample of c for GF(131^2)), c per
+    # row and as one scalar, on top of a random accumulator; sums along
+    # either axis of the accumulator
+    spec = field_make(p, k)
+    gen = np.random.default_rng(p * 100 + k)
+    a = np.arange(spec.q, dtype=np.int64)
+    assert spec.to_coords(a).tolist() == [list(spec.coords(u)) for u in a.tolist()]
+    cs = a if spec.q <= 32 else np.array([0, 1, spec.unit, spec.q - 1,
+                                          *gen.integers(spec.q, size=4)])
+    acc = gen.integers(spec.q, size=(len(cs), spec.q))
+    want = [[spec.raw_add(s, spec.raw_mul(u, c)) for s, u in zip(row, a.tolist())]
+            for row, c in zip(acc.tolist(), cs.tolist())]
+    assert spec.addmul_vec(acc, a, cs[:, np.newaxis]).tolist() == want
+    for row, c, w in zip(acc, cs.tolist(), want):
+        assert spec.addmul_vec(row, a, c).tolist() == w
+    for axis, lines in ((0, acc.T), (1, acc)):
+        assert spec.sum_vec(acc, axis).tolist() \
+            == [functools.reduce(spec.raw_add, v, 0) for v in lines.tolist()]
 
 
 def test_field_mismatch_and_zero_division():

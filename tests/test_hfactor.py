@@ -193,6 +193,24 @@ def test_wrong_input_fails_only_the_roundtrip(monkeypatch):
         == [None if i == 1 else m.f for i, m in enumerate(edited)]
 
 
+def test_wrong_pencil_label_fails_the_roundtrip(monkeypatch, capsys):
+    # the labels alpha read as x + alpha: the factor checks see the same
+    # factors, and only the stacked transform of the pencil's f's notices
+    import json
+
+    import qtk.hfactor as hfactor
+    from qtk import cli
+    real = hfactor.irreducible_pencil
+    monkeypatch.setattr(hfactor, "irreducible_pencil", lambda r: [
+        (alpha if alpha is None else -alpha, F) for alpha, F in real(r)])
+    argv = ["--json", "hverify", "--field", "13", "--n", "1", "--expr", "1,2,1 / 3,0,1"]
+    assert cli.main(argv) == cli.EXIT_MISMATCH
+    report = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == ["reconstruction-roundtrip"]
+    monkeypatch.undo()
+    assert cli.main(argv) == 0
+
+
 def test_fixed_point_quadratic_char2():
     F4 = field_make(2, 2)
     gen = F4.gen()

@@ -398,8 +398,8 @@ def test_composite_transports_match_the_stepwise_reference(fields, rng):
 
 def test_image_count_builds_polynomials_only_for_counted_pairs(monkeypatch):
     # the sieve's stack, its images and their Rabin verdicts stay arrays from
-    # the sieve to the count: two Polynomials per counted pair (f and F), and
-    # at most one per lower-degree irreducible, not one per candidate
+    # the sieve to the count: a few Polynomials for r and the powers of g and
+    # h, none per counted pair, per candidate or per lower-degree irreducible
     spec = field_make(13)
     wrap, calls = Polynomial._wrap.__func__, []
 
@@ -411,8 +411,8 @@ def test_image_count_builds_polynomials_only_for_counted_pairs(monkeypatch):
     count = irreducible_image_count(sigma_form(spec.one), 3)
     monkeypatch.undo()
     lower = sum(len(monic_irreducibles(spec, i)) for i in (1, 2))
-    assert count == 364
-    assert len(calls) <= 2 * count + lower, (len(calls), count, lower)
+    assert count == 364 and lower == 91
+    assert len(calls) <= 16, len(calls)
 
 
 def test_count_preserving_bijections():
