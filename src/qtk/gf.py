@@ -151,10 +151,12 @@ class FieldSpec:
         return np.take(self._coords, a, axis=0).astype(np.int64)
 
     def from_coords(self, m):
-        """Indices of a coordinate array (last axis of length k, entries in [0, p))."""
-        if self.k == 1:
-            return m[..., 0]
-        return m @ self._pw
+        """Indices of an int64 coordinate array (last axis of length k, entries
+        in [0, p)), by Horner over the k columns (numpy's int64 matmul has no BLAS)."""
+        out = m[..., 0]
+        for j in range(1, self.k):
+            out = out * self.p + m[..., j]
+        return out
 
     # -- element arithmetic on indices -------------------------------------------
 

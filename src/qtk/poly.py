@@ -29,10 +29,11 @@ _LOOP_SLOTS = 8 wider ones one by one on the Python integer (about 0.2 us per
 slot), more by one numpy % (about 2 us at any length; even at 9 slots).  A
 dividend longer than 2m + 32 goes in windows, the remainder so far over the
 next m + 32 coefficients, so a quotient step costs O(m), not O(dividend
-length).  Scalar :func:`gcd`, the larger degree m <= _PACKED_DEGREE, runs
-Euclid on packed remainders in the one slot width this rule gives m: a
-remainder slot gets at most m quotient additions of at most (p-1)^2 on top of
-a value below p, so none carries.
+length).  Scalar :func:`gcd` runs Euclid on the residues of one _Divisor of
+its operand of larger degree m: for m <= _PACKED_DEGREE on packed remainders
+in the one slot width this rule gives m (a remainder slot gets at most m
+quotient additions of at most (p-1)^2 on top of a value below p, so none
+carries), else on index vectors.
 CHANGES.md has the measurements behind the crossover 64 (packed pow_mod
 2.2-6.9x faster below it).
 
@@ -55,14 +56,16 @@ Scalar :func:`is_irreducible` of degree d >= 2 first evaluates f at
 first root.  Most random candidates have one, so most of the enumeration
 never reaches Rabin's Frobenius steps.  The test runs only while its
 p*k*(d+1) multiply-adds are at most the bitlen(q)*d^2 of one Frobenius step;
-GF(1021) quadratics go straight to Rabin.  Rabin keeps z in the residue form
-of one _Divisor of f, one :func:`pow_mod` on residues per Frobenius step;
-only the gcd operand z - x and the final z == x leave it.  The stacked test
-has no root test.  Its callers pass kernel images F = h^n f(g/h), g and h
-coprime, and when f is monic irreducible of degree n >= 2, F has no root in
-GF(q): F(a) = 0 with h(a) != 0 would make g(a)/h(a) a root of f, and
-h(a) = 0 gives g(a) != 0, so F(a) = g(a)^n != 0.  Only the images of the q
-linear f (the pencil) can have roots.
+GF(1021) quadratics go straight to Rabin.  Rabin works on the residues of
+one _Divisor of f from x to the verdict: z - x, the gcd with f and z == x
+are residue operations, and the Frobenius steps follow the Q rule below.  The
+first step, x^q, is row 1 of Q; rows 2..d-1 are built only when a second
+step is due, so a candidate that the first gcd rejects never pays for them.
+The stacked test has no root test.  Its callers pass kernel images
+F = h^n f(g/h), g and h coprime, and when f is monic irreducible of degree
+n >= 2, F has no root in GF(q): F(a) = 0 with h(a) != 0 would make g(a)/h(a)
+a root of f, and h(a) = 0 gives g(a) != 0, so F(a) = g(a)^n != 0.  Only the
+images of the q linear f (the pencil) can have roots.
 
 A *stack* is a sequence of polynomials over one field, held as one (N, L)
 int64 array of element indices (:class:`_Stack`): row i is the _a of
@@ -79,12 +82,15 @@ the scalar code.  The stacked Rabin test serves the filter behind
 from :func:`monic_irreducibles` to the verdict, for the count oracle and the
 transform side of the H verifier.  z -> z^q is GF(q)-linear, so z^q mod F is
 z Q, row i of Q being x^(iq) mod F (Berlekamp's Q matrix: Knuth, TAOCP vol. 2,
-4.6.2; von zur Gathen & Shoup 1992).  For q > 2 a block builds its rows' Q by
-one stacked pow_mod (row 1) and d - 2 products by x^q, and a Frobenius step
-is one product z Q, its d terms added by sum_vec.  A block takes at most
+4.6.2; von zur Gathen & Shoup 1992).  For q > 2, on stacks and on scalar
+Rabin's residues alike, Q is built by one pow_mod (row 1) and d - 2 products
+by x^q, and a Frobenius step is one product z Q: its d terms added by sum_vec,
+or for a packed residue summed on the integer, at most d(p-1)^2 in a slot
+(within the slot rule above), then each slot mod p.  A block takes at most
 _FROBENIUS_ENTRIES / (d^2 k) rows, which bounds Q and z Q; a degree whose
-one Q would exceed it runs without Q.  So does GF(2): a step there is one
-squaring, which Q only slows, so it stays one stacked pow_mod.
+one Q would exceed it runs without Q, on stacks and on index-vector residues
+(packed residues, d <= 64, always fit).  So does GF(2): a step there is one
+squaring, which Q only slows, so it stays one pow_mod.
 
 Two text formats are accepted everywhere:
   (a) ascending coefficient list: "1,0,2" or "[1 0],[0 1]" for extensions;
@@ -472,6 +478,44 @@ class _Divisor:
             return _reduce_packed(self.spec, self.dt, a * b, self.packed, self.m, self.inv)[1]
         return self.load(_kmul(self.spec, a, b)) if len(a) and len(b) else _EMPTY
 
+    def same(self, a, b) -> bool:
+        """Whether two residues in this divisor's form are equal."""
+        return a == b if self.dt is not None else np.array_equal(a, b)
+
+    def minus_x(self, r):
+        """The residue r - x (m >= 2): coefficient 1 drops by one."""
+        if self.dt is not None:  # slot 1 drops by one mod p
+            w = 8 * self.dt.itemsize
+            s = r >> w & (1 << w) - 1
+            return r + ((s - 1) % self.spec.p - s << w)
+        v = np.zeros(max(len(r), 2), dtype=np.int64)
+        v[:len(r)] = r
+        v[1] = (v[1] - self.spec.unit) % self.spec.q  # index - unit lowers coordinate 0 by 1
+        return _trim(v)
+
+    def gcd(self, r):
+        """The monic gcd of the residue r with the divisor, as a residue of this
+        form (the monic divisor for r = 0): Euclid on packed remainders (module
+        docstring) or on index vectors."""
+        spec = self.spec
+        if self.dt is None:
+            a = np.append(spec.mul_vec(self.neg, spec.raw_neg(spec.unit)), spec.unit)
+            while len(r):
+                a, r = r, _Divisor(spec, r).divmod(a, want_quotient=False)[1]
+            return a if a[-1] == spec.unit else spec.mul_vec(a, spec.raw_inv(int(a[-1])))
+        w, a = 8 * self.dt.itemsize, self.packed
+        while r:
+            m = (r.bit_length() - 1) // w
+            inv = None if (lead := r >> m * w) == 1 else spec.raw_inv(lead)
+            a, r = r, _reduce_packed(spec, self.dt, a, r, m, inv)[1]
+        m = (a.bit_length() - 1) // w
+        if not m:  # a nonzero constant
+            return 1
+        # times the inverse of the lead: each slot below (p-1)^2, then mod p
+        lead = a >> m * w
+        return a if lead == 1 else _reduce_packed(
+            spec, self.dt, spec.raw_inv(lead) * a, a, m + 1, None)[1]
+
     def _long(self, a, want_quotient: bool = False):
         """_reduce_packed of the index vector a in windows (module docstring) from
         the remainder 0: one quotient digit per slot, less the top m phantom ones."""
@@ -510,30 +554,25 @@ class _Divisor:
 
 
 def gcd(p1, p2):
-    """Monic greatest common divisor.
+    """Monic greatest common divisor, by Euclid on the residues of one
+    _Divisor of the operand of larger degree (module docstring).
 
-    Also rowwise on stacks (module docstring): p2 a sequence of polynomials
-    of one degree D >= 1, p1 a sequence of as many polynomials; the result
-    is the sequence of the monic gcds."""
+    With p2 a :class:`_Divisor`, p1 is a residue in its form, and the result
+    is the monic gcd as a residue of the same form (the monic divisor for
+    p1 = 0).  Also rowwise on stacks (module docstring): p2 a sequence of
+    polynomials of one degree D >= 1, p1 a sequence of as many polynomials;
+    the result is the sequence of the monic gcds."""
+    if isinstance(p2, _Divisor):
+        return p2.gcd(p1)
     if not isinstance(p1, Polynomial):
         F, _, A = _operands(p1, p2, errors.DegreeZero)
         return _Stack(F.owner, _rows_gcd(F.owner, A, F.A))
     p1._check_owner(p2)
     if p1.is_zero() and p2.is_zero():
         raise errors.BothZero("gcd(0, 0) is undefined")
-    spec, a, b = p1.owner, p1._a, p2._a
-    n = max(len(a), len(b)) - 1
-    if spec.k == 1 and n <= _PACKED_DEGREE:  # Euclid on packed remainders (module docstring)
-        dt = _slot_dtype(2 * n * (spec.p - 1) ** 2 + spec.p)
-        w, a, b = 8 * dt.itemsize, _pack(a, dt), _pack(b, dt)
-        while b:
-            m = (b.bit_length() - 1) // w
-            inv = None if (lead := b >> m * w) == 1 else spec.raw_inv(lead)
-            a, b = b, _reduce_packed(spec, dt, a, b, m, inv)[1]
-        return Polynomial._wrap(spec, _unpack(a, dt)).monic()
-    while len(b):
-        a, b = b, _Divisor(spec, b).divmod(a, want_quotient=False)[1]
-    return Polynomial._wrap(spec, a).monic()
+    a, b = sorted((p1._a, p2._a), key=len)
+    div = _Divisor(p1.owner, b)
+    return Polynomial._wrap(p1.owner, div.store(div.gcd(div.load(a))))
 
 
 def pow_mod(base, e: int, mod):
@@ -542,7 +581,9 @@ def pow_mod(base, e: int, mod):
     Also rowwise on stacks (module docstring): mod a sequence of polynomials
     of one degree D >= 1, base a sequence of as many polynomials.  With mod a
     :class:`_Divisor` and e >= 1, base is a residue in its form (a packed integer
-    or an index vector), and so is the result, intmath.power(base, e, mod.mulmod)."""
+    or an index vector), and so is the result, intmath.power(base, e, mod.mulmod);
+    scalar Rabin makes this call once per test over q > 2 (row 1 of Q) and once
+    per Frobenius step over GF(2)."""
     if isinstance(mod, _Divisor):
         if e < 1:
             raise errors.InvalidArgument("a residue power needs an exponent >= 1")
@@ -726,12 +767,40 @@ def _product(factors, one: Polynomial) -> Polynomial:
 
 
 def _frobenius_step(z, steps: int, mod, q: int, Q=None):
-    """z^(q^steps) mod `mod`, for stacks or residues of the _Divisor mod;
-    with the stack's Frobenius matrices Q each step is z Q (module docstring)."""
+    """z^(q^steps) mod `mod`, for stacks or residues of the _Divisor mod; with
+    the Frobenius matrices Q of the stack's rows, or the Q of
+    :func:`_frobenius_rows` for residues, each step is z Q (module docstring)."""
     for _ in range(steps):
-        z = (pow_mod(z, q, mod) if Q is None
-             else _Stack(z.owner, z.owner.sum_vec(z.owner.mul_vec(Q, z.A[:, :, np.newaxis]), 1)))
+        if Q is None:
+            z = pow_mod(z, q, mod)
+        elif isinstance(z, _Stack):
+            z = _Stack(z.owner, z.owner.sum_vec(z.owner.mul_vec(Q, z.A[:, :, np.newaxis]), 1))
+        elif mod.dt is None:
+            v = np.zeros(mod.m, dtype=np.int64)
+            v[:len(z)] = z
+            z = _trim(mod.spec.sum_vec(mod.spec.mul_vec(Q, v[:, np.newaxis]), 0))
+        else:  # the sum of z_i x^(iq): at most m(p-1)^2 a slot, then each slot mod p
+            w, s = 8 * mod.dt.itemsize, 0
+            mask = (1 << w) - 1
+            for i, row in enumerate(Q):
+                s += row * (z >> i * w & mask)
+            z = _reduce_packed(mod.spec, mod.dt, s, mod.packed, mod.m, mod.inv)[1]
     return z
+
+
+def _frobenius_rows(div: _Divisor, one, xq):
+    """Berlekamp's Q for the residues of div, from its rows 0 and 1, the
+    residues of 1 and x^q: rows i = 0..m-1, x^(iq) = (x^q)^i, as packed
+    residues or as one (m, m) index array."""
+    rows = [one, xq]
+    for _ in range(2, div.m):
+        rows.append(div.mulmod(rows[-1], xq))
+    if div.dt is not None:
+        return rows
+    Q = np.zeros((div.m, div.m), dtype=np.int64)
+    for row, r in zip(Q, rows):
+        row[:len(r)] = r
+    return Q
 
 
 def is_irreducible(f):
@@ -740,7 +809,9 @@ def is_irreducible(f):
     f of degree n is irreducible over GF(q) iff x^(q^n) = x (mod f) and,
     for each prime r dividing n, gcd(x^(q^(n/r)) - x, f) = 1.  A single f
     of degree n >= 2 with a root in GF(p) is rejected before these steps,
-    which run on the residues of one _Divisor of f (module docstring).
+    which run on the residues of one _Divisor of f, the gcds and the final
+    comparison included; over q > 2 every Frobenius step after the first is
+    z Q (module docstring).
 
     f may also be a stack of nonzero polynomials of one degree over one field,
     a _Stack as it is.  The result is then one bool per row, in order ([] for
@@ -767,16 +838,17 @@ def is_irreducible(f):
     if (spec.p * spec.k * (d + 1) <= spec.q.bit_length() * d * d
             and _has_prime_root(f)):
         return False
-    div, x = _Divisor(spec, f._a), Polynomial.x(spec)  # x is reduced: deg f >= 2
-    z, cur = div.load(x._a), 0
-    for t in sorted({d // r for r in intmath.prime_factors(d)}):
-        z = _frobenius_step(z, t - cur, div, spec.q)
+    div = _Divisor(spec, f._a)
+    one, x = (div.load(np.array(c, dtype=np.int64)) for c in ([spec.unit], [0, spec.unit]))
+    z, Q, cur = pow_mod(x, spec.q, div), None, 1  # the first step: row 1 of Q
+    for t in sorted({d // r for r in intmath.prime_factors(d)}) + [d]:
+        if cur == 1 and t > 1 and spec.q > 2 and d * d * spec.k <= _FROBENIUS_ENTRIES:
+            Q = _frobenius_rows(div, one, z)  # a second step is due
+        z = _frobenius_step(z, t - cur, div, spec.q, Q)
         cur = t
-        zx = np.concatenate([div.store(z), np.zeros(d, dtype=np.int64)])[:d]
-        zx[1] = (zx[1] - spec.unit) % spec.q  # z - x: index - unit lowers coordinate 0 by 1
-        if gcd(Polynomial._wrap(spec, _trim(zx)), f).degree > 0:
+        if t < d and not div.same(gcd(div.minus_x(z), div), one):
             return False
-    return Polynomial._wrap(spec, div.store(_frobenius_step(z, d - cur, div, spec.q))) == x
+    return div.same(z, x)
 
 
 def _has_prime_root(f: Polynomial) -> bool:

@@ -174,6 +174,20 @@ def test_addmul_and_sum_match_raw_add_and_raw_mul(p, k):
             == [functools.reduce(spec.raw_add, v, 0) for v in lines.tolist()]
 
 
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (7, 3), (3, 5), (2, 20)])
+def test_from_coords_matches_the_weighted_sum(p, k):
+    # Horner over the k coordinate columns gives the index sum of
+    # coordinate j times p^(k-1-j), on arrays of one, two and three axes
+    spec = field_make(p, k)
+    gen = np.random.default_rng(p * 100 + k)
+    weights = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    for shape in ((k,), (7, k), (50, 10, k)):
+        m = gen.integers(p, size=shape)
+        assert spec.from_coords(m).tolist() == (m @ weights).tolist(), shape
+    u = gen.integers(spec.q, size=(5, 9))
+    assert spec.from_coords(spec.to_coords(u)).tolist() == u.tolist()
+
+
 def test_field_mismatch_and_zero_division():
     F3, F5 = field_make(3), field_make(5)
     with pytest.raises(errors.FieldMismatch):

@@ -174,6 +174,56 @@ def test_pow_mod_on_residues_of_a_prepared_divisor(rng):
                     pow_mod(div.load(Polynomial.x(spec)._a), e, div)
 
 
+def test_gcd_on_residues_of_a_prepared_divisor(rng):
+    # with a _Divisor for its second argument, gcd maps a residue in the
+    # divisor's form to the monic gcd in the same form: packed integers in
+    # slots of 1, 2, 4 and 8 bytes, and index vectors over GF(9) and above the
+    # crossover degree; the stacked gcd (the row kernel, no Euclid) is the
+    # reference, the zero residue gives the divisor made monic, and a planted
+    # common factor divides the gcd
+    C = poly._PACKED_DEGREE
+    for (p, k), m, width in [((2, 1), 11, 1), ((7, 1), 4, 2), ((1021, 1), 6, 4),
+                             ((1048573, 1), 9, 8), ((3, 2), 5, None), ((2, 1), C + 6, None)]:
+        spec = field_make(p, k)
+        g = random_poly(spec, 2, rng, monic=True)
+        for f in (random_poly(spec, m, rng, monic=True), random_poly(spec, m, rng),
+                  g * random_poly(spec, m - 2, rng)):
+            div = poly._Divisor(spec, f._a)
+            assert (None if div.dt is None else div.dt.itemsize) == width, (spec, m)
+            for z in (Polynomial.zero(spec), Polynomial.x(spec), random_poly(spec, m - 1, rng),
+                      random_poly(spec, 2 * m + 3, rng) % f, g * random_poly(spec, m - 3, rng)):
+                r = gcd(div.load(z._a), div)
+                assert isinstance(r, int) == (width is not None), (spec, f, z)
+                want = list(gcd([z], [f]))[0]
+                assert div.store(r).tolist() == want._a.tolist() == gcd(z, f)._a.tolist(), \
+                    (spec, f, z)
+                if z.is_zero():
+                    assert want == f.monic()
+                if (f % g).is_zero() and (z % g).is_zero():
+                    assert (want % g).is_zero() and want.degree >= 2, (spec, f, z)
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (7, 1), (1021, 1), (1048573, 1), (3, 2), (2, 4)])
+def test_frobenius_step_on_residues_matches_pow_mod(monkeypatch, p, k, rng):
+    # z Q, Q from _frobenius_rows, is pow_mod(z, q^s, div) on random residues:
+    # packed over GF(p) up to the crossover degree, and index vectors over
+    # GF(9), GF(16) and GF(p) with the crossover patched to 0
+    spec = field_make(p, k)
+    for packed in (poly._PACKED_DEGREE, 0):
+        monkeypatch.setattr(poly, "_PACKED_DEGREE", packed)
+        for m in (2, 6, 9):
+            f = random_poly(spec, m, rng, monic=m % 2 == 0)
+            div = poly._Divisor(spec, f._a)
+            assert (div.dt is None) == (k > 1 or not packed), (spec, m)
+            one, x = (div.load(np.array(c, dtype=np.int64)) for c in ([spec.unit], [0, spec.unit]))
+            Q = poly._frobenius_rows(div, one, pow_mod(x, spec.q, div))
+            for z in [random_poly(spec, m - 1, rng) for _ in range(4)] + [Polynomial.zero(spec), f]:
+                r = div.load(z._a)
+                for steps in (1, 2, 3):
+                    assert div.store(poly._frobenius_step(r, steps, div, spec.q, Q)).tolist() \
+                        == div.store(pow_mod(r, spec.q ** steps, div)).tolist(), (spec, f, z)
+
+
 def test_power_counts_its_products():
     # from the lowest set bit up: bit_length - 1 squares and popcount - 1
     # other products, so x^(2^j) costs j; e = 0 is None with no product, and
@@ -376,6 +426,34 @@ def test_roots_outside_the_prime_field_reach_rabin(monkeypatch):
     assert calls["pow_mod"] > 0
 
 
+def test_scalar_rabin_makes_one_pow_mod_call_over_q_above_two(monkeypatch):
+    # over q > 2 the first Frobenius step is the one pow_mod call (row 1 of
+    # Q) and every later step is z Q, packed (deg f <= 64) or on index vectors
+    # (GF(9), and deg f = 65 above the crossover); over GF(2), or when one Q
+    # would exceed _FROBENIUS_ENTRIES on index vectors, each step is one
+    # pow_mod call; every f is irreducible, so the test runs all d steps
+    seeded = [random_poly(field_make(p), m, random.Random(CROSSOVER_IRREDUCIBLE_SEEDS[p][m - 63]),
+                          monic=True) for p, m in ((1021, 64), (1021, 65), (2, 65))]
+    cases = [(monic_irreducibles(field_make(*field), d)[0], calls)
+             for field, d, calls in (((3, 1), 7, 1), ((7, 1), 4, 1), ((3, 2), 4, 1),
+                                     ((2, 4), 3, 1), ((2, 1), 12, 12))]
+    cases += [(seeded[0], 1), (seeded[1], 1), (seeded[2], 65)]
+    for f, want in cases:
+        calls = counted(monkeypatch, "pow_mod")
+        assert is_irreducible(f)
+        assert calls["pow_mod"] == want, (f.owner, f.degree)
+    monkeypatch.setattr(poly, "_FROBENIUS_ENTRIES", 15)  # below GF(9)'s d^2 k = 32
+    calls = counted(monkeypatch, "pow_mod")
+    assert is_irreducible(monic_irreducibles(field_make(3, 2), 4)[0])
+    assert calls["pow_mod"] == 4
+    # a candidate that the first gcd rejects builds no Q: GF(1021) quadratics
+    # skip the root test, and gcd(x^q - x, f) finds the linear factors
+    built = counted(monkeypatch, "_frobenius_rows")
+    F = field_make(1021)
+    assert not is_irreducible(P(F, "x+1020") * P(F, "x+1019"))
+    assert built["_frobenius_rows"] == 0
+
+
 def test_irreducibility_exhaustive_small(fields):
     # one sweep over all monic polynomials of degree <= 6 for q <= 5:
     # is_irreducible must agree with trial division by the sieved
@@ -497,7 +575,7 @@ def test_frobenius_matrix_rabin_agrees_with_the_sieve(monkeypatch, p, k, degrees
     sizes = []
     gcd = poly.gcd
     monkeypatch.setattr(poly, "gcd", lambda a, b: (
-        sizes.append(len(b)) if not isinstance(b, Polynomial) else None) or gcd(a, b))
+        sizes.append(len(b)) if isinstance(b, poly._Stack) else None) or gcd(a, b))
     for d in degrees:
         steps = sorted({d // r for r in prime_factors(d)})
         # route: the first gcd step that rejects a row, len(steps) for the
