@@ -58,9 +58,7 @@ never reaches Rabin's Frobenius steps.  The test runs only while its
 p*k*(d+1) multiply-adds are at most the bitlen(q)*d^2 of one Frobenius step;
 GF(1021) quadratics go straight to Rabin.  Rabin works on the residues of
 one _Divisor of f from x to the verdict: z - x, the gcd with f and z == x
-are residue operations, and the Frobenius steps follow the Q rule below.  The
-first step, x^q, is row 1 of Q; rows 2..d-1 are built only when a second
-step is due, so a candidate that the first gcd rejects never pays for them.
+are residue operations, and the Frobenius steps follow the Q rule below.
 The stacked test has no root test.  Its callers pass kernel images
 F = h^n f(g/h), g and h coprime, and when f is monic irreducible of degree
 n >= 2, F has no root in GF(q): F(a) = 0 with h(a) != 0 would make g(a)/h(a)
@@ -82,15 +80,17 @@ the scalar code.  The stacked Rabin test serves the filter behind
 from :func:`monic_irreducibles` to the verdict, for the count oracle and the
 transform side of the H verifier.  z -> z^q is GF(q)-linear, so z^q mod F is
 z Q, row i of Q being x^(iq) mod F (Berlekamp's Q matrix: Knuth, TAOCP vol. 2,
-4.6.2; von zur Gathen & Shoup 1992).  For q > 2, on stacks and on scalar
-Rabin's residues alike, Q is built by one pow_mod (row 1) and d - 2 products
-by x^q, and a Frobenius step is one product z Q: its d terms added by sum_vec,
-or for a packed residue summed on the integer, at most d(p-1)^2 in a slot
-(within the slot rule above), then each slot mod p.  A block takes at most
+4.6.2; von zur Gathen & Shoup 1992).  The scalar and the stacked test share
+one schedule (_rabin_schedule).  The first Frobenius step is one pow_mod,
+x^q.  For q > 2 that is row 1 of Q, and when a second step is due, d - 2
+products by x^q build the other rows, only for the rows that the gcds left,
+so a candidate that the first gcd rejects never pays for them; every later
+step is one product z Q: its d terms added by sum_vec, or for a packed
+residue summed on the integer, at most d(p-1)^2 in a slot (within the slot
+rule above), then each slot mod p.  A block takes at most
 _FROBENIUS_ENTRIES / (d^2 k) rows, which bounds Q and z Q; a degree whose
-one Q would exceed it runs without Q, on stacks and on index-vector residues
-(packed residues, d <= 64, always fit).  So does GF(2): a step there is one
-squaring, which Q only slows, so it stays one pow_mod.
+one Q would exceed it runs without Q (packed residues, d <= 64, always fit).
+So does GF(2): a step there is one squaring, which Q only slows.
 
 Two text formats are accepted everywhere:
   (a) ascending coefficient list: "1,0,2" or "[1 0],[0 1]" for extensions;
@@ -484,14 +484,22 @@ class _Divisor:
 
     def minus_x(self, r):
         """The residue r - x (m >= 2): coefficient 1 drops by one."""
-        if self.dt is not None:  # slot 1 drops by one mod p
-            w = 8 * self.dt.itemsize
-            s = r >> w & (1 << w) - 1
-            return r + ((s - 1) % self.spec.p - s << w)
-        v = np.zeros(max(len(r), 2), dtype=np.int64)
-        v[:len(r)] = r
-        v[1] = (v[1] - self.spec.unit) % self.spec.q  # index - unit lowers coordinate 0 by 1
-        return _trim(v)
+        if self.dt is None:
+            return _trim(_minus_x(self.spec, r))
+        w = 8 * self.dt.itemsize  # slot 1 drops by one mod p
+        s = r >> w & (1 << w) - 1
+        return r + ((s - 1) % self.spec.p - s << w)
+
+    def times_q(self, z, Q):
+        """The residue z^q as z Q, Q from :func:`_frobenius_rows`; packed, the
+        sum of z_i x^(iq), at most m(p-1)^2 a slot, then each slot mod p."""
+        if self.dt is None:
+            return _trim(_times_q(self.spec, z, Q))
+        w, s = 8 * self.dt.itemsize, 0
+        mask = (1 << w) - 1
+        for i, row in enumerate(Q):
+            s += row * (z >> i * w & mask)
+        return _reduce_packed(self.spec, self.dt, s, self.packed, self.m, self.inv)[1]
 
     def gcd(self, r):
         """The monic gcd of the residue r with the divisor, as a residue of this
@@ -581,9 +589,7 @@ def pow_mod(base, e: int, mod):
     Also rowwise on stacks (module docstring): mod a sequence of polynomials
     of one degree D >= 1, base a sequence of as many polynomials.  With mod a
     :class:`_Divisor` and e >= 1, base is a residue in its form (a packed integer
-    or an index vector), and so is the result, intmath.power(base, e, mod.mulmod);
-    scalar Rabin makes this call once per test over q > 2 (row 1 of Q) and once
-    per Frobenius step over GF(2)."""
+    or an index vector), and so is the result, intmath.power(base, e, mod.mulmod)."""
     if isinstance(mod, _Divisor):
         if e < 1:
             raise errors.InvalidArgument("a residue power needs an exponent >= 1")
@@ -766,41 +772,40 @@ def _product(factors, one: Polynomial) -> Polynomial:
     return level[0] if level else one
 
 
-def _frobenius_step(z, steps: int, mod, q: int, Q=None):
-    """z^(q^steps) mod `mod`, for stacks or residues of the _Divisor mod; with
-    the Frobenius matrices Q of the stack's rows, or the Q of
-    :func:`_frobenius_rows` for residues, each step is z Q (module docstring)."""
-    for _ in range(steps):
-        if Q is None:
-            z = pow_mod(z, q, mod)
-        elif isinstance(z, _Stack):
-            z = _Stack(z.owner, z.owner.sum_vec(z.owner.mul_vec(Q, z.A[:, :, np.newaxis]), 1))
-        elif mod.dt is None:
-            v = np.zeros(mod.m, dtype=np.int64)
-            v[:len(z)] = z
-            z = _trim(mod.spec.sum_vec(mod.spec.mul_vec(Q, v[:, np.newaxis]), 0))
-        else:  # the sum of z_i x^(iq): at most m(p-1)^2 a slot, then each slot mod p
-            w, s = 8 * mod.dt.itemsize, 0
-            mask = (1 << w) - 1
-            for i, row in enumerate(Q):
-                s += row * (z >> i * w & mask)
-            z = _reduce_packed(mod.spec, mod.dt, s, mod.packed, mod.m, mod.inv)[1]
-    return z
+def _rabin_schedule(spec: FieldSpec, d: int):
+    """(steps, fit) of Rabin's test at degree d: the gcd steps d/r for the
+    primes r of d from the largest, then d; and how many rows' Q fit in
+    _FROBENIUS_ENTRIES coordinates (0 over GF(2); a step is z Q iff fit > 0)."""
+    return ([d // r for r in reversed(intmath.prime_factors(d))] + [d],
+            _FROBENIUS_ENTRIES // (d * d * spec.k) if spec.q > 2 else 0)
 
 
-def _frobenius_rows(div: _Divisor, one, xq):
-    """Berlekamp's Q for the residues of div, from its rows 0 and 1, the
-    residues of 1 and x^q: rows i = 0..m-1, x^(iq) = (x^q)^i, as packed
-    residues or as one (m, m) index array."""
-    rows = [one, xq]
-    for _ in range(2, div.m):
-        rows.append(div.mulmod(rows[-1], xq))
-    if div.dt is not None:
-        return rows
-    Q = np.zeros((div.m, div.m), dtype=np.int64)
-    for row, r in zip(Q, rows):
-        row[:len(r)] = r
+def _frobenius_rows(one, xq, d: int, mulmod):
+    """Berlekamp's Q from its rows 0 and 1, the residues of 1 and x^q: row i
+    is x^(iq) = (x^q)^i, i < d, by mulmod.  A list of packed residues, or one
+    index array, (d, d) for index vectors and (N, d, d) for (N, d) rows x^q."""
+    rows = itertools.chain([one], itertools.accumulate([xq] * (d - 1), mulmod))
+    if isinstance(xq, int):
+        return list(rows)
+    Q = np.zeros(xq.shape[:-1] + (d, d), dtype=np.int64)
+    for i, r in enumerate(rows):
+        Q[..., i, :r.shape[-1]] = r
     return Q
+
+
+def _times_q(spec: FieldSpec, z, Q):
+    """z Q on index arrays: a residue z by the first len(z) rows of its Q
+    ((d, d)), or residue rows ((N, d)) by theirs ((N, d, d))."""
+    return spec.sum_vec(spec.mul_vec(Q[..., :z.shape[-1], :], z[..., np.newaxis]), z.ndim - 1)
+
+
+def _minus_x(spec: FieldSpec, z):
+    """z - x on index arrays, a residue or residue rows, at least two
+    coefficients wide: index - unit, mod q, lowers coordinate 0 by 1."""
+    v = np.zeros(z.shape[:-1] + (max(z.shape[-1], 2),), dtype=np.int64)
+    v[..., :z.shape[-1]] = z
+    v[..., 1] = (v[..., 1] - spec.unit) % spec.q
+    return v
 
 
 def is_irreducible(f):
@@ -815,17 +820,14 @@ def is_irreducible(f):
 
     f may also be a stack of nonzero polynomials of one degree over one field,
     a _Stack as it is.  The result is then one bool per row, in order ([] for
-    no rows), from the same steps on all rows at once (module docstring), in
-    blocks of _SIEVE_ROWS rows, fewer over q > 2 when the Frobenius matrices
-    of a block would hold more than _FROBENIUS_ENTRIES coordinates.
+    no rows), from the same steps on all rows at once, in blocks of at most
+    _SIEVE_ROWS rows, fewer when their Q would not fit (module docstring).
     """
     if not isinstance(f, Polynomial):
         if not len(f):
             return []
         F = _monic_rows(f, errors.DegreeZero)
-        d, spec = F.A.shape[1] - 1, F.owner
-        fit = _FROBENIUS_ENTRIES // (d * d * spec.k) if spec.q > 2 else 0
-        rows = min(_SIEVE_ROWS, fit) or _SIEVE_ROWS
+        rows = min(_SIEVE_ROWS, _rabin_schedule(F.owner, F.A.shape[1] - 1)[1]) or _SIEVE_ROWS
         return [v for start in range(0, len(F), rows)
                 for v in _rabin_rows(F.take(slice(start, start + rows)))]
     d = f.degree
@@ -840,11 +842,13 @@ def is_irreducible(f):
         return False
     div = _Divisor(spec, f._a)
     one, x = (div.load(np.array(c, dtype=np.int64)) for c in ([spec.unit], [0, spec.unit]))
+    steps, fit = _rabin_schedule(spec, d)
     z, Q, cur = pow_mod(x, spec.q, div), None, 1  # the first step: row 1 of Q
-    for t in sorted({d // r for r in intmath.prime_factors(d)}) + [d]:
-        if cur == 1 and t > 1 and spec.q > 2 and d * d * spec.k <= _FROBENIUS_ENTRIES:
-            Q = _frobenius_rows(div, one, z)  # a second step is due
-        z = _frobenius_step(z, t - cur, div, spec.q, Q)
+    for t in steps:
+        if fit and Q is None and t > cur:  # a second step is due
+            Q = _frobenius_rows(one, z, d, div.mulmod)
+        for _ in range(t - cur):
+            z = pow_mod(z, spec.q, div) if Q is None else div.times_q(z, Q)
         cur = t
         if t < d and not div.same(gcd(div.minus_x(z), div), one):
             return False
@@ -871,39 +875,30 @@ def _has_prime_root(f: Polynomial) -> bool:
 
 
 def _rabin_rows(F: _Stack) -> list[bool]:
-    """Rabin's test on monic rows of one degree d, all at once, with one gcd
-    call per prime of d; a row leaves the stack, and Q, once a gcd shows it
-    reducible.  A Frobenius step is z Q for q > 2 while one row's Q fits in
-    _FROBENIUS_ENTRIES (module docstring)."""
-    spec, (N, L) = F.owner, F.A.shape
-    d = L - 1
+    """Rabin's test on monic rows of one degree d, all at once, by the steps
+    of :func:`_rabin_schedule` as in the scalar test, with one gcd call per
+    prime of d; a row leaves the stack, and Q, once a step rejects it."""
+    spec, N, d = F.owner, len(F), F.A.shape[1] - 1
     if d == 1:
         return [True] * N
-    x = np.zeros((N, d), dtype=np.int64)
-    x[:, 1] = spec.unit
-    z, Q = _Stack(spec, x), None
-    if spec.q > 2 and d * d * spec.k <= _FROBENIUS_ENTRIES:  # row i of Q: x^(iq) mod F
-        Q = np.zeros((N, d, d), dtype=np.int64)
-        Q[:, 0, 0] = spec.unit
-        Q[:, 1] = pow_mod(z, spec.q, F).A
-        neg = spec.mul_vec(F.A[:, :-1], spec.raw_neg(spec.unit))
-        for i in range(2, d):
-            Q[:, i] = _rows_mulmod(spec, Q[:, i - 1], Q[:, 1], neg)
-    out = np.ones(N, dtype=bool)
-    alive, cur = np.arange(N), 0
-    for t in sorted({d // r for r in intmath.prime_factors(d)}):
-        z = _frobenius_step(z, t - cur, F, spec.q, Q)
+    steps, fit = _rabin_schedule(spec, d)
+    one, x = np.eye(2, d, dtype=np.int64) * spec.unit
+    z = pow_mod(_Stack(spec, np.tile(x, (N, 1))), spec.q, F).A  # the first step: row 1 of Q
+    Q, cur, out, alive = None, 1, np.zeros(N, dtype=bool), np.arange(N)
+    for t in steps:
+        if fit and Q is None and t > cur:  # a second step is due
+            neg = spec.mul_vec(F.A[:, :-1], spec.raw_neg(spec.unit))
+            Q = _frobenius_rows(one, z, d, lambda u, v: _rows_mulmod(spec, u, v, neg))
+        for _ in range(t - cur):
+            z = pow_mod(_Stack(spec, z), spec.q, F).A if Q is None else _times_q(spec, z, Q)
         cur = t
-        zx = z.A.copy()  # z - x: index - unit, mod q, lowers coordinate 0 by 1
-        zx[:, 1] = (zx[:, 1] - spec.unit) % spec.q
-        keep = ~gcd(_Stack(spec, zx), F).A[:, 1:].any(axis=1)
-        out[alive[~keep]] = False
-        alive, z, F = alive[keep], z.take(keep), F.take(keep)
+        keep = ((z == x).all(axis=1) if t == d
+                else ~gcd(_Stack(spec, _minus_x(spec, z)), F).A[:, 1:].any(axis=1))
+        alive, z, F = alive[keep], z[keep], F.take(keep)
         Q = Q if Q is None else Q[keep]
         if not len(alive):
-            return out.tolist()
-    z = _frobenius_step(z, d - cur, F, spec.q, Q)
-    out[alive] = (z.A == x[:len(alive)]).all(axis=1)
+            break
+    out[alive] = True
     return out.tolist()
 
 
@@ -1146,11 +1141,13 @@ def compose_fraction(f, num: Polynomial, den: Polynomial):
 
 def _rows_times(spec: FieldSpec, A, b, width: int):
     """Each row of the index array A times the index vector b, as (N, width):
-    one product of the rows laid end to end, width (>= each product) apart."""
+    one product of the rows laid end to end, width (>= each product) apart,
+    without the zeros after the last row (O(width len(b)) work for nothing)."""
     P = np.zeros((len(A), width), dtype=np.int64)
     if len(b):
         P[:, :A.shape[1]] = A
-        P = _kmul(spec, P.ravel(), b)[:P.size].reshape(P.shape)
+        v = _kmul(spec, P.ravel()[:P.size - width + A.shape[1]], b)
+        P.ravel()[:len(v)] = v
     return P
 
 

@@ -205,9 +205,9 @@ def test_gcd_on_residues_of_a_prepared_divisor(rng):
 
 @pytest.mark.parametrize("p, k", [(3, 1), (7, 1), (1021, 1), (1048573, 1), (3, 2), (2, 4)])
 def test_frobenius_step_on_residues_matches_pow_mod(monkeypatch, p, k, rng):
-    # z Q, Q from _frobenius_rows, is pow_mod(z, q^s, div) on random residues:
-    # packed over GF(p) up to the crossover degree, and index vectors over
-    # GF(9), GF(16) and GF(p) with the crossover patched to 0
+    # s steps of div.times_q, Q from _frobenius_rows, are pow_mod(z, q^s, div)
+    # on random residues: packed over GF(p) up to the crossover degree, and
+    # index vectors over GF(9), GF(16) and GF(p) with the crossover patched to 0
     spec = field_make(p, k)
     for packed in (poly._PACKED_DEGREE, 0):
         monkeypatch.setattr(poly, "_PACKED_DEGREE", packed)
@@ -216,12 +216,42 @@ def test_frobenius_step_on_residues_matches_pow_mod(monkeypatch, p, k, rng):
             div = poly._Divisor(spec, f._a)
             assert (div.dt is None) == (k > 1 or not packed), (spec, m)
             one, x = (div.load(np.array(c, dtype=np.int64)) for c in ([spec.unit], [0, spec.unit]))
-            Q = poly._frobenius_rows(div, one, pow_mod(x, spec.q, div))
+            Q = poly._frobenius_rows(one, pow_mod(x, spec.q, div), m, div.mulmod)
             for z in [random_poly(spec, m - 1, rng) for _ in range(4)] + [Polynomial.zero(spec), f]:
                 r = div.load(z._a)
                 for steps in (1, 2, 3):
-                    assert div.store(poly._frobenius_step(r, steps, div, spec.q, Q)).tolist() \
-                        == div.store(pow_mod(r, spec.q ** steps, div)).tolist(), (spec, f, z)
+                    r = div.times_q(r, Q)
+                    assert div.store(r).tolist() == div.store(
+                        pow_mod(div.load(z._a), spec.q ** steps, div)).tolist(), (spec, f, z)
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (1021, 1), (1048573, 1), (3, 2), (2, 4)])
+def test_frobenius_rows_agree_across_residue_forms(monkeypatch, p, k, rng):
+    # for one monic f, the Q built on packed residues (GF(p)), on index
+    # vectors (the crossover patched to 0) and on a one-row stack has the rows
+    # x^(iq) mod f of pow_mod; on the stack, z Q by _times_q is z^q mod f
+    spec = field_make(p, k)
+    for m in (2, 5, 9):
+        f = random_poly(spec, m, rng, monic=True)
+        want = [pow_mod(Polynomial.x(spec), i * spec.q, f)._a.tolist() for i in range(m)]
+        for packed in (poly._PACKED_DEGREE, 0):
+            monkeypatch.setattr(poly, "_PACKED_DEGREE", packed)
+            div = poly._Divisor(spec, f._a)
+            one, x = (div.load(np.array(c, dtype=np.int64)) for c in ([spec.unit], [0, spec.unit]))
+            Q = poly._frobenius_rows(one, pow_mod(x, spec.q, div), m, div.mulmod)
+            got = [div.store(r) for r in Q] if div.dt is not None else map(poly._trim, Q)
+            assert [r.tolist() for r in got] == want, (spec, m, div.dt)
+        F = poly._Stack(spec, f._a[np.newaxis])
+        neg = spec.mul_vec(F.A[:, :-1], spec.raw_neg(spec.unit))
+        one, x = np.eye(2, m, dtype=np.int64)[:, np.newaxis] * spec.unit
+        Q = poly._frobenius_rows(one, pow_mod(poly._Stack(spec, x), spec.q, F).A, m,
+                                 lambda u, v: poly._rows_mulmod(spec, u, v, neg))
+        assert Q.shape == (1, m, m)
+        assert [poly._trim(r).tolist() for r in Q[0]] == want, (spec, m)
+        z = random_poly(spec, m - 1, rng)
+        Z = np.zeros((1, m), dtype=np.int64)
+        Z[0, :len(z._a)] = z._a
+        assert poly._Stack(spec, poly._times_q(spec, Z, Q))[0] == pow_mod(z, spec.q, f), (spec, m)
 
 
 def test_power_counts_its_products():
@@ -452,6 +482,22 @@ def test_scalar_rabin_makes_one_pow_mod_call_over_q_above_two(monkeypatch):
     F = field_make(1021)
     assert not is_irreducible(P(F, "x+1020") * P(F, "x+1019"))
     assert built["_frobenius_rows"] == 0
+
+
+def test_stacked_rabin_builds_q_only_for_rows_a_second_step_needs(monkeypatch, rng):
+    # prime degree 5 over GF(3): with a linear factor in every row, the first
+    # gcd, gcd(x^q - x, F), rejects them all and no Q is built; with
+    # irreducible rows among them, one Q is built, for those rows only
+    spec = field_make(3)
+    linear = [P(spec, "x+1") * random_poly(spec, 4, rng, monic=True) for _ in range(6)]
+    irreducible = list(monic_irreducibles(spec, 5))[:3]
+    sizes, build = [], poly._frobenius_rows
+    monkeypatch.setattr(poly, "_frobenius_rows",
+                        lambda one, xq, *rest: sizes.append(len(xq)) or build(one, xq, *rest))
+    assert is_irreducible(linear) == [False] * 6
+    assert sizes == []
+    assert is_irreducible(linear + irreducible) == [False] * 6 + [True] * 3
+    assert sizes == [3]
 
 
 def test_irreducibility_exhaustive_small(fields):
@@ -766,10 +812,13 @@ def test_compose_fraction_on_stacks_across_digits(fields, rng):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("p, k, n, points", [(2, 8, 1000, (2, 16)),
-                                             (3, 1, 2000, (3, 12))])
+                                             (3, 1, 2000, (3, 12)),
+                                             (3, 1, 16000, (3, 12))])
 def test_large_transform_memory_and_time(p, k, n, points):
     # many digits in one direct call; the result is checked at 32 points of
-    # an extension field against h(xi)^n * f(g(xi)/h(xi))
+    # an extension field against h(xi)^n * f(g(xi)/h(xi)), at 4 for n = 16000
+    # (each point is a Horner pass on field elements); n = 16000 keeps the
+    # Horner quadratic: its products must leave out the trailing zero padding
     spec = field_make(p, k)
     rng = random.Random(n)
     f = Polynomial._wrap(spec, np.array([rng.randrange(spec.q) for _ in range(n)]
@@ -790,8 +839,8 @@ def test_large_transform_memory_and_time(p, k, n, points):
     out = parse_poly(spec, text)
     assert out.degree == 2 * n
     E = field_make(*points)
-    f, out = (Polynomial(E, [embed(c, E) for c in g.coeffs]) for g in (f, out))
-    for xi in (FieldElement(E, rng.randrange(1, E.q)) for _ in range(32)):
+    f, out = f.embed(E), out.embed(E)
+    for xi in (FieldElement(E, rng.randrange(1, E.q)) for _ in range(32 if n <= 2000 else 4)):
         assert out(xi) == xi ** n * f((xi * xi + E.one) / xi)
 
 
