@@ -18,24 +18,22 @@ that, so none carries; k * (shorter length + 1) * (p-1)^2 < 2^63 is checked
 before every product.  Every other sum goes on indices through
 :meth:`FieldSpec.addmul_vec` or :meth:`FieldSpec.sum_vec`, so none accumulates.
 
-Over GF(p), division by a divisor of degree m <= _PACKED_DEGREE, and with it
-scalar :func:`pow_mod`, runs on packed Python integers instead: coefficient i
-fills bits [i*w, (i+1)*w), w the narrowest of 8, 16, 32 or 64 holding
-2m(p-1)^2 + p (the product's rule; below 2^48 for q <= 2^20, m <= 64).  A
-product of residues puts at most m(p-1)^2 in a slot and a dividend less than
-p; division adds at most m products of two residues, so no slot carries, and
-then reduces each remainder slot mod p: 8-bit slots by bytes.translate, up to
-_LOOP_SLOTS = 8 wider ones one by one on the Python integer (about 0.2 us per
-slot), more by one numpy % (about 2 us at any length; even at 9 slots).  A
-dividend longer than 2m + 32 goes in windows, the remainder so far over the
-next m + 32 coefficients, so a quotient step costs O(m), not O(dividend
-length).  Scalar :func:`gcd` runs Euclid on the residues of one _Divisor of
-its operand of larger degree m: for m <= _PACKED_DEGREE on packed remainders
+Over GF(p), division by a divisor of degree m, and with it scalar
+:func:`pow_mod` and :func:`gcd`, runs on packed Python integers instead:
+coefficient i fills bits [i*w, (i+1)*w), w the narrowest of 8, 16, 32 or 64
+holding 2m(p-1)^2 + p (the product's rule).  A product of residues puts at
+most m(p-1)^2 in a slot and a dividend less than p; division adds at most m
+products of two residues, so no slot carries, and then reduces each
+remainder slot mod p: 8-bit slots by bytes.translate, up to _LOOP_SLOTS = 8
+wider ones one by one on the Python integer (about 0.2 us per slot), more by
+one numpy % (about 2 us at any length; even at 9 slots).  A dividend goes in
+windows, the remainder so far over the next m + 32 coefficients, so a
+quotient step costs O(m), not O(dividend length).  Scalar :func:`gcd` runs
+Euclid on the residues of one _Divisor of its operand of larger degree m,
 in the one slot width this rule gives m (a remainder slot gets at most m
 quotient additions of at most (p-1)^2 on top of a value below p, so none
-carries), else on index vectors.
-CHANGES.md has the measurements behind the crossover 64 (packed pow_mod
-2.2-6.9x faster below it).
+carries).  A divisor whose bound has no 64-bit slot (m above about 8.4
+million at p near 2^20) keeps index vectors, as over GF(p^k).
 
 :func:`compose_fraction` cuts f into digits of B = max(1, 32 // k)
 coefficients, maps each by one int64 matmul ((r+1)*k <= 32 terms of at most
@@ -89,7 +87,7 @@ step is one product z Q: its d terms added by sum_vec, or for a packed
 residue summed on the integer, at most d(p-1)^2 in a slot (within the slot
 rule above), then each slot mod p.  A block takes at most
 _FROBENIUS_ENTRIES / (d^2 k) rows, which bounds Q and z Q; a degree whose
-one Q would exceed it runs without Q (packed residues, d <= 64, always fit).
+one Q would exceed it (d > 512 over GF(p)) runs without Q.
 So does GF(2): a step there is one squaring, which Q only slows.
 
 Two text formats are accepted everywhere:
@@ -383,8 +381,9 @@ def _check_headroom(spec: FieldSpec, terms: int):
 
 @functools.lru_cache(maxsize=256)
 def _slot_dtype(bound: int):
-    """The narrowest of 1, 2, 4 or 8 little-endian unsigned bytes holding `bound`."""
-    return np.dtype(next(f"<u{w}" for w in (1, 2, 4, 8) if bound < 1 << 8 * w))
+    """The narrowest of 1, 2, 4 or 8 little-endian unsigned bytes holding
+    `bound`, or None past 8 bytes."""
+    return next((np.dtype(f"<u{w}") for w in (1, 2, 4, 8) if bound < 1 << 8 * w), None)
 
 
 def _kmul(spec: FieldSpec, a, b):
@@ -445,19 +444,20 @@ def _reduce_packed(spec: FieldSpec, dt, A, B, m: int, inv, want_quotient: bool =
 
 
 class _Divisor:
-    """A nonzero divisor prepared for repeated long division.  Residues are
-    Python integers packed in slots of dtype dt, the divisor in `packed`
-    (module docstring), or index vectors (dt None), the divisor then in `neg`,
-    the negated body of its monic multiple."""
+    """A nonzero divisor prepared for repeated long division.  Over GF(p),
+    residues are Python integers packed in slots of dtype dt, the divisor in
+    `packed` (module docstring); over GF(p^k), or with no slot for the bound,
+    index vectors (dt None), the divisor then in `neg`, the negated body of
+    its monic multiple."""
 
     __slots__ = ("spec", "inv", "m", "dt", "packed", "neg")
 
     def __init__(self, spec: FieldSpec, b):
-        self.spec, self.m, self.dt = spec, len(b) - 1, None
+        self.spec, self.m = spec, len(b) - 1
         lead = int(b[-1])
         self.inv = None if lead == spec.unit else spec.raw_inv(lead)
-        if spec.k == 1 and self.m <= _PACKED_DEGREE:
-            self.dt = _slot_dtype(2 * self.m * (spec.p - 1) ** 2 + spec.p)
+        self.dt = _slot_dtype(2 * self.m * (spec.p - 1) ** 2 + spec.p) if spec.k == 1 else None
+        if self.dt is not None:
             self.packed = _pack(b, self.dt)
         else:
             self.neg = spec.mul_vec(b[:-1], spec.raw_neg(self.inv or spec.unit))
@@ -542,9 +542,7 @@ class _Divisor:
         if n <= m:
             return (_EMPTY if want_quotient else None), a
         if self.dt is not None:
-            Q, r = (_reduce_packed(spec, self.dt, _pack(a, self.dt), self.packed, m, self.inv,
-                                   want_quotient) if n <= 2 * m + 32
-                    else self._long(a, want_quotient))
+            Q, r = self._long(a, want_quotient)
             return (np.array(Q[::-1], dtype=np.int64) if want_quotient else None), self.store(r)
         # one addmul_vec per quotient step, whose coefficient c stays at i; by
         # c * x^m the division is a shift, which a nonzero neg[0] rules out
@@ -563,7 +561,7 @@ class _Divisor:
 
 def gcd(p1, p2):
     """Monic greatest common divisor, by Euclid on the residues of one
-    _Divisor of the operand of larger degree (module docstring).
+    _Divisor of the operand of larger degree, packed over GF(p) (module docstring).
 
     With p2 a :class:`_Divisor`, p1 is a residue in its form, and the result
     is the monic gcd as a residue of the same form (the monic divisor for
@@ -922,9 +920,6 @@ def enumerate_monic(spec: FieldSpec, d: int):
 
 #: Guard on enumeration spaces (candidate count).
 SIZE_BOUND_ENUM = 2 ** 20
-
-#: Largest divisor degree of the packed prime-field division (module docstring).
-_PACKED_DEGREE = 64
 
 #: Most remainder slots wider than 8 bits reduced on Python integers (module docstring).
 _LOOP_SLOTS = 8

@@ -138,37 +138,43 @@ def test_pow_mod():
 
 
 def test_pow_mod_starts_from_the_first_set_bit(monkeypatch):
-    # x^(2^j) takes j squarings and no product with the constant 1, on the
-    # packed path (x^4+x+1) and on the array path (a degree above the crossover)
-    F2 = field_make(2)
-    x = Polynomial.x(F2)
+    # x^(2^j) takes j squarings and no product with the constant 1, on
+    # packed residues (GF(2), degrees 4 and 65) and on index vectors (GF(9))
+    F2, F9 = field_make(2), field_make(3, 2)
     products = []
     mulmod = poly._Divisor.mulmod
     monkeypatch.setattr(poly._Divisor, "mulmod", lambda *a: products.append(a) or mulmod(*a))
-    for f in (P(F2, "x^4+x+1"), P(F2, f"x^{poly._PACKED_DEGREE + 1}+x+1")):
+    for f in (P(F2, "x^4+x+1"), P(F2, "x^65+x+1"), P(F9, "x^5+x+1")):
+        x = Polynomial.x(f.owner)
         for j in range(8):
             products.clear()
             assert pow_mod(x, 2 ** j, f) == x ** (2 ** j) % f
             assert len(products) == j
 
 
+#: (field, divisor degree, slot bytes or None for index vectors) of the
+#: residue tests: every slot width, at small degrees and above degree 64
+RESIDUE_CASES = [((2, 1), 11, 1), ((7, 1), 4, 2), ((1021, 1), 6, 4), ((1048573, 1), 9, 8),
+                 ((3, 2), 5, None), ((2, 1), 70, 1), ((1048573, 1), 70, 8)]
+
+
 def test_pow_mod_on_residues_of_a_prepared_divisor(rng):
     # with a _Divisor for mod, pow_mod maps residues in the divisor's form to
-    # residues: packed integers in slots of 1, 2, 4 and 8 bytes, and index
-    # vectors over GF(9) and above the crossover degree; each result stores to
-    # the _a of the polynomial pow_mod; exponents below 1 are refused
-    C = poly._PACKED_DEGREE
-    for (p, k), m, width in [((2, 1), 11, 1), ((7, 1), 4, 2), ((1021, 1), 6, 4),
-                             ((1048573, 1), 9, 8), ((3, 2), 5, None), ((2, 1), C + 6, None)]:
+    # residues (RESIDUE_CASES); each result stores to the row of the stacked
+    # pow_mod (the row kernel, no _Divisor) and to the _a of the polynomial
+    # pow_mod; exponents below 1 are refused
+    for (p, k), m, width in RESIDUE_CASES:
         spec = field_make(p, k)
         for f in (random_poly(spec, m, rng, monic=True), random_poly(spec, m, rng)):
             div = poly._Divisor(spec, f._a)
             assert (None if div.dt is None else div.dt.itemsize) == width, (spec, m)
-            for z in (Polynomial.x(spec), random_poly(spec, m - 1, rng),
-                      random_poly(spec, 2 * m + 3, rng), f * random_poly(spec, 2, rng)):
-                for e in (1, 2, spec.q, rng.randrange(3, 2 ** 40)):
+            zs = [Polynomial.x(spec), random_poly(spec, m - 1, rng),
+                  random_poly(spec, 2 * m + 3, rng), f * random_poly(spec, 2, rng)]
+            for e in (1, 2, spec.q, rng.randrange(3, 2 ** 40)):
+                for z, want in zip(zs, pow_mod(zs, e, [f] * len(zs))):
                     r = pow_mod(div.load(z._a), e, div)
-                    assert div.store(r).tolist() == pow_mod(z, e, f)._a.tolist(), (spec, f, z, e)
+                    assert div.store(r).tolist() == want._a.tolist() == pow_mod(z, e, f)._a.tolist(), \
+                        (spec, f, z, e)
             for e in (0, -1):
                 with pytest.raises(errors.InvalidArgument):
                     pow_mod(div.load(Polynomial.x(spec)._a), e, div)
@@ -176,14 +182,11 @@ def test_pow_mod_on_residues_of_a_prepared_divisor(rng):
 
 def test_gcd_on_residues_of_a_prepared_divisor(rng):
     # with a _Divisor for its second argument, gcd maps a residue in the
-    # divisor's form to the monic gcd in the same form: packed integers in
-    # slots of 1, 2, 4 and 8 bytes, and index vectors over GF(9) and above the
-    # crossover degree; the stacked gcd (the row kernel, no Euclid) is the
-    # reference, the zero residue gives the divisor made monic, and a planted
-    # common factor divides the gcd
-    C = poly._PACKED_DEGREE
-    for (p, k), m, width in [((2, 1), 11, 1), ((7, 1), 4, 2), ((1021, 1), 6, 4),
-                             ((1048573, 1), 9, 8), ((3, 2), 5, None), ((2, 1), C + 6, None)]:
+    # divisor's form (RESIDUE_CASES) to the monic gcd in the same form; the
+    # stacked gcd (the row kernel, no Euclid) is the reference, the zero
+    # residue gives the divisor made monic, and a planted common factor
+    # divides the gcd
+    for (p, k), m, width in RESIDUE_CASES:
         spec = field_make(p, k)
         g = random_poly(spec, 2, rng, monic=True)
         for f in (random_poly(spec, m, rng, monic=True), random_poly(spec, m, rng),
@@ -204,43 +207,44 @@ def test_gcd_on_residues_of_a_prepared_divisor(rng):
 
 
 @pytest.mark.parametrize("p, k", [(3, 1), (7, 1), (1021, 1), (1048573, 1), (3, 2), (2, 4)])
-def test_frobenius_step_on_residues_matches_pow_mod(monkeypatch, p, k, rng):
-    # s steps of div.times_q, Q from _frobenius_rows, are pow_mod(z, q^s, div)
-    # on random residues: packed over GF(p) up to the crossover degree, and
-    # index vectors over GF(9), GF(16) and GF(p) with the crossover patched to 0
+def test_frobenius_step_on_residues_matches_pow_mod(p, k, rng):
+    # s steps of div.times_q, Q from _frobenius_rows, are the stacked
+    # pow_mod(z, q^s, f) (the row kernel, no _Divisor) on random residues:
+    # packed over GF(p), index vectors over GF(9) and GF(16), at degrees up
+    # to 70
     spec = field_make(p, k)
-    for packed in (poly._PACKED_DEGREE, 0):
-        monkeypatch.setattr(poly, "_PACKED_DEGREE", packed)
-        for m in (2, 6, 9):
-            f = random_poly(spec, m, rng, monic=m % 2 == 0)
-            div = poly._Divisor(spec, f._a)
-            assert (div.dt is None) == (k > 1 or not packed), (spec, m)
-            one, x = (div.load(np.array(c, dtype=np.int64)) for c in ([spec.unit], [0, spec.unit]))
-            Q = poly._frobenius_rows(one, pow_mod(x, spec.q, div), m, div.mulmod)
-            for z in [random_poly(spec, m - 1, rng) for _ in range(4)] + [Polynomial.zero(spec), f]:
-                r = div.load(z._a)
-                for steps in (1, 2, 3):
-                    r = div.times_q(r, Q)
-                    assert div.store(r).tolist() == div.store(
-                        pow_mod(div.load(z._a), spec.q ** steps, div)).tolist(), (spec, f, z)
+    for m in (2, 6, 9, 70):
+        f = random_poly(spec, m, rng, monic=m % 2 == 0)
+        div = poly._Divisor(spec, f._a)
+        assert (div.dt is None) == (k > 1), (spec, m)
+        one, x = (div.load(np.array(c, dtype=np.int64)) for c in ([spec.unit], [0, spec.unit]))
+        Q = poly._frobenius_rows(one, pow_mod(x, spec.q, div), m, div.mulmod)
+        zs = [random_poly(spec, m - 1, rng) for _ in range(4)] + [Polynomial.zero(spec), f]
+        rs = [div.load(z._a) for z in zs]
+        for steps in (1, 2, 3):
+            rs = [div.times_q(r, Q) for r in rs]
+            want = pow_mod(zs, spec.q ** steps, [f] * len(zs))
+            assert [div.store(r).tolist() for r in rs] == [w._a.tolist() for w in want], \
+                (spec, f, steps)
 
 
 @pytest.mark.parametrize("p, k", [(3, 1), (1021, 1), (1048573, 1), (3, 2), (2, 4)])
-def test_frobenius_rows_agree_across_residue_forms(monkeypatch, p, k, rng):
-    # for one monic f, the Q built on packed residues (GF(p)), on index
-    # vectors (the crossover patched to 0) and on a one-row stack has the rows
-    # x^(iq) mod f of pow_mod; on the stack, z Q by _times_q is z^q mod f
+def test_frobenius_rows_agree_across_residue_forms(p, k, rng):
+    # for one monic f, the Q built on the residues of its _Divisor (packed
+    # over GF(p), index vectors over GF(9) and GF(16)) and on a one-row stack
+    # has the rows x^(iq) mod f of the stacked pow_mod of the rows x^i; on
+    # the stack, z Q by _times_q is z^q mod f
     spec = field_make(p, k)
-    for m in (2, 5, 9):
+    for m in (2, 5, 9, 70):
         f = random_poly(spec, m, rng, monic=True)
-        want = [pow_mod(Polynomial.x(spec), i * spec.q, f)._a.tolist() for i in range(m)]
-        for packed in (poly._PACKED_DEGREE, 0):
-            monkeypatch.setattr(poly, "_PACKED_DEGREE", packed)
-            div = poly._Divisor(spec, f._a)
-            one, x = (div.load(np.array(c, dtype=np.int64)) for c in ([spec.unit], [0, spec.unit]))
-            Q = poly._frobenius_rows(one, pow_mod(x, spec.q, div), m, div.mulmod)
-            got = [div.store(r) for r in Q] if div.dt is not None else map(poly._trim, Q)
-            assert [r.tolist() for r in got] == want, (spec, m, div.dt)
+        want = [r._a.tolist() for r in pow_mod([Polynomial.monomial(spec, i) for i in range(m)],
+                                               spec.q, [f] * m)]
+        div = poly._Divisor(spec, f._a)
+        assert (div.dt is None) == (k > 1), (spec, m)
+        one, x = (div.load(np.array(c, dtype=np.int64)) for c in ([spec.unit], [0, spec.unit]))
+        Q = poly._frobenius_rows(one, pow_mod(x, spec.q, div), m, div.mulmod)
+        got = [div.store(r) for r in Q] if div.dt is not None else map(poly._trim, Q)
+        assert [r.tolist() for r in got] == want, (spec, m, div.dt)
         F = poly._Stack(spec, f._a[np.newaxis])
         neg = spec.mul_vec(F.A[:, :-1], spec.raw_neg(spec.unit))
         one, x = np.eye(2, m, dtype=np.int64)[:, np.newaxis] * spec.unit
@@ -284,76 +288,141 @@ def test_power_counts_its_products():
 
 #: Per p, the seeds s at which random_poly(GF(p), m, random.Random(s),
 #: monic=True) is irreducible for m = 63, 64, 65 (found by search).
-CROSSOVER_IRREDUCIBLE_SEEDS = {2: (71, 47, 112), 3: (187, 173, 11), 7: (23, 90, 64),
-                               1021: (147, 144, 30), 1048573: (21, 81, 62)}
+IRREDUCIBLE_SEEDS = {2: (71, 47, 112), 3: (187, 173, 11), 7: (23, 90, 64),
+                     1021: (147, 144, 30), 1048573: (21, 81, 62)}
 
 
-def test_packed_and_array_arithmetic_agree_across_the_crossover(monkeypatch, rng):
-    # divmod, pow_mod, gcd and scalar is_irreducible over GF(p) on packed
-    # integers (divisor degree at most C = _PACKED_DEGREE) against the numpy
-    # path (C patched to 0), at divisor degrees C - 1, C and C + 1: monic and
-    # non-monic divisors, one with a known common factor, zero remainders,
-    # dividends longer than 2m - 1, every coefficient p - 1 (the largest slot
-    # sums), and one irreducible per degree, so both paths of Rabin's test
-    # run all its Frobenius steps
-    C = poly._PACKED_DEGREE
-    assert C == 64  # the degrees of the seeded irreducibles
+def row_divmod(a, f):
+    """(quotient, remainder) of a by f from the row kernel's _rows_reduce
+    on the one-row stack of f made monic; no _Divisor is involved."""
+    spec, lead = f.owner, f.leading
+    neg = spec.mul_vec(f.monic()._a[:-1], spec.raw_neg(spec.unit))
+    R, Q = poly._rows_reduce(spec, a._a[np.newaxis], neg[np.newaxis])
+    return (Polynomial._wrap(spec, poly._trim(Q[0])).scale(lead.inverse()),
+            Polynomial._wrap(spec, poly._trim(R[0])))
+
+
+def test_packed_arithmetic_matches_the_row_kernel(rng):
+    # divmod, pow_mod, gcd and scalar is_irreducible over GF(p), on packed
+    # integers in slots of 1 (p = 2), 2 (p = 3, 7), 4 (p = 1021) and 8
+    # (p = 1048573) bytes, against the row kernel (_rows_reduce and the
+    # stacked pow_mod, gcd and Rabin test) at divisor degrees 63, 64, 65 and
+    # 130 (Rabin's test at 63 to 65): monic and non-monic divisors, one with a
+    # known common factor, zero remainders, dividends longer than 2m - 1,
+    # every coefficient p - 1 (the largest slot sums), and one irreducible
+    # per degree 63 to 65, so that Rabin's test runs all its Frobenius steps
     for p in (2, 3, 7, 1021, 1048573):
         spec = field_make(p)
         irreducible = [random_poly(spec, m, random.Random(seed), monic=True)
-                       for m, seed in zip((C - 1, C, C + 1), CROSSOVER_IRREDUCIBLE_SEEDS[p])]
-        cases = [(f, [random_poly(spec, 2 * int(f.degree), rng), random_poly(spec, 5, rng) * f],
-                  spec.q) for f in irreducible]
-        for m in (C - 1, C, C + 1):
+                       for m, seed in zip((63, 64, 65), IRREDUCIBLE_SEEDS[p])]
+        cases = [(f, [random_poly(spec, 2 * int(f.degree), rng), random_poly(spec, 5, rng) * f])
+                 for f in irreducible]
+        for m in (63, 64, 65, 130):
             g = random_poly(spec, rng.randrange(1, 6), rng)
             for f in (random_poly(spec, m, rng, monic=True), random_poly(spec, m, rng),
                       g * random_poly(spec, m - int(g.degree), rng)):
                 dividends = [random_poly(spec, n, rng) for n in (m - 1, m, 2 * m - 1, 3 * m)]
                 dividends += [random_poly(spec, 5, rng) * f, g * random_poly(spec, m + 2, rng),
                               Polynomial.zero(spec)]
-                cases.append((f, dividends, rng.randrange(1, 2 ** 12)))
+                cases.append((f, dividends))
             cases.append((Polynomial(spec, [p - 1] * m + [1]),
-                          [Polynomial(spec, [p - 1] * n) for n in (m, 2 * m)], p))
-
-        # Rabin's test on every divisor over the small fields; over GF(1021) and
-        # GF(1048573), where one full test takes up to 0.2 and 1.4 s, on the
-        # irreducible of degree C alone
-        rabin = irreducible[1:2] if p > 7 else [f for f, _, _ in cases]
-
-        def results():
-            return ([(divmod(a, f), gcd(a, f), pow_mod(a, e, f))
-                     for f, dividends, e in cases for a in dividends]
-                    + [is_irreducible(f) for f in rabin])
-
-        packed = results()
-        for f, verdict in zip(rabin, packed[-len(rabin):]):
-            if f in irreducible:  # certified by factorize, independently of Rabin's test
-                m = int(f.degree)
-                assert verdict and [(g.degree, e) for g, e in factorize(f, m)] == [(m, 1)], f
-        monkeypatch.setattr(poly, "_PACKED_DEGREE", 0)
-        assert results() == packed, spec
-        monkeypatch.setattr(poly, "_PACKED_DEGREE", C)
-    # the widest slot: GF(1048573) at degree C packs 8-byte slots
-    assert poly._Divisor(field_make(1048573), np.ones(C + 1, dtype=np.int64)).dt.itemsize == 8
+                          [Polynomial(spec, [p - 1] * n) for n in (m, 2 * m)]))
+        assert {poly._Divisor(spec, f._a).dt.itemsize for f, _ in cases} == \
+            {2: {1, 2}, 3: {2}, 7: {2}, 1021: {4}, 1048573: {8}}[p], spec
+        for m in (63, 64, 65, 130):
+            # every (divisor, dividend) pair of degree m as one stack
+            mods, rows = zip(*[(f, a) for f, dividends in cases if f.degree == m
+                               for a in dividends])
+            assert [divmod(a, f) for f, a in zip(mods, rows)] == list(map(row_divmod, rows, mods))
+            assert list(map(gcd, rows, mods)) == list(gcd(rows, mods)), (spec, m)
+            e = rng.randrange(2, 2 ** 12)
+            assert [pow_mod(a, e, f) for f, a in zip(mods, rows)] == \
+                list(pow_mod(rows, e, mods)), (spec, m, e)
+            if m < 130:
+                rabin = [f for f, _ in cases if f.degree == m]
+                assert [is_irreducible(f) for f in rabin] == is_irreducible(rabin), (spec, m)
+        for f in irreducible:  # certified by factorize, independently of Rabin's test
+            m = int(f.degree)
+            assert is_irreducible(f) and [(g.degree, e) for g, e in factorize(f, m)] == [(m, 1)], f
 
 
-def test_packed_division_of_long_dividends_matches_arrays(monkeypatch, rng):
-    # dividends of 2,000 to 4,096 coefficients cross many reduction windows;
-    # every coefficient p - 1 gives the largest slot sums
+def test_a_prime_field_divisor_without_a_slot_keeps_index_vectors(monkeypatch, rng):
+    # _slot_dtype finds no slot past 8 bytes (as for a divisor of degree
+    # above about 8.4 million at p near 2^20); a GF(p) _Divisor then keeps
+    # index vectors, and its division, pow_mod, gcd, Q, z Q, z - x and Rabin
+    # verdicts are those of the packed divisor
+    assert poly._slot_dtype(2 ** 64 - 1).itemsize == 8
+    assert poly._slot_dtype(2 ** 64) is None
     cases = []
+    for p in (2, 1021, 1048573):
+        spec = field_make(p)
+        seeded = random_poly(spec, 65, random.Random(IRREDUCIBLE_SEEDS[p][2]), monic=True)
+        for f in (seeded, random_poly(spec, 65, rng), Polynomial(spec, [p - 1] * 66)):
+            cases.append((f, [random_poly(spec, n, rng) for n in (30, 64, 140)]
+                          + [random_poly(spec, 3, rng) * f, Polynomial(spec, [p - 1] * 131)]))
+
+    def results():
+        out = []
+        for f, dividends in cases:
+            spec, div = f.owner, poly._Divisor(f.owner, f._a)
+            one, x = (div.load(np.array(c, dtype=np.int64)) for c in ([spec.unit], [0, spec.unit]))
+            Q = poly._frobenius_rows(one, pow_mod(x, spec.q, div), 65, div.mulmod)
+            residues = [div.load(a._a) for a in dividends]
+            out.append((div.dt is None, is_irreducible(f),
+                        [poly._trim(div.store(r)).tolist() for r in Q],
+                        [(divmod(a, f), gcd(a, f), pow_mod(a, 1000, f)) for a in dividends],
+                        [div.store(v).tolist() for r in residues
+                         for v in (div.times_q(r, Q), div.minus_x(r), div.gcd(r))]))
+        return out
+    packed = results()
+    assert not any(r[0] for r in packed) and all(r[1] for r in packed[::3])
+    monkeypatch.setattr(poly, "_slot_dtype", lambda bound: None)
+    fallback = results()
+    assert all(r[0] for r in fallback)
+    assert [r[1:] for r in fallback] == [r[1:] for r in packed]
+
+
+def test_packed_division_of_long_dividends_matches_arrays(rng):
+    # dividends of 2,000 to 4,096 coefficients cross many reduction windows,
+    # against the row kernel's _rows_reduce; every coefficient p - 1 gives
+    # the largest slot sums
     for p, n, m in ((2, 4096, 1), (3, 4096, 2), (7, 2000, 16), (1021, 2000, 16),
-                    (1048573, 2500, poly._PACKED_DEGREE), (5, 3000, 40)):
+                    (1048573, 2500, 64), (5, 3000, 40), (3, 4096, 300), (4093, 4096, 1000)):
         spec = field_make(p)
         f = random_poly(spec, m, rng)
         for a in (random_poly(spec, n - 1, rng), Polynomial(spec, [p - 1] * n),
                   f * random_poly(spec, n - 1 - m, rng)):
-            cases.append((a, f))
-    packed = [divmod(a, f) for a, f in cases]
-    assert all(int(a.degree) >= 1999 and r.degree < f.degree
-               for (a, f), (_, r) in zip(cases, packed))
-    assert all(r.is_zero() for (_, r) in packed[2::3])
-    monkeypatch.setattr(poly, "_PACKED_DEGREE", 0)
-    assert [divmod(a, f) for a, f in cases] == packed
+            q, r = divmod(a, f)
+            assert int(a.degree) >= 1999 and r.degree < f.degree
+            assert (q, r) == row_divmod(a, f), (spec, m)
+        assert r.is_zero()
+
+
+@pytest.mark.parametrize("p, n", [(1021, 500), (3, 2000), (4093, 4000)])
+def test_pow_mod_by_a_binomial_matches_its_closed_form(p, n, rng):
+    # f = c((x + b)^n - a) gives (x + b)^n = a mod f, so (x + b)^e mod f is
+    # a^(e // n) (x + b)^(e % n), of degree below n: packed pow_mod in slots
+    # of 4, 2 and 8 bytes against products that divide nothing
+    spec = field_make(p)
+    a, b, c = (spec.element(rng.randrange(1, p)) for _ in range(3))
+    y = Polynomial(spec, [b, 1])
+    f = (y ** n - Polynomial(spec, [a])).scale(c)
+    exponents = [n - 1, n, 2 * n + 3, rng.randrange(n, 4 * n)] + [p ** 2] * (n <= 512)
+    for e in exponents:
+        assert pow_mod(y, e, f) == (y ** (e % n)).scale(a ** (e // n)), (spec, e)
+
+
+@pytest.mark.parametrize("p", [1021, 1048573])
+def test_rabin_at_degree_128_matches_the_binomial_criterion(p):
+    # for p = 1 mod 4, x^128 - a is irreducible over GF(p) iff a is not a
+    # square (Lidl & Niederreiter, *Finite Fields*, Theorem 3.75), and so is
+    # the dense (x + 1)^128 - a: scalar Rabin on packed residues and the
+    # stacked test against that criterion
+    spec = field_make(p)
+    nonsquare = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    y = Polynomial(spec, [1, 1])
+    rows = [y ** 128 - Polynomial(spec, [a]) for a in (nonsquare, 4)]
+    assert [is_irreducible(f) for f in rows] == is_irreducible(rows) == [True, False]
 
 
 @pytest.mark.parametrize("p, width", [(7, 2), (257, 4), (1048573, 8)])
@@ -458,11 +527,11 @@ def test_roots_outside_the_prime_field_reach_rabin(monkeypatch):
 
 def test_scalar_rabin_makes_one_pow_mod_call_over_q_above_two(monkeypatch):
     # over q > 2 the first Frobenius step is the one pow_mod call (row 1 of
-    # Q) and every later step is z Q, packed (deg f <= 64) or on index vectors
-    # (GF(9), and deg f = 65 above the crossover); over GF(2), or when one Q
-    # would exceed _FROBENIUS_ENTRIES on index vectors, each step is one
-    # pow_mod call; every f is irreducible, so the test runs all d steps
-    seeded = [random_poly(field_make(p), m, random.Random(CROSSOVER_IRREDUCIBLE_SEEDS[p][m - 63]),
+    # Q) and every later step is z Q, packed over GF(p) or on index vectors
+    # (GF(9), GF(16)); over GF(2), or when one Q would exceed
+    # _FROBENIUS_ENTRIES, each step is one pow_mod call; every f is
+    # irreducible, so the test runs all d steps
+    seeded = [random_poly(field_make(p), m, random.Random(IRREDUCIBLE_SEEDS[p][m - 63]),
                           monic=True) for p, m in ((1021, 64), (1021, 65), (2, 65))]
     cases = [(monic_irreducibles(field_make(*field), d)[0], calls)
              for field, d, calls in (((3, 1), 7, 1), ((7, 1), 4, 1), ((3, 2), 4, 1),
@@ -569,9 +638,8 @@ def test_irreducibility_on_a_stack_runs_in_blocks(monkeypatch):
 @given(st.one_of(
            st.tuples(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (7, 2), (2, 3), (5, 1)]),
                      st.integers(1, 8)),
-           # single calls on packed integers up to the crossover, and past it
-           st.tuples(st.just((2, 1)), st.sampled_from(
-               range(poly._PACKED_DEGREE - 1, poly._PACKED_DEGREE + 3)))),
+           # single calls on packed integers at degrees 63 to 66
+           st.tuples(st.just((2, 1)), st.sampled_from(range(63, 67)))),
        st.data())
 def test_stacked_rabin_matches_single_calls(case, data):
     field, d = case

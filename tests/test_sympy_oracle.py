@@ -8,8 +8,8 @@ import operator
 import pytest
 
 from conftest import random_poly
-from qtk import cli, field_make
-from qtk.poly import Polynomial, factorize, gcd, is_irreducible
+from qtk import cli, field_make, poly
+from qtk.poly import Polynomial, factorize, gcd, is_irreducible, pow_mod
 
 sympy = pytest.importorskip("sympy")
 
@@ -37,8 +37,8 @@ def test_factorization_and_irreducibility_match_sympy(p, rng):
 def test_gcd_matches_sympy_on_a_planted_common_factor(p, degrees, rng):
     # gcd(g*u, g*v) against sympy's gcd at the larger degrees n given: the
     # packed Euclid in slots of 1 (p = 2; p = 3 at n = 5), 2 (p = 3 at n = 40;
-    # p = 7), 4 (p = 1021) and 8 (p = 1048573) bytes, and the array loop above
-    # the crossover (n = 70); then a divisor with every coefficient p - 1 and
+    # p = 7; p = 5), 4 (p = 1021) and 8 (p = 1048573) bytes; then a divisor
+    # with every coefficient p - 1 and
     # a quotient of ones, whose first division adds up to n // 2 + 1 products
     # (p - 1)^2 to a slot, the largest sums
     spec = field_make(p)
@@ -58,6 +58,35 @@ def test_gcd_matches_sympy_on_a_planted_common_factor(p, degrees, rng):
             assert (check(g * u, g * v) % g.monic()).is_zero()
         b = Polynomial(spec, [p - 1] * (n // 2 + 1))
         check(b * Polynomial(spec, [1] * (n - n // 2 + 1)) + random_poly(spec, n // 2 - 1, rng), b)
+
+
+@pytest.mark.parametrize("p, n, width", [(2, 65, 1), (1048573, 65, 8), (1021, 512, 4),
+                                         (3, 2048, 2), (4093, 4096, 8)])
+def test_packed_division_and_gcd_above_degree_64_match_sympy(p, n, width, rng):
+    # divmod by a non-monic divisor of degree n and by one with every
+    # coefficient p - 1, gcd(g*u, g*v) with deg g*u = n, and (n <= 512)
+    # x^(2n+3) mod f, on residues packed in slots of `width` bytes, against
+    # sympy's dense GF(p) arithmetic; the other operands are short, so its
+    # pure-Python division stays cheap
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_div, gf_gcd, gf_pow_mod
+    spec = field_make(p)
+
+    def theirs(f):  # coefficients from the leading one down
+        return [int(c) for c in reversed(f.coeffs)]
+
+    def ours(c):
+        return Polynomial(spec, c[::-1])
+    for f in (random_poly(spec, n, rng), Polynomial(spec, [p - 1] * (n + 1))):
+        assert poly._Divisor(spec, f._a).dt.itemsize == width
+        for a in (random_poly(spec, n + 30, rng), Polynomial(spec, [p - 1] * (n + 31))):
+            assert divmod(a, f) == tuple(map(ours, gf_div(theirs(a), theirs(f), p, ZZ))), (a, f)
+        if n <= 512:
+            want = gf_pow_mod([1, 0], 2 * n + 3, theirs(f), p, ZZ)
+            assert pow_mod(Polynomial.x(spec), 2 * n + 3, f) == ours(want)
+    g = random_poly(spec, 10, rng)
+    u, v = random_poly(spec, n - 10, rng), random_poly(spec, 30, rng)
+    assert gcd(g * u, g * v) == ours(gf_gcd(theirs(g * u), theirs(g * v), p, ZZ))
 
 
 @pytest.mark.parametrize("d", [2, 3])
