@@ -6,11 +6,16 @@ of the generator y, residues mod p) has index a0*p^(k-1) + ... + a_(k-1), so
 indices sort as coordinate tuples do; over a prime field it is the residue.
 Prime fields multiply residues and invert with ``pow(u, -1, p)``; extension
 fields multiply and invert through exp/log tables of a primitive element,
-built on first use (4 bytes per entry each: 8 MB at q = 2^20).  Index arrays
-add by one rule (:meth:`FieldSpec.addmul_vec`, :meth:`FieldSpec.sum_vec`):
-residues mod p for k = 1 (acc + a*c < 2^40), XOR for p = 2 (the coordinates
-are the bits), else on the coordinates, from a table of the q elements built
-on first use (int8 for p < 128, else int16: at most q*k bytes, 20 MB at 2^20).
+built on first use (int32: exp doubled to 2(q - 1) entries so that a product
+needs no ``% (q - 1)``; 12 MB for both at q = 2^20).  Index arrays add by one
+rule (:meth:`FieldSpec.addmul_vec`, :meth:`FieldSpec.sum_vec`): residues mod
+p for k = 1 (acc + a*c < 2^40), XOR for p = 2 (the coordinates are the
+bits), else on the coordinates, from a table of the q elements built on
+first use (int8 for p < 128, else int16: at most q*k bytes, 20 MB at 2^20).
+Up to q = _TABLE_BOUND, an extension field's :meth:`FieldSpec.mul_vec` is
+one gather from a flat q x q product table and, for odd p,
+:meth:`FieldSpec.addmul_vec` one more from a q x q sum table (int16, 2 MB
+each at q = 1024), both built on the first vector call.
 
 The modulus defining GF(p^k) is the *canonical* one: the lexicographically
 least monic irreducible of degree k over GF(p), comparing coefficient tuples
@@ -35,6 +40,10 @@ from . import errors, intmath
 
 #: Largest permitted field cardinality.
 SIZE_BOUND = 2 ** 20
+
+#: Largest extension field whose vector products and odd-p sums gather from
+#: q x q tables (module docstring).
+_TABLE_BOUND = 1024
 
 
 def field_make(p: int, k: int = 1) -> "FieldSpec":
@@ -110,7 +119,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "k", "q", "modulus", "unit", "_pw", "_pwl", "_ymat",
-                 "_red", "_bytemod", "_tables", "_coords", "zero", "one")
+                 "_red", "_bytemod", "_tables", "_square", "_coords", "zero", "one")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -126,7 +135,7 @@ class FieldSpec:
         self._ymat = np.vstack([np.eye(k, dtype=np.int64)[1:], [ymod]])
         self._red = self._matrix(ymod)[:k - 1]
         self._bytemod = bytes(i % p for i in range(256))  # a bytes.translate table
-        self._tables = self._coords = None
+        self._tables = self._square = self._coords = None
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, self.unit)
 
@@ -175,7 +184,7 @@ class FieldSpec:
         if not (u and v):
             return 0
         exp, log = (self._tables or self._build_tables())[2:]
-        return exp[(log[u] + log[v]) % (self.q - 1)]
+        return exp[log[u] + log[v]]
 
     def raw_inv(self, u: int) -> int:
         if not u:
@@ -183,13 +192,13 @@ class FieldSpec:
         if self.k == 1:
             return pow(u, -1, self.p)
         exp, log = (self._tables or self._build_tables())[2:]
-        return exp[-log[u] % (self.q - 1)]
+        return exp[self.q - 1 - log[u]]
 
     def inv_vec(self, u):
         """raw_inv on an array of nonzero indices: by the tables, or u^(p-2)."""
         if self.k > 1:
             exp, log = (self._tables or self._build_tables())[:2]
-            return exp[-log[u] % (self.q - 1)].astype(np.int64)
+            return exp[self.q - 1 - log[u]].astype(np.int64)
         inv = intmath.power(u, self.p - 2, self.mul_vec)
         return u if inv is None else inv  # p = 2: u is 1
 
@@ -205,20 +214,31 @@ class FieldSpec:
 
     def mul_vec(self, a, c):
         """The index array a times c, entrywise: c is one element index or an
-        index array that broadcasts against a (one multiplier per row)."""
+        index array that broadcasts against a (one multiplier per row).  Over
+        GF(p^k) with q <= _TABLE_BOUND one gather from the q x q int16
+        product table (2 MB at q = 1024), above it exp[log a + log c] on the
+        doubled exp table."""
         if self.k == 1:
             return a * c % self.p
+        if self.q <= _TABLE_BOUND:
+            return (self._square or self._build_square())[0][a * self.q + c].astype(np.int64)
         exp, log = (self._tables or self._build_tables())[:2]
-        out = exp[(log[a] + log[c]) % (self.q - 1)].astype(np.int64)
+        out = exp[log[a] + log[c]].astype(np.int64)
         out[(a == 0) | (c == 0)] = 0
         return out
 
     def addmul_vec(self, acc, a, c):
-        """acc + a*c entrywise on index arrays, c as in :meth:`mul_vec`."""
+        """acc + a*c entrywise on index arrays, c as in :meth:`mul_vec`: XOR
+        for p = 2; for odd p one gather from the q x q int16 sum table at
+        (acc, a*c) (2 MB at q = 1024), and on the coordinates only for odd p
+        with q > _TABLE_BOUND."""
         if self.k == 1:
             return (acc + a * c) % self.p
         if self.p == 2:
             return acc ^ self.mul_vec(a, c)
+        if self.q <= _TABLE_BOUND:
+            prod, add = self._square or self._build_square()
+            return add[acc * self.q + prod[a * self.q + c]].astype(np.int64)
         return self.from_coords((self.to_coords(acc) + self.to_coords(self.mul_vec(a, c)))
                                 % self.p)
 
@@ -258,17 +278,36 @@ class FieldSpec:
             step = step @ step % p
         block = block[:size]
         giant = mpow(gmat, size)
-        exp = np.empty(order, dtype=np.int32)
+        exp = np.empty(2 * order, dtype=np.int32)
         for start in range(0, order, size):
             n = min(size, order - start)
             exp[start:start + n] = block[:n] @ self._pw
             block = block @ giant % p
+        exp[order:] = exp[:order]
         log = np.zeros(self.q, dtype=np.int32)
-        log[exp] = np.arange(order, dtype=np.int32)
-        # exp[i] = g^i, log its inverse (log[0] = 0), and memoryviews of both
-        # that index to Python ints for the scalar methods
+        log[exp[:order]] = np.arange(order, dtype=np.int32)
+        # exp[i] = g^i for i < 2(q - 1), log its inverse (log[0] = 0), and
+        # memoryviews of both that index to Python ints for the scalar methods
         self._tables = (exp, log, memoryview(exp), memoryview(log))
         return self._tables
+
+    def _build_square(self):
+        # flat q x q int16 tables: prod[a*q + c] = a*c from the logs (row and
+        # column 0 zero), add[a*q + c] = a + c coordinatewise for odd p (the
+        # coordinate sums stay below 2p <= 64, the indices below q <= 1024)
+        q, p = self.q, self.p
+        exp, log = (self._tables or self._build_tables())[:2]
+        prod = exp[log[:, np.newaxis] + log].astype(np.int16)
+        prod[0] = prod[:, 0] = 0
+        add = None
+        if p > 2:
+            add = np.zeros((q, q), dtype=np.int16)
+            for w in self._pwl:
+                col = np.arange(q, dtype=np.int16) // w % p
+                add += (col[:, np.newaxis] + col) % p * w
+            add = add.ravel()
+        self._square = (prod.ravel(), add)
+        return self._square
 
     # -- element construction ------------------------------------------------
 

@@ -42,8 +42,9 @@ import numpy as np
 from . import errors
 from .gf import SIZE_BOUND, FieldElement, FieldSpec, embed, field_make
 from .moebius import POST, PRE, MoebiusMap, QuadRationalExpr, ReductionTrail
-from .poly import (Polynomial, _rows_reduce, _Stack, _as_rows, compose_fraction,
-                   ddf, factorize, gcd, is_irreducible, monic_irreducibles)
+from .poly import (_SIEVE_ROWS, Polynomial, _rows_reduce, _Stack, _as_rows,
+                   compose_fraction, ddf, factorize, gcd, is_irreducible,
+                   monic_irreducibles)
 
 
 @dataclass(frozen=True)
@@ -342,13 +343,21 @@ def transport_back(f, trail: ReductionTrail):
 
 
 def _kept_stacks(r, m: int) -> tuple[_Stack, _Stack]:
-    """The stacks of f and F for :func:`irreducible_images`."""
-    inputs = monic_irreducibles(r.g.owner, m)
-    images = transform(inputs, r, monic=True)
-    full = ~images.degree_dropped
-    inputs, images = inputs.take(full), images.result.take(full)
-    kept = np.array(is_irreducible(images), dtype=bool)
-    return inputs.take(kept), images.take(kept)
+    """The stacks of f and F for :func:`irreducible_images`: the inputs are
+    transformed and tested in blocks of _SIEVE_ROWS rows, so that only one
+    block of images is held at a time besides the kept ones."""
+    spec = r.g.owner
+    inputs = monic_irreducibles(spec, m)
+    kept_f, kept_F = [], []
+    for start in range(0, len(inputs), _SIEVE_ROWS):
+        f = inputs.take(slice(start, start + _SIEVE_ROWS))
+        images = transform(f, r, monic=True)
+        full = ~images.degree_dropped
+        f, F = f.take(full), images.result.take(full)
+        kept = np.array(is_irreducible(F), dtype=bool)
+        kept_f.append(f.A[kept])
+        kept_F.append(F.A[kept])
+    return _Stack(spec, np.concatenate(kept_f)), _Stack(spec, np.concatenate(kept_F))
 
 
 def irreducible_images(r, m: int) -> list[tuple[Polynomial, Polynomial]]:

@@ -190,39 +190,50 @@ def test_module_entry_point():
     assert proc.returncode == 0 and "value=1" in proc.stdout
 
 
+def run_reporting_vmhwm(*argv: str):
+    """The CLI on argv in a child process that prints its own high-water mark
+    (VmHWM, kB) as the last word of stderr: its ru_maxrss would start at the
+    peak of the process that spawned it, here the test runner."""
+    code = ("import sys\nfrom qtk import cli\nstatus = cli.main(sys.argv[1:])\n"
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0],"
+            " file=sys.stderr)\nsys.exit(status)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout), int(proc.stderr.split()[-1])
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_count_oracle_memory_at_image_degree_twenty():
     # the stacked Rabin test holds d^2 Frobenius matrix entries per row
     # (d = 20 here), in blocks: the child's peak RSS stays within 10% of the
-    # 49 MB it took with square-and-multiply Frobenius steps.  The child reads
-    # its own high-water mark (VmHWM): its ru_maxrss would start at the peak
-    # of the process that spawned it, here the test runner
-    code = ("import sys\nfrom qtk import cli\nstatus = cli.main(sys.argv[1:])\n"
-            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0],"
-            " file=sys.stderr)\nsys.exit(status)\n")
-    proc = subprocess.run([sys.executable, "-c", code, "--json", "count", "--field", "3",
-                           "--n", "10", "--oracle", "--variant", "carlitz"],
-                          env=subprocess_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["verdict"] == "MATCH"
-    assert int(proc.stderr.split()[-1]) < 1.1 * 49 * 1024
+    # 49 MB it took with square-and-multiply Frobenius steps
+    out, peak = run_reporting_vmhwm("--json", "count", "--field", "3", "--n", "10",
+                                    "--oracle", "--variant", "carlitz")
+    assert out["verdict"] == "MATCH"
+    assert peak < 1.1 * 49 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_count_oracle_memory_over_gf_32():
+    # the 261,888 monic irreducible quartics over GF(32) are transformed and
+    # tested in blocks of _SIEVE_ROWS rows: 74-75 MB, where one transform of
+    # all of them peaked at 314 MB
+    out, peak = run_reporting_vmhwm("--json", "count", "--field", "32", "--n", "4",
+                                    "--oracle", "--variant", "carlitz")
+    assert out["verdict"] == "MATCH"
+    assert peak < 1.3 * 75 * 1024
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_hverify_memory_over_gf_2_11():
     # the degree-2049 H over GF(2^11) is divided by one addmul_vec per
     # quotient step: one divisor multiple kept per quotient coefficient would
-    # be 2,047 x 2,048 x 11 int64 entries (369 MB).  The child reads its own
-    # VmHWM, as in the test above
-    code = ("import sys\nfrom qtk import cli\nstatus = cli.main(sys.argv[1:])\n"
-            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0],"
-            " file=sys.stderr)\nsys.exit(status)\n")
-    proc = subprocess.run([sys.executable, "-c", code, "--json", "hverify", "--field", "2048",
-                           "--n", "1", "--sigma", "[0 1 0 0 0 0 0 0 0 0 0]"],
-                          env=subprocess_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["ok"] is True
-    assert int(proc.stderr.split()[-1]) < 100 * 1024
+    # be 2,047 x 2,048 x 11 int64 entries (369 MB)
+    out, peak = run_reporting_vmhwm("--json", "hverify", "--field", "2048", "--n", "1",
+                                    "--sigma", "[0 1 0 0 0 0 0 0 0 0 0]")
+    assert out["ok"] is True
+    assert peak < 100 * 1024
 
 
 @pytest.mark.parametrize("env,argv", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reference
-from qtk import errors, field_make
+from qtk import errors, field_make, gf
 from qtk.gf import (_embedding_powers, element_from_text, embed,
                     field_from_name, is_square, least_nonsquare)
 
@@ -147,8 +147,9 @@ def test_inv_vec_matches_raw_inv(p, k):
     assert spec.inv_vec(u[:, np.newaxis]).ravel().tolist() == want
 
 
-#: Residues (k = 1), XOR (p = 2), and the coordinate table with int8 and,
-#: at p = 131, int16 entries.
+#: Residues (k = 1), XOR (p = 2), the sum table (odd p, q <= 1024; sum_vec
+#: on the coordinate table with int8 entries), and at p = 131 the coordinate
+#: table with int16 entries.
 ADD_FIELDS = [(2, 1), (7, 1), (2, 2), (3, 2), (2, 5), (3, 3), (131, 2)]
 
 
@@ -172,6 +173,72 @@ def test_addmul_and_sum_match_raw_add_and_raw_mul(p, k):
     for axis, lines in ((0, acc.T), (1, acc)):
         assert spec.sum_vec(acc, axis).tolist() \
             == [functools.reduce(spec.raw_add, v, 0) for v in lines.tolist()]
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (2, 10), (31, 2)])
+def test_square_tables_match_raw_mul_and_raw_add_on_every_pair(p, k):
+    # q <= _TABLE_BOUND (GF(2^10) and GF(31^2) = 961 at the bound): the
+    # product table on every (a, c), with c broadcast as an (N, 1) column and
+    # as one scalar, zero on both sides; the sum table (odd p) on every
+    # (acc, b) through addmul_vec(acc, b, 1), then under a multiplier
+    spec = field_make(p, k)
+    q = spec.q
+    assert q <= gf._TABLE_BOUND
+    u = np.arange(q, dtype=np.int64)
+    products = [[spec.raw_mul(a, c) for a in range(q)] for c in range(q)]
+    out = spec.mul_vec(np.tile(u, (q, 1)), u[:, np.newaxis])
+    assert out.dtype == np.int64 and out.tolist() == products
+    for c in (0, spec.unit, q - 1, q // 3):
+        assert spec.mul_vec(u, c).tolist() == products[c]
+    if p == 2:
+        assert spec._square[1] is None  # XOR adds
+        return
+    sums = spec.addmul_vec(u[:, np.newaxis], u, spec.unit)
+    assert sums.dtype == np.int64
+    assert sums.tolist() == [[spec.raw_add(s, b) for b in range(q)] for s in range(q)]
+    c = q - 2
+    assert spec.addmul_vec(u[::-1], u, c).tolist() \
+        == [spec.raw_add(s, b) for s, b in zip(range(q - 1, -1, -1), products[c])]
+
+
+@pytest.mark.parametrize("p, k", [(2, 11), (37, 2)])
+def test_products_above_the_table_bound_use_the_doubled_exp_table(p, k):
+    # exp has 2(q - 1) entries, so exp[log a + log c] needs no modulo; every a
+    # against a sample of c (zero, one, the last index, seeded others) equals
+    # the product by c's multiplication matrix, without the tables; inverses
+    # and powers read the first q - 1 entries
+    spec = field_make(p, k)
+    q = spec.q
+    assert q > gf._TABLE_BOUND
+    exp = (spec._tables or spec._build_tables())[0]
+    assert len(exp) == 2 * (q - 1) and (exp[q - 1:] == exp[:q - 1]).all()
+    u = np.arange(q, dtype=np.int64)
+    coords = spec.to_coords(u)
+    cs = np.array([0, spec.unit, q - 1, *np.random.default_rng(q).integers(q, size=5)])
+    want = [spec.from_coords(coords @ spec._matrix(spec.coords(c)) % p).tolist()
+            for c in cs.tolist()]
+    assert spec.mul_vec(np.tile(u, (len(cs), 1)), cs[:, np.newaxis]).tolist() == want
+    for c, w in zip(cs.tolist(), want):
+        assert spec.mul_vec(u, c).tolist() == w
+        assert [spec.raw_mul(a, c) for a in range(q)] == w
+    assert spec._square is None
+    nonzero = u[1:]
+    assert (spec.mul_vec(nonzero, spec.inv_vec(nonzero)) == spec.unit).all()
+    for e in (q - 2, q - 1, q, 3 * q + 1):
+        power = functools.reduce(spec.raw_mul, [cs[-1].item()] * (e % (q - 1)), spec.unit)
+        assert spec.raw_pow(cs[-1].item(), e) == power
+
+
+def test_field_make_builds_no_table():
+    # the exp/log and q x q tables come with the first call that needs them,
+    # not with the field (the body of field_make, past its cache)
+    spec = gf._field_make.__wrapped__(3, 2)
+    assert spec._tables is None and spec._square is None
+    spec.raw_mul(spec.unit, spec.unit)
+    assert spec._tables is not None and spec._square is None
+    spec.mul_vec(np.arange(spec.q), spec.unit)
+    prod, add = spec._square
+    assert prod.dtype == add.dtype == np.int16 and prod.shape == add.shape == (spec.q ** 2,)
 
 
 @pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (7, 3), (3, 5), (2, 20)])
