@@ -215,13 +215,10 @@ def cmd_hverify(args, json_mode: bool) -> int:
         report = hfactor.verify_meyn_product(sigma, args.n, args.size_bound)
     else:
         raise _UsageError("hverify needs --expr or --sigma")
-    if json_mode:
-        print(json.dumps(report.to_json_dict(), sort_keys=True))
-    else:
-        _emit({"cmd": "hverify", "field": spec.name, "n": args.n,
-               "factors": len(report.factors),
-               "degrees": report.degree_multiset(),
-               "checks": len(report.checks), "ok": report.ok}, json_mode)
+    _emit(report.to_json_dict() if json_mode else
+          {"cmd": "hverify", "field": spec.name, "n": args.n,
+           "factors": len(report.factors), "degrees": report.degree_multiset(),
+           "checks": len(report.checks), "ok": report.ok}, json_mode)
     return EXIT_OK
 
 

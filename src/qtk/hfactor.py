@@ -26,6 +26,14 @@ the canonical-reduction trail (transport, invert the special form, transport
 back) and must be reproduced; a pencil factor must be the image of its
 label's x - alpha.  The invariance checks and this roundtrip take the
 factors of one degree as one stack, so each runs once per factor degree.
+
+The checks are one ordered table of (name, verdict, detail) rows over
+inputs computed once: H, its fixed part and monic core, the matches, the
+layer table and the layer products.  Each row does its own work in report
+order, from squarefree-witness to reconstruction-roundtrip.  A row whose
+verdict is None does not apply to this input and is left out of the report:
+sigma-self-reciprocal without sigma, and ddf-layers outside
+1 <= deg core <= _DDF_DEGREE_LIMIT.
 """
 
 from __future__ import annotations
@@ -219,89 +227,64 @@ def _verify_engine(r: QuadRationalExpr, n: int, size_bound: int | None,
             "characteristic 2 with g and h both even: no irreducible images")
     a, b, c = r.abc
     disc = r.discriminant()
-    checks: list[CheckOutcome] = []
-
-    h_full, fixed, h_core, exact = _split_h(r, n, size_bound)
-    combo = _squarefree_combo(r, h_full)
-    checks.append(CheckOutcome(
-        "squarefree-witness", combo == Polynomial(fs, [disc]), combo.to_text()))
-
-    checks.append(CheckOutcome(
-        "fixed-part-divides", exact, f"deg fixed part = {fixed.degree}"))
-    h_core_monic = h_core.monic()
-    scalar = h_core.leading
-
     eps = square_class(disc)
     expected_deg = qn - eps ** n
-    checks.append(CheckOutcome(
-        "degree-identity", int(h_core.degree) == expected_deg,
-        f"deg = {int(h_core.degree)}, q^n - eps^n = {expected_deg}, eps = {eps}"))
 
+    h, fixed, h_core, exact = _split_h(r, n, size_bound)
+    core, scalar = h_core.monic(), h_core.leading
     matches = _enumerate_image_factors(r, n)
-
-    degrees_ok = all(
-        (2 * n) % m.degree == 0 and n % m.degree != 0 for m in matches)
-    checks.append(CheckOutcome(
-        "factor-degrees", degrees_ok, f"multiset {sorted(m.degree for m in matches)}"))
-
-    distinct = len({m.factor for m in matches}) == len(matches)
-    checks.append(CheckOutcome("factors-distinct", distinct, f"{len(matches)} factors"))
-
     # the layer table: the matches of each factor degree, in sorted order;
-    # every later check takes one stack or one product per layer
+    # every check on the factors takes one stack or one product per layer
     layers: dict[int, list[FactorMatch]] = {}
     for m in matches:
         layers.setdefault(m.degree, []).append(m)
     stacks = [[m.factor for m in layer] for layer in layers.values()]
-    if sigma is not None:
-        srim_ok = all(all(is_sigma_self_reciprocal(F, sigma)) for F in stacks)
-        checks.append(CheckOutcome("sigma-self-reciprocal", srim_ok, ""))
-    invariant_ok = all(all(is_invariant_generalized(F, a, b, c)) for F in stacks)
-    checks.append(CheckOutcome("factors-invariant", invariant_ok, ""))
-
-    # distinct monic irreducibles are coprime, so a layer's product divides
-    # the core exactly when each of its factors does
-    one = Polynomial.one(fs)
+    one, x = Polynomial.one(fs), Polynomial.x(fs)
     layer_products = {d: _product(F, one) for d, F in zip(layers, stacks)}
-    divide_ok = all((h_core_monic % p).is_zero() for p in layer_products.values())
-    checks.append(CheckOutcome("factors-divide-core", divide_ok, ""))
 
-    product = _product(layer_products.values(), one)
-    checks.append(CheckOutcome(
-        "product-identity", product == h_core_monic,
-        f"scalar = {scalar.to_text()}"))
-
-    bookkeeping = sum(m.degree for m in matches) + int(fixed.degree) \
-        == int(h_full.degree)
-    checks.append(CheckOutcome(
-        "degree-bookkeeping", bookkeeping,
-        f"{sum(m.degree for m in matches)} + {int(fixed.degree)} "
-        f"= {int(h_full.degree)}"))
-
-    if h_core_monic.degree >= 1:
-        z = pow_mod(Polynomial.x(fs), fs.q ** (2 * n), h_core_monic)
-        closure_ok = z == Polynomial.x(fs) % h_core_monic
-    else:
-        closure_ok = True
-    checks.append(CheckOutcome("frobenius-closure", closure_ok, ""))
-
-    if 1 <= h_core_monic.degree <= _DDF_DEGREE_LIMIT:
-        checks.append(CheckOutcome("ddf-layers", ddf(h_core_monic) == layer_products, ""))
-
-    # re-derive each large factor from the factor alone via the reduction trail
-    matches = _attach_reconstructions(r, layers, checks)
+    # (name, verdict, detail) in report order, each check's work done in its
+    # row; a verdict of None means the check does not apply to this input
+    rows = [
+        ("squarefree-witness", (combo := _squarefree_combo(r, h)) == Polynomial(fs, [disc]),
+         combo.to_text()),
+        ("fixed-part-divides", exact, f"deg fixed part = {fixed.degree}"),
+        ("degree-identity", int(h_core.degree) == expected_deg,
+         f"deg = {int(h_core.degree)}, q^n - eps^n = {expected_deg}, eps = {eps}"),
+        ("factor-degrees", all((2 * n) % m.degree == 0 and n % m.degree != 0 for m in matches),
+         f"multiset {sorted(m.degree for m in matches)}"),
+        ("factors-distinct", len({m.factor for m in matches}) == len(matches),
+         f"{len(matches)} factors"),
+        ("sigma-self-reciprocal", None if sigma is None
+         else all(all(is_sigma_self_reciprocal(F, sigma)) for F in stacks), ""),
+        ("factors-invariant", all(all(is_invariant_generalized(F, a, b, c)) for F in stacks), ""),
+        # distinct monic irreducibles are coprime, so a layer's product divides
+        # the core exactly when each of its factors does
+        ("factors-divide-core", all((core % p).is_zero() for p in layer_products.values()), ""),
+        ("product-identity", _product(layer_products.values(), one) == core,
+         f"scalar = {scalar.to_text()}"),
+        ("degree-bookkeeping",
+         (total := sum(m.degree for m in matches)) + int(fixed.degree) == int(h.degree),
+         f"{total} + {int(fixed.degree)} = {int(h.degree)}"),
+        ("frobenius-closure", core.degree < 1 or pow_mod(x, fs.q ** (2 * n), core) == x % core, ""),
+        ("ddf-layers",
+         ddf(core) == layer_products if 1 <= core.degree <= _DDF_DEGREE_LIMIT else None, ""),
+        # re-derive each large factor from the factor alone via the reduction trail
+        ("reconstruction-roundtrip", not (roundtrip := _attach_reconstructions(r, layers))[1],
+         roundtrip[1][-1] if roundtrip[1] else ""),
+    ]
 
     report = HVerifyReport(
-        n=n, expr=r, h=h_full, h_core=h_core_monic, scalar=scalar,
-        factors=tuple(matches), checks=tuple(checks))
+        n=n, expr=r, h=h, h_core=core, scalar=scalar, factors=tuple(roundtrip[0]),
+        checks=tuple(CheckOutcome(*row) for row in rows if row[1] is not None))
     if not report.ok:
         names = ", ".join(c.name for c in report.failures())
         raise errors.MismatchFound(f"verification failed: {names}", report)
     return report
 
 
-def _attach_reconstructions(r: QuadRationalExpr, layers: dict[int, list[FactorMatch]],
-                            checks: list[CheckOutcome]) -> list[FactorMatch]:
+def _attach_reconstructions(r: QuadRationalExpr, layers: dict[int, list[FactorMatch]]
+                            ) -> tuple[list[FactorMatch], list[str]]:
+    """(the matches with their recovered inputs, the roundtrip failures)."""
     form, trail = reduce_canonical(r)
     errors.require(form.kind is CanonicalKind.X_PLUS_SIGMA_OVER_X, "reduced to x^2")
     out: list[FactorMatch] = []
@@ -333,9 +316,7 @@ def _attach_reconstructions(r: QuadRationalExpr, layers: dict[int, list[FactorMa
                 out.append(m)
                 continue
             out.append(replace(m, reconstructed_f=f_back))
-    checks.append(CheckOutcome("reconstruction-roundtrip", not failures,
-                               failures[-1] if failures else ""))
-    return out
+    return out, failures
 
 
 def verify_meyn_product(sigma: FieldElement, n: int,

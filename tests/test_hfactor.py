@@ -7,9 +7,9 @@ from conftest import random_expr
 from qtk import errors, field_make
 from qtk.counting import count_sigma
 from qtk.gf import least_nonsquare
-from qtk.hfactor import (_split_h, _squarefree_combo, build_h,
-                         permitted_source_degrees, verify_meyn_generalized,
-                         verify_meyn_product)
+from qtk.hfactor import (_DDF_DEGREE_LIMIT, _split_h, _squarefree_combo,
+                         build_h, permitted_source_degrees,
+                         verify_meyn_generalized, verify_meyn_product)
 from qtk.higher import ORDER3, ORDER4, TRANSLATION, kernel
 from qtk.intmath import divisors, factorization
 from qtk.moebius import expr_parse, sigma_form
@@ -108,6 +108,45 @@ def test_corrupted_h_fails_the_squarefree_witness_check(monkeypatch):
     assert combo.degree > 0 and witness.detail == combo.to_text()
 
 
+#: every row of a report in order, as a sigma with a core of degree at most
+#: the ddf limit gets them
+_ROWS = ["squarefree-witness", "fixed-part-divides", "degree-identity",
+         "factor-degrees", "factors-distinct", "sigma-self-reciprocal",
+         "factors-invariant", "factors-divide-core", "product-identity",
+         "degree-bookkeeping", "frobenius-closure", "ddf-layers",
+         "reconstruction-roundtrip"]
+
+
+def test_passing_reports_list_the_rows_that_apply_in_order():
+    # an expression has no sigma-self-reciprocal row, and a core above the
+    # ddf limit (GF(7), n = 3, sigma a nonsquare: degree 7^3 + 1) no ddf-layers row
+    F3, F5, F7 = field_make(3), field_make(5), field_make(7)
+    cases = [
+        (verify_meyn_product(F5.element(2), 2), 24, _ROWS),
+        (verify_meyn_generalized(expr_parse(F3, "1,0,1 / 0,1"), 1), 2,
+         [name for name in _ROWS if name != "sigma-self-reciprocal"]),
+        (verify_meyn_product(least_nonsquare(F7), 3), 344,
+         [name for name in _ROWS if name != "ddf-layers"]),
+    ]
+    assert 24 <= _DDF_DEGREE_LIMIT < 344
+    for report, core_degree, names in cases:
+        assert report.ok and report.h_core.degree == core_degree
+        assert [c.name for c in report.checks] == names
+
+
+def test_passing_report_details():
+    # GF(5), sigma = 2, n = 2: a fixed part of degree 2 and six quartics
+    report = verify_meyn_product(field_make(5).element(2), 2)
+    assert {c.name: c.detail for c in report.checks if c.detail} == {
+        "squarefree-witness": "2",
+        "fixed-part-divides": "deg fixed part = 2",
+        "degree-identity": "deg = 24, q^n - eps^n = 24, eps = -1",
+        "factor-degrees": "multiset [4, 4, 4, 4, 4, 4]",
+        "factors-distinct": "6 factors",
+        "product-identity": "scalar = 1",
+        "degree-bookkeeping": "24 + 2 = 26"}
+
+
 def _verify_with_matches(monkeypatch, edit):
     # GF(5), sigma = 2, n = 2: the core is the product of six quartics;
     # `edit` rewrites the enumerated match list before the checks see it
@@ -118,12 +157,7 @@ def _verify_with_matches(monkeypatch, edit):
     with pytest.raises(errors.MismatchFound) as exc:
         verify_meyn_product(field_make(5).element(2), 2)
     report = exc.value.report
-    assert [c.name for c in report.checks] == [
-        "squarefree-witness", "fixed-part-divides", "degree-identity",
-        "factor-degrees", "factors-distinct", "sigma-self-reciprocal",
-        "factors-invariant", "factors-divide-core", "product-identity",
-        "degree-bookkeeping", "frobenius-closure", "ddf-layers",
-        "reconstruction-roundtrip"]
+    assert [c.name for c in report.checks] == _ROWS
     return report
 
 
